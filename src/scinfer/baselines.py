@@ -7,6 +7,10 @@ role in its edge step, so its graph estimate cannot improve with more
 observed flows), unobserved edge signals stay zero, and triangles are
 scored against that zero-filled matrix. The correlation baseline
 thresholds pairwise node correlations and fills every 3-clique.
+
+``METHODS`` maps each method name to a callable taking ``(skeleton,
+x0, x1_obs, observed_edges, params)`` and returning a LearnState; the
+command line and the sweep harness dispatch through it.
 """
 
 from __future__ import annotations
@@ -19,15 +23,23 @@ import numpy as np
 from .learner import (
     HyperParams,
     LearnState,
+    _check_finite,
     edge_scores,
     objective_value,
+    run_greedy_scl,
     select_edges,
     select_triangles,
     triangle_scores,
 )
-from .topology import ComplexSkeleton, Selection, closure_violations, make_selection
+from .topology import (
+    ComplexSkeleton,
+    Selection,
+    make_selection,
+    missing_edges,
+    prune_open_triangles,
+)
 
-__all__ = ["BaselineConfig", "run_sep_scl", "run_rc"]
+__all__ = ["BaselineConfig", "METHODS", "run_sep_scl", "run_rc"]
 
 _NO_OBS = np.array([], dtype=np.int64)
 
@@ -42,7 +54,6 @@ class BaselineConfig:
     ``t_min=None`` keeps every clique in budget mode too.
     """
 
-    method: str = "RC"
     e_min: int = 0
     t_min: int | None = None
     rc_threshold_mode: str = "budget"
@@ -64,6 +75,7 @@ def run_sep_scl(
     before returning, so the output is always downward closed.
     """
     t_start = time.perf_counter()
+    _check_finite(x0=x0, x1_obs=x1_obs)
     if params.e_min is None or params.t_min is None:
         raise ValueError("params.e_min and params.t_min must be set")
     decoupled = replace(params, gamma=0.0)
@@ -79,13 +91,7 @@ def run_sep_scl(
     s2 = triangle_scores(skeleton, x1_filled, w1, decoupled)
     w2 = select_triangles(s2, int(params.t_min))
 
-    report = closure_violations(skeleton, w1, w2)
-    pruned = 0
-    if report.count:
-        w2 = w2.copy()
-        for t_idx, _ in report.items:
-            w2[t_idx] = 0
-        pruned = len(report.items)
+    w2, pruned = prune_open_triangles(skeleton, w1, w2)
 
     objective = objective_value(skeleton, x0, x1_filled, w1, w2, obs, x1_obs, decoupled)
     elapsed = time.perf_counter() - t_start
@@ -135,7 +141,7 @@ def run_rc(skeleton: ComplexSkeleton, x0: np.ndarray, config: BaselineConfig) ->
     else:
         w1[strength > config.rc_abs_threshold] = 1
 
-    clique = skeleton.b2_unsigned.T @ w1.astype(float) == 3.0
+    clique = missing_edges(skeleton, w1) == 0.0
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
     w2[clique] = 1
     if (
@@ -144,13 +150,34 @@ def run_rc(skeleton: ComplexSkeleton, x0: np.ndarray, config: BaselineConfig) ->
         and int(w2.sum()) > config.t_min
     ):
         clique_idx = np.flatnonzero(clique)
-        min_strengths = np.array(
-            [
-                strength[np.flatnonzero(skeleton.b2_unsigned[:, t])].min()
-                for t in clique_idx
-            ]
-        )
+        i, j, k = np.array([skeleton.triangles[t] for t in clique_idx]).reshape(-1, 3).T
+        abs_corr = np.abs(corr)
+        min_strengths = np.minimum(np.minimum(abs_corr[i, j], abs_corr[i, k]), abs_corr[j, k])
         keep = clique_idx[np.argsort(-min_strengths, kind="stable")[: config.t_min]]
         w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
         w2[keep] = 1
     return make_selection(skeleton, w1, w2)
+
+
+def _run_rc_method(
+    skeleton: ComplexSkeleton,
+    x0: np.ndarray,
+    x1_obs: np.ndarray,
+    observed_edges,
+    params: HyperParams,
+) -> LearnState:
+    """RC under the common method signature; it estimates no edge signals."""
+    t_start = time.perf_counter()
+    _check_finite(x0=x0, x1_obs=x1_obs)
+    selection = run_rc(skeleton, x0, BaselineConfig(e_min=params.e_min, t_min=params.t_min))
+    phase_seconds = {"total": time.perf_counter() - t_start}
+    return LearnState(selection, np.zeros((0, 0)), (), 1, True, 0, 0, phase_seconds)
+
+
+# Entries look the functions up when called, so a wrapper rebound on the
+# module attribute (as perfbench's tracer does) also sees dispatched calls.
+METHODS = {
+    "GreedySCL": lambda *args: run_greedy_scl(*args),
+    "SepSCL": lambda *args: run_sep_scl(*args),
+    "RC": _run_rc_method,
+}

@@ -17,15 +17,12 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import replace
 
-import numpy as np
-
-from .baselines import BaselineConfig, run_rc, run_sep_scl
+from .baselines import METHODS
 from .config import METHOD_NAMES, load_config, parse_hyperparams, parse_instance, parse_sweep
 from .evaluation import evaluate
-from .learner import HyperParams, LearnState, run_greedy_scl
+from .learner import HyperParams
 from .sweep import run_sweep
 from .synth import (
     GenerationError,
@@ -143,24 +140,7 @@ def _cmd_learn(args) -> int:
     ds = read_dataset(args.dataset)
     params = _resolve_params(args, int(ds.truth.w1.sum()), int(ds.truth.w2.sum()))
 
-    if args.method == "RC":
-        start = time.perf_counter()
-        selection = run_rc(ds.skeleton, ds.x0, BaselineConfig(e_min=params.e_min, t_min=params.t_min))
-        state = LearnState(
-            selection=selection,
-            x1_est=np.zeros((0, 0)),
-            objective_trace=(),
-            iterations_run=1,
-            converged=True,
-            closure_violations=0,
-            pruned_triangles=0,
-            phase_seconds={"total": time.perf_counter() - start},
-        )
-    elif args.method == "SepSCL":
-        state = run_sep_scl(ds.skeleton, ds.x0, ds.x1_obs, ds.observed_edges, params)
-    else:
-        state = run_greedy_scl(ds.skeleton, ds.x0, ds.x1_obs, ds.observed_edges, params)
-
+    state = METHODS[args.method](ds.skeleton, ds.x0, ds.x1_obs, ds.observed_edges, params)
     report = evaluate(ds.skeleton, state.selection, ds.truth)
     result = {
         "method": args.method,

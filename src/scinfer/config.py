@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 
+from .baselines import METHODS
 from .learner import HyperParams
 from .synth import InstanceParams
 
@@ -26,7 +27,7 @@ __all__ = [
     "parse_sweep",
 ]
 
-METHOD_NAMES = ("GreedySCL", "SepSCL", "RC")
+METHOD_NAMES = tuple(METHODS)
 SWEEP_VARIABLES = ("node_noise_std", "observed_fraction")
 
 _SECTIONS = ("instance", "params", "sweep")

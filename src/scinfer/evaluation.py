@@ -3,7 +3,9 @@
 Laplacian errors always compare the full candidate-axis embeddings
 (node-by-node for the graph Laplacian, candidate-edge-by-candidate-edge
 for the upper one), so estimates with different active sets stay
-directly comparable.
+directly comparable. Both errors are computed exactly from integer
+counts: a diagonal of node degrees (per-edge triangle counts) plus two
+(six) off-diagonal unit entries per active edge (triangle).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from .topology import (
     ComplexSkeleton,
     Selection,
     closure_violations,
-    node_laplacian,
-    upper_laplacian,
+    edge_coverage,
+    node_degrees,
 )
 
 __all__ = ["EvalReport", "nerr", "evaluate"]
@@ -56,10 +58,17 @@ def nerr(l_est: np.ndarray, l_true: np.ndarray) -> float:
     return float(np.sum((b - a) ** 2) / denom)
 
 
-def _nerr_or_degenerate(l_est: np.ndarray, l_true: np.ndarray) -> float:
-    if np.sum(l_true * l_true) == 0.0:
-        return 0.0 if np.sum(l_est * l_est) == 0.0 else math.inf
-    return nerr(l_est, l_true)
+def _count_nerr(diag_est, diag_true, w_est, w_true, off_diag: int) -> float:
+    """``nerr`` of two combinatorial Laplacians given their diagonals and
+    simplex indicators, with ``off_diag`` unit entries per simplex.
+
+    An empty truth scores 0 against an empty estimate and inf otherwise.
+    """
+    num = np.sum((diag_true - diag_est) ** 2) + off_diag * np.count_nonzero(w_est != w_true)
+    den = np.sum(diag_true * diag_true) + off_diag * np.count_nonzero(w_true)
+    if den == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return float(num / den)
 
 
 def _support_metrics(est: np.ndarray, true: np.ndarray) -> tuple[float, float, float]:
@@ -82,13 +91,11 @@ def _support_metrics(est: np.ndarray, true: np.ndarray) -> tuple[float, float, f
 
 def evaluate(skeleton: ComplexSkeleton, est: Selection, truth: Selection) -> EvalReport:
     """Compare an estimated selection against the ground truth."""
-    nerr_l0 = _nerr_or_degenerate(
-        node_laplacian(skeleton, est.w1.astype(float)),
-        node_laplacian(skeleton, truth.w1.astype(float)),
+    nerr_l0 = _count_nerr(
+        node_degrees(skeleton, est.w1), node_degrees(skeleton, truth.w1), est.w1, truth.w1, 2
     )
-    nerr_lu = _nerr_or_degenerate(
-        upper_laplacian(skeleton, est.w2.astype(float)),
-        upper_laplacian(skeleton, truth.w2.astype(float)),
+    nerr_lu = _count_nerr(
+        edge_coverage(skeleton, est.w2), edge_coverage(skeleton, truth.w2), est.w2, truth.w2, 6
     )
     e_p, e_r, e_f1 = _support_metrics(est.w1, truth.w1)
     t_p, t_r, t_f1 = _support_metrics(est.w2, truth.w2)

@@ -17,8 +17,9 @@ The learner alternates three exact block solves of one objective over
       through the active triangles plus a quadratic data-fit on the
       observed rows, solved in closed form by a pseudoinverse.
 
-Scores are evaluated through squared row norms of incidence-signal
-products; the candidate-by-candidate Gram matrices are never formed.
+Scores are evaluated through squared row norms of the per-edge
+gradients and per-triangle curls of the signals; the candidate-by-
+candidate Gram matrices are never formed.
 """
 
 from __future__ import annotations
@@ -31,8 +32,14 @@ import numpy as np
 from .topology import (
     ComplexSkeleton,
     Selection,
+    b2_block,
     closure_violations,
+    edge_coverage,
+    edge_gradient,
     make_selection,
+    missing_edges,
+    prune_open_triangles,
+    triangle_curl,
 )
 
 __all__ = [
@@ -100,6 +107,12 @@ def _check_observed(skeleton: ComplexSkeleton, observed_edges) -> np.ndarray:
     return obs
 
 
+def _check_finite(**arrays) -> None:
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} has non-finite entries")
+
+
 def triangle_scores(
     skeleton: ComplexSkeleton, x1_est: np.ndarray, w1, params: HyperParams
 ) -> np.ndarray:
@@ -114,9 +127,9 @@ def triangle_scores(
     x1 = np.asarray(x1_est, dtype=np.float64)
     if x1.ndim != 2 or x1.shape[0] != skeleton.n_edges:
         raise ValueError(f"x1_est must have {skeleton.n_edges} rows")
-    curl = skeleton.b2_full.T @ x1
+    curl = triangle_curl(skeleton, x1)
     curl_energy = np.einsum("ij,ij->i", curl, curl)
-    missing = skeleton.b2_unsigned.T @ (1.0 - w1a)
+    missing = missing_edges(skeleton, w1a)
     return params.alpha2 + params.beta2 * curl_energy + params.gamma * missing
 
 
@@ -147,9 +160,9 @@ def edge_scores(
     if x0a.ndim != 2 or x0a.shape[0] != skeleton.n_nodes:
         raise ValueError(f"x0 must have {skeleton.n_nodes} rows")
     obs = _check_observed(skeleton, observed_edges)
-    diffs = skeleton.b1_full.T @ x0a
+    diffs = edge_gradient(skeleton, x0a)
     smoothness = np.einsum("ij,ij->i", diffs, diffs)
-    coverage = skeleton.b2_unsigned @ w2a
+    coverage = edge_coverage(skeleton, w2a)
     scores = params.alpha1 + params.beta1 * smoothness - params.gamma * coverage
     scores[obs] = 0.0
     return scores
@@ -222,11 +235,10 @@ def interpolate_edge_signals(
 
     obs_mask = np.zeros(skeleton.n_edges, dtype=bool)
     obs_mask[obs] = True
-    incident = (skeleton.b2_unsigned @ w2a) > 0.0
+    incident = edge_coverage(skeleton, w2a) > 0.0
     support = np.flatnonzero(obs_mask | incident)
 
-    active_t = np.flatnonzero(w2a)
-    b2s = skeleton.b2_full[np.ix_(support, active_t)]
+    b2s = b2_block(skeleton, support, np.flatnonzero(w2a))
     sys_mat = params.beta2 * (b2s @ b2s.T)
     obs_in_support = obs_mask[support]
     sys_mat[np.diag_indices_from(sys_mat)] += params.eta * obs_in_support
@@ -261,9 +273,9 @@ def objective_value(
     w2a = np.asarray(w2, dtype=np.float64)
     obs = np.asarray(observed_edges, dtype=np.int64)
 
-    diffs = skeleton.b1_full.T @ x0
+    diffs = edge_gradient(skeleton, x0)
     smoothness = np.einsum("ij,ij->i", diffs, diffs)
-    curl = skeleton.b2_full.T @ x1_est
+    curl = triangle_curl(skeleton, x1_est)
     curl_energy = np.einsum("ij,ij->i", curl, curl)
     resid = x1_est[obs] - x1_obs
     return float(
@@ -272,7 +284,7 @@ def objective_value(
         + params.beta1 * smoothness @ w1a
         + params.beta2 * curl_energy @ w2a
         + params.eta * np.sum(resid * resid)
-        + params.gamma * (1.0 - w1a) @ (skeleton.b2_unsigned @ w2a)
+        + params.gamma * (1.0 - w1a) @ edge_coverage(skeleton, w2a)
     )
 
 
@@ -294,6 +306,7 @@ def run_greedy_scl(
     re-interpolated against the pruned triangle set.
     """
     t_start = time.perf_counter()
+    _check_finite(x0=x0, x1_obs=x1_obs)
     obs = _check_observed(skeleton, observed_edges)
     if obs.size == 0:
         raise ValueError("at least one observed edge is required")
@@ -344,12 +357,8 @@ def run_greedy_scl(
 
     pruned = 0
     if params.prune_closure:
-        report = closure_violations(skeleton, w1, w2)
-        if report.count:
-            w2 = w2.copy()
-            for t_idx, _ in report.items:
-                w2[t_idx] = 0
-            pruned = len(report.items)
+        w2, pruned = prune_open_triangles(skeleton, w1, w2)
+        if pruned:
             x1_est = timed(
                 "interpolate", interpolate_edge_signals, skeleton, w2, obs, x1_obs, params
             )

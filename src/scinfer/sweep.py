@@ -25,10 +25,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .baselines import BaselineConfig, run_rc, run_sep_scl
+from .baselines import METHODS
 from .config import SweepSpec
 from .evaluation import evaluate
-from .learner import HyperParams, run_greedy_scl
 from .svgplot import line_plot_svg
 from .synth import generate_instance
 
@@ -58,24 +57,6 @@ def _error_row(value: float, trial: int, method: str, exc: Exception) -> dict:
     return row
 
 
-def _run_method(method: str, truth, signals, params: HyperParams):
-    """Return the estimated Selection for one method on one instance."""
-    if method == "GreedySCL":
-        state = run_greedy_scl(
-            truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, params
-        )
-        return state.selection
-    if method == "SepSCL":
-        state = run_sep_scl(
-            truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, params
-        )
-        return state.selection
-    if method == "RC":
-        config = BaselineConfig(method="RC", e_min=params.e_min, t_min=params.t_min)
-        return run_rc(truth.skeleton, signals.x0, config)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _cell_rows(spec: SweepSpec, grid_index: int, trial: int) -> list[dict]:
     """All rows of one (grid value, trial) cell, in method order."""
     value = spec.grid[grid_index]
@@ -96,8 +77,10 @@ def _cell_rows(spec: SweepSpec, grid_index: int, trial: int) -> list[dict]:
     for method in spec.methods:
         start = time.perf_counter()
         try:
-            est = _run_method(method, truth, signals, params)
-            report = evaluate(truth.skeleton, est, truth.selection)
+            state = METHODS[method](
+                truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, params
+            )
+            report = evaluate(truth.skeleton, state.selection, truth.selection)
         except Exception as exc:
             rows.append(_error_row(value, trial, method, exc))
             continue

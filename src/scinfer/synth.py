@@ -21,8 +21,10 @@ import numpy as np
 from .topology import (
     ComplexSkeleton,
     Selection,
+    b2_block,
     build_skeleton,
     make_selection,
+    missing_edges,
     node_laplacian,
     read_complex_json,
     write_complex_json,
@@ -162,8 +164,7 @@ def fill_triangles(
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    w1a = np.asarray(w1, dtype=np.float64)
-    eligible = np.flatnonzero(skeleton.b2_unsigned.T @ w1a == 3.0)
+    eligible = np.flatnonzero(missing_edges(skeleton, w1) == 0.0)
     count = math.floor(fraction * eligible.size)
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
     if count == 0:
@@ -185,11 +186,11 @@ def _fill_identifiable(skeleton, active_rows, eligible, w2) -> bool:
     filled = eligible[w2[eligible] == 1]
     if spurious.size == 0 or filled.size == 0:
         return True
-    basis_cols = skeleton.b2_full[np.ix_(active_rows, filled)].astype(np.float64)
+    basis_cols = b2_block(skeleton, active_rows, filled)
     u_basis, sv, _ = np.linalg.svd(basis_cols, full_matrices=False)
     rank = int((sv > 1e-10 * sv[0]).sum())
     u_basis = u_basis[:, :rank]
-    probe = skeleton.b2_full[np.ix_(active_rows, spurious)].astype(np.float64)
+    probe = b2_block(skeleton, active_rows, spurious)
     residual = probe - u_basis @ (u_basis.T @ probe)
     return bool((np.linalg.norm(residual, axis=0) > 1e-8).all())
 
@@ -246,7 +247,7 @@ def gen_low_curl_edge_signals(
 
     white = rng.standard_normal((active_e.size, n_signals))
     if active_t.size:
-        b2a = skeleton.b2_full[np.ix_(active_e, active_t)]
+        b2a = b2_block(skeleton, active_e, active_t)
         u, s, _ = np.linalg.svd(b2a, full_matrices=False)
         rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
         basis = u[:, :rank]
@@ -379,6 +380,9 @@ def read_dataset(in_dir) -> Dataset:
     skeleton, truth = read_complex_json(paths["complex.json"])
     x0 = read_matrix_csv(paths["x0.csv"])
     x1_obs = read_matrix_csv(paths["x1_obs.csv"])
+    for name, arr in (("x0.csv", x0), ("x1_obs.csv", x1_obs)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{paths[name]}: non-finite values (nan or inf)")
     observed = []
     with open(paths["observed_edges.csv"], "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

@@ -7,6 +7,10 @@ order. A concrete complex is then just a pair of binary indicator
 vectors over those candidate lists, which keeps topology selection,
 Laplacian assembly and subset scoring in plain array land.
 
+The skeleton stores only the endpoints of each edge and the three edges
+of each triangle; the other modules reach that layout solely through
+the gather/scatter operators defined here.
+
 Orientation convention (fixed): edge ``(i, j)`` with ``i < j`` runs from
 ``i`` to ``j``, so its incidence column carries ``-1`` at row ``i`` and
 ``+1`` at row ``j``. Triangle ``(i, j, k)`` with ``i < j < k`` traverses
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +51,14 @@ __all__ = [
     "read_complex_json",
 ]
 
-# Dense incidence matrices of the complete complex grow as C(n,2) x C(n,3);
-# 40 nodes is ~61 MB per matrix and is where we draw the line.
+# No benchmark workload runs above 40 nodes, so nothing measures the
+# learner or the generator past this size.
 MAX_NODES = 40
 
 _SV_CUTOFF = 1e-10
+
+# Boundary signs of a triangle on its edges, in ``tri_edges`` column order.
+_TRI_SIGNS = np.array([1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -65,23 +73,22 @@ class ComplexSkeleton:
         All candidate edges ``(i, j)``, ``i < j``, lexicographic.
     triangles : tuple of (int, int, int)
         All candidate triangles ``(i, j, k)``, ``i < j < k``, lexicographic.
-    b1_full : ndarray, shape (n_nodes, n_edges)
-        Node-to-edge incidence of the complete complex.
-    b2_full : ndarray, shape (n_edges, n_triangles)
-        Edge-to-triangle incidence of the complete complex.
-    b2_unsigned : ndarray, shape (n_edges, n_triangles)
-        Entrywise absolute value of ``b2_full``; used by the closure
-        penalty and coverage counts.
+    edge_nodes : ndarray of int, shape (n_edges, 2)
+        Endpoints ``(i, j)`` of each candidate edge.
+    tri_edges : ndarray of int, shape (n_triangles, 3)
+        Candidate-edge indices ``(ij, ik, jk)`` of each triangle's
+        boundary, ascending; the boundary signs are ``(+1, -1, +1)``.
 
-    All arrays are read-only after construction.
+    Both arrays are read-only. The dense matrices ``b1_full``,
+    ``b2_full`` and ``b2_unsigned`` are read-only properties built from
+    them on every access, for reference use.
     """
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
     triangles: tuple[tuple[int, int, int], ...]
-    b1_full: np.ndarray
-    b2_full: np.ndarray
-    b2_unsigned: np.ndarray
+    edge_nodes: np.ndarray
+    tri_edges: np.ndarray
 
     @property
     def n_edges(self) -> int:
@@ -90,6 +97,29 @@ class ComplexSkeleton:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
+
+    @property
+    def b1_full(self) -> np.ndarray:
+        """Node-to-edge incidence, shape (n_nodes, n_edges)."""
+        b1 = np.zeros((self.n_nodes, self.n_edges))
+        b1[self.edge_nodes[:, 0], np.arange(self.n_edges)] = -1.0
+        b1[self.edge_nodes[:, 1], np.arange(self.n_edges)] = 1.0
+        return _read_only(b1)
+
+    @property
+    def b2_full(self) -> np.ndarray:
+        """Edge-to-triangle incidence, shape (n_edges, n_triangles)."""
+        return _read_only(b2_block(self, np.arange(self.n_edges), np.arange(self.n_triangles)))
+
+    @property
+    def b2_unsigned(self) -> np.ndarray:
+        """Entrywise absolute value of ``b2_full``."""
+        return _read_only(np.abs(self.b2_full))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -137,13 +167,8 @@ class ClosureReport:
     items: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-# Per-skeleton index lookups; keyed by id() would leak, so key by n_nodes.
-_EDGE_POS: dict[int, dict[tuple[int, int], int]] = {}
-_TRI_POS: dict[int, dict[tuple[int, int, int], int]] = {}
-
-
 def build_skeleton(n_nodes: int) -> ComplexSkeleton:
-    """Enumerate the complete complex and assemble incidence matrices.
+    """Enumerate the complete complex and its boundary index arrays.
 
     Parameters
     ----------
@@ -164,56 +189,108 @@ def build_skeleton(n_nodes: int) -> ComplexSkeleton:
 
     edges = tuple(itertools.combinations(range(n_nodes), 2))
     triangles = tuple(itertools.combinations(range(n_nodes), 3))
-    edge_pos = {e: idx for idx, e in enumerate(edges)}
+    edge_nodes = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    i, j, k = np.array(triangles, dtype=np.intp).reshape(-1, 3).T
+    tri_edges = np.stack(
+        [_edge_rank(n_nodes, i, j), _edge_rank(n_nodes, i, k), _edge_rank(n_nodes, j, k)],
+        axis=1,
+    )
+    return ComplexSkeleton(
+        n_nodes, edges, triangles, _read_only(edge_nodes), _read_only(tri_edges)
+    )
 
-    b1 = np.zeros((n_nodes, len(edges)), dtype=np.float64)
-    for idx, (i, j) in enumerate(edges):
-        b1[i, idx] = -1.0
-        b1[j, idx] = 1.0
 
-    b2 = np.zeros((len(edges), len(triangles)), dtype=np.float64)
-    for idx, (i, j, k) in enumerate(triangles):
-        b2[edge_pos[(i, j)], idx] = 1.0
-        b2[edge_pos[(j, k)], idx] = 1.0
-        b2[edge_pos[(i, k)], idx] = -1.0
-
-    b2_abs = np.abs(b2)
-    for arr in (b1, b2, b2_abs):
-        arr.flags.writeable = False
-
-    _EDGE_POS[n_nodes] = edge_pos
-    _TRI_POS[n_nodes] = {t: idx for idx, t in enumerate(triangles)}
-    return ComplexSkeleton(n_nodes, edges, triangles, b1, b2, b2_abs)
+def _edge_rank(n: int, i, j):
+    """Lexicographic rank of edge ``(i, j)``, ``i < j``; works on arrays."""
+    return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
 def edge_index(skeleton: ComplexSkeleton, i: int, j: int) -> int:
     """Position of edge ``(i, j)`` in the candidate list; requires ``i < j``."""
     if not (0 <= i < j < skeleton.n_nodes):
         raise ValueError(f"invalid edge ({i}, {j}) for {skeleton.n_nodes} nodes")
-    return _edge_pos(skeleton)[(i, j)]
+    return int(_edge_rank(skeleton.n_nodes, int(i), int(j)))
 
 
 def triangle_index(skeleton: ComplexSkeleton, i: int, j: int, k: int) -> int:
     """Position of triangle ``(i, j, k)`` in the candidate list; requires ``i < j < k``."""
-    if not (0 <= i < j < k < skeleton.n_nodes):
-        raise ValueError(f"invalid triangle ({i}, {j}, {k}) for {skeleton.n_nodes} nodes")
-    return _tri_pos(skeleton)[(i, j, k)]
+    n = skeleton.n_nodes
+    if not (0 <= i < j < k < n):
+        raise ValueError(f"invalid triangle ({i}, {j}, {k}) for {n} nodes")
+    i, j, k = int(i), int(j), int(k)
+    # Triangles with a smaller first vertex, then with first vertex i and
+    # a smaller second vertex, then the offset of k.
+    return (
+        math.comb(n, 3) - math.comb(n - i, 3)
+        + math.comb(n - i - 1, 2) - math.comb(n - j, 2)
+        + (k - j - 1)
+    )
 
 
-def _edge_pos(skeleton: ComplexSkeleton) -> dict[tuple[int, int], int]:
-    pos = _EDGE_POS.get(skeleton.n_nodes)
-    if pos is None:
-        pos = {e: idx for idx, e in enumerate(skeleton.edges)}
-        _EDGE_POS[skeleton.n_nodes] = pos
-    return pos
+# ---------------------------------------------------------------------------
+# Incidence operators: every product with b1/b2 in the package goes through
+# these. They are helpers of the package's own modules, so they stay out of
+# ``__all__`` and profile as part of their callers.
 
 
-def _tri_pos(skeleton: ComplexSkeleton) -> dict[tuple[int, int, int], int]:
-    pos = _TRI_POS.get(skeleton.n_nodes)
-    if pos is None:
-        pos = {t: idx for idx, t in enumerate(skeleton.triangles)}
-        _TRI_POS[skeleton.n_nodes] = pos
-    return pos
+def edge_gradient(skeleton: ComplexSkeleton, x0) -> np.ndarray:
+    """Node-signal difference ``x0[j] - x0[i]`` along each candidate
+    edge, i.e. ``b1_full.T @ x0``."""
+    x0 = np.asarray(x0)
+    return x0[skeleton.edge_nodes[:, 1]] - x0[skeleton.edge_nodes[:, 0]]
+
+
+def triangle_curl(skeleton: ComplexSkeleton, x1) -> np.ndarray:
+    """Edge-signal curl ``x1[ij] - x1[ik] + x1[jk]`` around each
+    candidate triangle, i.e. ``b2_full.T @ x1``."""
+    x1 = np.asarray(x1)
+    ij, ik, jk = skeleton.tri_edges.T
+    return x1[ij] - x1[ik] + x1[jk]
+
+
+def edge_coverage(skeleton: ComplexSkeleton, w2) -> np.ndarray:
+    """Number of active triangles on each candidate edge, as floats;
+    ``b2_unsigned @ w2`` for a binary ``w2``."""
+    active = skeleton.tri_edges[np.asarray(w2) != 0]
+    return np.bincount(active.ravel(), minlength=skeleton.n_edges).astype(np.float64)
+
+
+def missing_edges(skeleton: ComplexSkeleton, w1) -> np.ndarray:
+    """Number of inactive edges of each candidate triangle, as floats;
+    ``b2_unsigned.T @ (1 - w1)`` for a binary ``w1``."""
+    inactive = np.asarray(w1) == 0
+    return inactive[skeleton.tri_edges].sum(axis=1).astype(np.float64)
+
+
+def node_degrees(skeleton: ComplexSkeleton, w1) -> np.ndarray:
+    """Number of active edges at each node, as floats."""
+    active = skeleton.edge_nodes[np.asarray(w1) != 0]
+    return np.bincount(active.ravel(), minlength=skeleton.n_nodes).astype(np.float64)
+
+
+def b2_block(skeleton: ComplexSkeleton, rows, cols) -> np.ndarray:
+    """Signed incidence ``b2_full[np.ix_(rows, cols)]`` for distinct
+    candidate edges ``rows`` and candidate triangles ``cols``."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    pos = np.full(skeleton.n_edges, -1, dtype=np.intp)
+    pos[rows] = np.arange(rows.size)
+    at_row = pos[skeleton.tri_edges[cols]]
+    at_col = np.broadcast_to(np.arange(cols.size)[:, None], at_row.shape)
+    signs = np.broadcast_to(_TRI_SIGNS, at_row.shape)
+    hit = at_row >= 0
+    block = np.zeros((rows.size, cols.size))
+    block[at_row[hit], at_col[hit]] = signs[hit]
+    return block
+
+
+def prune_open_triangles(skeleton: ComplexSkeleton, w1, w2) -> tuple[np.ndarray, int]:
+    """Deactivate every active triangle missing a supporting edge.
+
+    Returns a pruned copy of ``w2`` and the number of triangles deactivated.
+    """
+    open_tris = (w2 != 0) & (missing_edges(skeleton, w1) > 0)
+    return np.where(open_tris, 0, w2).astype(w2.dtype), int(open_tris.sum())
 
 
 def _as_indicator(vec, size: int, name: str) -> np.ndarray:
@@ -252,7 +329,9 @@ def upper_laplacian(skeleton: ComplexSkeleton, w2) -> np.ndarray:
     w = np.asarray(w2, dtype=np.float64)
     if w.shape != (skeleton.n_triangles,):
         raise ValueError(f"w2 must have shape ({skeleton.n_triangles},), got {w.shape}")
-    return (skeleton.b2_full * w) @ skeleton.b2_full.T
+    active = np.flatnonzero(w)
+    b2 = b2_block(skeleton, np.arange(skeleton.n_edges), active)
+    return (b2 * w[active]) @ b2.T
 
 
 def hodge_laplacian(skeleton: ComplexSkeleton, w1, w2) -> np.ndarray:
@@ -266,9 +345,8 @@ def hodge_laplacian(skeleton: ComplexSkeleton, w1, w2) -> np.ndarray:
     if _violation_count(skeleton, w1a, w2a) != 0:
         raise ValueError("selection is not downward closed; cannot restrict b2")
     active_e = np.flatnonzero(w1a)
-    active_t = np.flatnonzero(w2a)
     b1 = skeleton.b1_full[:, active_e]
-    b2 = skeleton.b2_full[np.ix_(active_e, active_t)]
+    b2 = b2_block(skeleton, active_e, np.flatnonzero(w2a))
     return b1.T @ b1 + b2 @ b2.T
 
 
@@ -303,7 +381,7 @@ def hodge_decompose(
         raise ValueError(f"x must have shape ({active_e.size},), got {xa.shape}")
 
     b1 = skeleton.b1_full[:, active_e]
-    b2 = skeleton.b2_full[np.ix_(active_e, active_t)]
+    b2 = b2_block(skeleton, active_e, active_t)
 
     v, *_ = np.linalg.lstsq(b1.T, xa, rcond=sv_cutoff)
     gradient = b1.T @ v
@@ -318,25 +396,20 @@ def hodge_decompose(
 
 
 def _violation_count(skeleton: ComplexSkeleton, w1: np.ndarray, w2: np.ndarray) -> int:
-    missing = (1.0 - w1) @ skeleton.b2_unsigned @ w2
-    return int(round(missing))
+    return int(missing_edges(skeleton, w1)[w2 != 0].sum())
 
 
 def closure_violations(skeleton: ComplexSkeleton, w1, w2) -> ClosureReport:
     """Report active triangles whose supporting edges are not all active."""
     w1a = _as_indicator(w1, skeleton.n_edges, "w1")
     w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
-    per_tri = skeleton.b2_unsigned.T @ (1.0 - w1a)
-    items = []
-    for t_idx in np.flatnonzero(w2a):
-        n_missing = int(round(per_tri[t_idx]))
-        if n_missing == 0:
-            continue
-        edge_rows = np.flatnonzero(skeleton.b2_unsigned[:, t_idx])
-        missing = tuple(int(e) for e in edge_rows if w1a[e] == 0.0)
-        items.append((int(t_idx), missing))
+    open_tris = np.flatnonzero((w2a != 0.0) & (missing_edges(skeleton, w1a) > 0.0))
+    items = tuple(
+        (int(t_idx), tuple(int(e) for e in skeleton.tri_edges[t_idx] if w1a[e] == 0.0))
+        for t_idx in open_tris
+    )
     count = sum(len(m) for _, m in items)
-    return ClosureReport(count, tuple(items))
+    return ClosureReport(count, items)
 
 
 def is_closed(skeleton: ComplexSkeleton, w1, w2) -> bool:

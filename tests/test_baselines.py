@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scinfer.baselines import BaselineConfig, run_rc, run_sep_scl
+from scinfer.baselines import METHODS, BaselineConfig, run_rc, run_sep_scl
 from scinfer.learner import HyperParams
 from scinfer.synth import InstanceParams, generate_instance
 from scinfer.topology import build_skeleton, edge_index, is_closed, triangle_index
@@ -171,3 +171,16 @@ class TestRc:
         sk = build_skeleton(4)
         with pytest.raises(ValueError, match="rc_threshold_mode"):
             run_rc(sk, np.zeros((4, 5)), BaselineConfig(rc_threshold_mode="quantile"))
+
+
+class TestMethods:
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("signal", ["x0", "x1_obs"])
+    def test_non_finite_signals_rejected(self, method, signal):
+        truth, signals, hp = _instance(0)
+        inputs = {"x0": signals.x0.copy(), "x1_obs": signals.x1_obs.copy()}
+        inputs[signal][0, 0] = np.inf
+        with pytest.raises(ValueError, match=f"{signal} has non-finite"):
+            METHODS[method](
+                truth.skeleton, inputs["x0"], inputs["x1_obs"], signals.observed_edges, hp
+            )

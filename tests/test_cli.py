@@ -258,6 +258,21 @@ class TestLearn:
         assert err.startswith("error: missing-file:")
         assert "complex.json" in err
 
+    def test_non_finite_signal_rejected(self, bundle_dir, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for path in bundle_dir.iterdir():
+            (ds / path.name).write_bytes(path.read_bytes())
+        rows = (ds / "x0.csv").read_text().splitlines()
+        rows[0] = "nan," + rows[0].split(",", 1)[1]
+        (ds / "x0.csv").write_text("\n".join(rows) + "\n")
+        code = main(["learn", str(ds), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-argument:")
+        assert "x0.csv" in err
+        assert not (tmp_path / "run" / "result.json").exists()
+
 
 class TestEval:
     def test_self_comparison_is_ideal(self, bundle_dir, tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scinfer.evaluation import evaluate, nerr
@@ -25,6 +25,22 @@ def _random_selection(seed, n=7, p=0.5):
         seed,
     )
     return truth.skeleton, truth.selection
+
+
+def _drawn_selections(n, seed):
+    """Skeleton on ``n`` nodes with a random (truth, estimate) pair; both
+    are nonempty and neither need be downward closed."""
+    sk = build_skeleton(n)
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        w1 = rng.random(sk.n_edges) < rng.uniform(0.1, 0.9)
+        w2 = rng.random(sk.n_triangles) < rng.uniform(0.1, 0.9)
+        w1[rng.integers(sk.n_edges)] = True
+        w2[rng.integers(sk.n_triangles)] = True
+        return make_selection(sk, w1, w2)
+
+    return sk, draw(), draw()
 
 
 class TestNerr:
@@ -148,9 +164,11 @@ class TestEvaluate:
         assert report.edge_recall == pytest.approx(2 / 4)
         assert report.edge_f1 == pytest.approx(2 * (2 / 3) * (1 / 2) / (2 / 3 + 1 / 2))
 
-    def test_nerr_matches_direct_formula(self):
-        sk, truth = _random_selection(13)
-        _, est = _random_selection(14)
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(_drawn_selections, st.integers(3, 12), st.integers(0, 2**32 - 1)))
+    @example(_random_selection(13) + (_random_selection(14)[1],))
+    def test_nerr_matches_direct_formula(self, case):
+        sk, truth, est = case
         report = evaluate(sk, est, truth)
         l0_t = node_laplacian(sk, truth.w1.astype(float))
         l0_e = node_laplacian(sk, est.w1.astype(float))
@@ -162,6 +180,8 @@ class TestEvaluate:
         assert report.nerr_lu == pytest.approx(
             ((lu_t - lu_e) ** 2).sum() / (lu_t**2).sum(), rel=1e-12
         )
+        assert report.nerr_l0 == nerr(l0_e, l0_t)
+        assert report.nerr_lu == nerr(lu_e, lu_t)
 
     def test_report_serializes(self):
         sk, sel = _random_selection(15)

@@ -5,6 +5,7 @@ convention: edge (i,j) runs i -> j, triangle (i,j,k) traverses
 i -> j -> k -> i.
 """
 
+import dataclasses
 import json
 import math
 
@@ -85,6 +86,12 @@ class TestBuildSkeleton:
         sk = build_skeleton(4)
         with pytest.raises(ValueError):
             sk.b1_full[0, 0] = 5.0
+
+    def test_stored_arrays_are_small(self):
+        sk = build_skeleton(MAX_NODES)
+        stored = [getattr(sk, f.name) for f in dataclasses.fields(sk)]
+        nbytes = sum(v.nbytes for v in stored if isinstance(v, np.ndarray))
+        assert nbytes < 1_000_000
 
     def test_node_count_bounds(self):
         with pytest.raises(ValueError):
