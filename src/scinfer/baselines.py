@@ -46,18 +46,12 @@ _NO_OBS = np.array([], dtype=np.int64)
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Settings of the correlation baseline.
-
-    ``rc_threshold_mode`` is either "budget" (activate the e_min
-    strongest pairs, keep the t_min best cliques) or "absolute"
-    (activate every pair above ``rc_abs_threshold``, keep all cliques).
-    ``t_min=None`` keeps every clique in budget mode too.
-    """
+    """Budgets of the correlation baseline: activate the ``e_min``
+    strongest pairs and keep the ``t_min`` best cliques
+    (``t_min=None`` keeps every clique)."""
 
     e_min: int = 0
     t_min: int | None = None
-    rc_threshold_mode: str = "budget"
-    rc_abs_threshold: float = 0.7
 
 
 def run_sep_scl(
@@ -123,32 +117,23 @@ def run_rc(skeleton: ComplexSkeleton, x0: np.ndarray, config: BaselineConfig) ->
     """Correlation-thresholding baseline with clique-filled triangles.
 
     Edge strength is the absolute Pearson correlation of the endpoint
-    signals. Triangles are the 3-cliques of the resulting graph; in
-    budget mode with a finite ``t_min``, the cliques with the largest
-    minimum edge strength survive.
+    signals. Triangles are the 3-cliques of the graph of the ``e_min``
+    strongest pairs; with a finite ``t_min``, the cliques with the
+    largest minimum edge strength survive.
     """
-    if config.rc_threshold_mode not in ("budget", "absolute"):
-        raise ValueError(f"unknown rc_threshold_mode {config.rc_threshold_mode!r}")
+    if not 0 <= config.e_min <= skeleton.n_edges:
+        raise ValueError(f"e_min must be in [0, {skeleton.n_edges}], got {config.e_min}")
+    if config.t_min is not None and not 0 <= config.t_min <= skeleton.n_triangles:
+        raise ValueError(f"t_min must be in [0, {skeleton.n_triangles}], got {config.t_min}")
     corr = _node_correlations(x0)
     strength = np.array([abs(corr[i, j]) for i, j in skeleton.edges])
-
     w1 = np.zeros(skeleton.n_edges, dtype=np.int8)
-    if config.rc_threshold_mode == "budget":
-        if not 0 <= config.e_min <= skeleton.n_edges:
-            raise ValueError(f"e_min must be in [0, {skeleton.n_edges}]")
-        order = np.argsort(-strength, kind="stable")
-        w1[order[: config.e_min]] = 1
-    else:
-        w1[strength > config.rc_abs_threshold] = 1
+    w1[np.argsort(-strength, kind="stable")[: config.e_min]] = 1
 
     clique = missing_edges(skeleton, w1) == 0.0
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
     w2[clique] = 1
-    if (
-        config.rc_threshold_mode == "budget"
-        and config.t_min is not None
-        and int(w2.sum()) > config.t_min
-    ):
+    if config.t_min is not None and int(w2.sum()) > config.t_min:
         clique_idx = np.flatnonzero(clique)
         i, j, k = np.array([skeleton.triangles[t] for t in clique_idx]).reshape(-1, 3).T
         abs_corr = np.abs(corr)

@@ -20,7 +20,14 @@ import sys
 from dataclasses import replace
 
 from .baselines import METHODS
-from .config import METHOD_NAMES, load_config, parse_hyperparams, parse_instance, parse_sweep
+from .config import (
+    METHOD_NAMES,
+    load_config,
+    parse_hyperparams,
+    parse_instance,
+    parse_sweep,
+    resolve_budgets,
+)
 from .evaluation import evaluate
 from .learner import HyperParams
 from .sweep import run_sweep
@@ -113,7 +120,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _resolve_params(args, n_active_edges: int, n_active_triangles: int) -> HyperParams:
+def _resolve_params(args, truth) -> HyperParams:
     if args.config is not None:
         params = parse_hyperparams(load_config(args.config))
     else:
@@ -127,18 +134,12 @@ def _resolve_params(args, n_active_edges: int, n_active_triangles: int) -> Hyper
         overrides["strict_lemma_mode"] = True
     if args.no_prune_closure:
         overrides["prune_closure"] = False
-    if overrides:
-        params = replace(params, **overrides)
-    if params.e_min is None:
-        params = replace(params, e_min=n_active_edges)
-    if params.t_min is None:
-        params = replace(params, t_min=n_active_triangles)
-    return params
+    return resolve_budgets(replace(params, **overrides), truth)
 
 
 def _cmd_learn(args) -> int:
     ds = read_dataset(args.dataset)
-    params = _resolve_params(args, int(ds.truth.w1.sum()), int(ds.truth.w2.sum()))
+    params = _resolve_params(args, ds.truth)
 
     state = METHODS[args.method](ds.skeleton, ds.x0, ds.x1_obs, ds.observed_edges, params)
     report = evaluate(ds.skeleton, state.selection, ds.truth)

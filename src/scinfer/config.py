@@ -3,19 +3,22 @@
 A config file holds up to three sections. ``[instance]`` maps onto
 InstanceParams plus a ``seed`` key, ``[params]`` onto HyperParams where
 the budgets accept the literal ``auto`` (derive from ground truth), and
-``[sweep]`` describes an experiment grid. Unknown sections or keys are
-rejected by name so typos fail loudly instead of silently applying a
-default.
+``[sweep]`` describes an experiment grid. The keys of the first two and
+their value types are read off the dataclass fields, and float values
+must be finite. Unknown sections or keys are rejected by name so typos
+fail loudly instead of silently applying a default.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 
 from .baselines import METHODS
 from .learner import HyperParams
 from .synth import InstanceParams
+from .topology import Selection
 
 __all__ = [
     "SweepSpec",
@@ -25,27 +28,13 @@ __all__ = [
     "parse_instance",
     "parse_hyperparams",
     "parse_sweep",
+    "resolve_budgets",
 ]
 
 METHOD_NAMES = tuple(METHODS)
 SWEEP_VARIABLES = ("node_noise_std", "observed_fraction")
 
 _SECTIONS = ("instance", "params", "sweep")
-
-_INSTANCE_INT = ("n_nodes", "n_node_signals", "n_edge_signals")
-_INSTANCE_FLOAT = (
-    "edge_prob",
-    "fill_fraction",
-    "curl_atten",
-    "node_noise_std",
-    "edge_noise_std",
-    "observed_fraction",
-)
-
-_PARAMS_FLOAT = ("alpha1", "alpha2", "beta1", "beta2", "gamma", "eta", "pinv_tol")
-_PARAMS_INT = ("max_iters",)
-_PARAMS_AUTO = ("e_min", "t_min")
-_PARAMS_BOOL = ("strict_lemma_mode", "prune_closure")
 
 _SWEEP_KEYS = ("variable", "grid", "trials", "base_seed", "methods")
 
@@ -97,23 +86,42 @@ def load_config(path) -> configparser.ConfigParser:
     return parser
 
 
-def _typed(section, key: str, kind: str):
-    raw = section[key].strip()
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True}
+_BOOLS.update(dict.fromkeys(("false", "no", "off", "0"), False))
+
+
+def _typed(key: str, raw: str, kind):
+    """Parse one value as ``kind`` (int, finite float or bool); kind
+    None is an int budget that also accepts ``auto`` (returned as None)."""
+    raw = raw.strip()
+    if kind is None:
+        if raw.lower() == "auto":
+            return None
+        kind = int
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
-        raise AssertionError(kind)
-    except ValueError:
-        raise ValueError(f"key {key!r}: cannot parse {raw!r} as {kind}") from None
+        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"key {key!r}: cannot parse {raw!r} as {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"key {key!r}: {raw!r} is not a finite float")
+    return value
+
+
+def _section(parser: configparser.ConfigParser, name: str) -> dict:
+    return dict(parser[name]) if parser.has_section(name) else {}
+
+
+def _build(cls, name: str, section: dict):
+    """Instantiate a parameter dataclass from a section's raw values.
+
+    The accepted keys are the dataclass fields; each value is parsed as
+    the type of its field's default, and a None default marks a budget.
+    """
+    kinds = {f.name: None if f.default is None else type(f.default) for f in fields(cls)}
+    for key in section:
+        if key not in kinds:
+            raise ValueError(f"unknown key {key!r} in [{name}]")
+    return cls(**{key: _typed(key, raw, kinds[key]) for key, raw in section.items()})
 
 
 def parse_instance(parser: configparser.ConfigParser) -> tuple[InstanceParams, int]:
@@ -121,48 +129,25 @@ def parse_instance(parser: configparser.ConfigParser) -> tuple[InstanceParams, i
 
     A missing section yields all defaults with seed 0.
     """
-    if not parser.has_section("instance"):
-        return InstanceParams(), 0
-    section = parser["instance"]
-    known = set(_INSTANCE_INT) | set(_INSTANCE_FLOAT) | {"seed"}
-    for key in section:
-        if key not in known:
-            raise ValueError(f"unknown key {key!r} in [instance]")
-    kwargs = {}
-    for key in _INSTANCE_INT:
-        if key in section:
-            kwargs[key] = _typed(section, key, "int")
-    for key in _INSTANCE_FLOAT:
-        if key in section:
-            kwargs[key] = _typed(section, key, "float")
-    seed = _typed(section, "seed", "int") if "seed" in section else 0
-    return InstanceParams(**kwargs), seed
+    section = _section(parser, "instance")
+    seed = section.pop("seed", None)
+    instance = _build(InstanceParams, "instance", section)
+    return instance, 0 if seed is None else _typed("seed", seed, int)
 
 
 def parse_hyperparams(parser: configparser.ConfigParser) -> HyperParams:
     """Build HyperParams from ``[params]``; budgets accept ``auto``."""
-    if not parser.has_section("params"):
-        return HyperParams()
-    section = parser["params"]
-    known = set(_PARAMS_FLOAT) | set(_PARAMS_INT) | set(_PARAMS_AUTO) | set(_PARAMS_BOOL)
-    for key in section:
-        if key not in known:
-            raise ValueError(f"unknown key {key!r} in [params]")
-    kwargs = {}
-    for key in _PARAMS_FLOAT:
-        if key in section:
-            kwargs[key] = _typed(section, key, "float")
-    for key in _PARAMS_INT:
-        if key in section:
-            kwargs[key] = _typed(section, key, "int")
-    for key in _PARAMS_BOOL:
-        if key in section:
-            kwargs[key] = _typed(section, key, "bool")
-    for key in _PARAMS_AUTO:
-        if key in section:
-            raw = section[key].strip()
-            kwargs[key] = None if raw.lower() == "auto" else _typed(section, key, "int")
-    return HyperParams(**kwargs)
+    return _build(HyperParams, "params", _section(parser, "params"))
+
+
+def resolve_budgets(params: HyperParams, truth: Selection) -> HyperParams:
+    """Fill the budgets left as ``auto`` (None) with the ground-truth
+    active-edge and active-triangle counts."""
+    if params.e_min is None:
+        params = replace(params, e_min=int(truth.w1.sum()))
+    if params.t_min is None:
+        params = replace(params, t_min=int(truth.w2.sum()))
+    return params
 
 
 def parse_sweep(parser: configparser.ConfigParser) -> SweepSpec:
@@ -179,12 +164,9 @@ def parse_sweep(parser: configparser.ConfigParser) -> SweepSpec:
             raise ValueError(f"[sweep] is missing required key {key!r}")
 
     variable = section["variable"].strip()
-    try:
-        grid = tuple(float(tok) for tok in section["grid"].split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"key 'grid': cannot parse {section['grid']!r} as floats") from None
-    n_trials = _typed(section, "trials", "int") if "trials" in section else 10
-    base_seed = _typed(section, "base_seed", "int") if "base_seed" in section else 0
+    grid = tuple(_typed("grid", tok, float) for tok in section["grid"].split(",") if tok.strip())
+    n_trials = _typed("trials", section["trials"], int) if "trials" in section else 10
+    base_seed = _typed("base_seed", section["base_seed"], int) if "base_seed" in section else 0
 
     if "methods" in section:
         canon = {name.lower(): name for name in METHOD_NAMES}

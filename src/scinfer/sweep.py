@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import METHODS
-from .config import SweepSpec
+from .config import SweepSpec, resolve_budgets
 from .evaluation import evaluate
 from .svgplot import line_plot_svg
 from .synth import generate_instance
@@ -67,11 +67,7 @@ def _cell_rows(spec: SweepSpec, grid_index: int, trial: int) -> list[dict]:
     except Exception as exc:
         return [_error_row(value, trial, m, exc) for m in spec.methods]
 
-    params = spec.params
-    if params.e_min is None:
-        params = replace(params, e_min=int(truth.selection.w1.sum()))
-    if params.t_min is None:
-        params = replace(params, t_min=int(truth.selection.w2.sum()))
+    params = resolve_budgets(spec.params, truth.selection)
 
     rows = []
     for method in spec.methods:

@@ -50,6 +50,7 @@ __all__ = [
 
 _EIG_CUTOFF = 1e-9
 _MAX_ER_ATTEMPTS = 1000
+_MAX_FILL_DRAWS = 200
 
 
 class GenerationError(RuntimeError):
@@ -67,17 +68,13 @@ class GroundTruth:
 class SignalSet:
     """Signals attached to a ground-truth instance.
 
-    ``x1_full`` carries the noisy flows on all candidate edges (zeros on
-    inactive ones); ``x1_obs`` is its restriction to ``observed_edges``,
-    rows ordered by ascending candidate index.
+    ``x1_obs`` holds the noisy flows on ``observed_edges``, rows ordered
+    by ascending candidate index.
     """
 
     x0: np.ndarray
-    x1_full: np.ndarray
     x1_obs: np.ndarray
     observed_edges: np.ndarray
-    node_noise_std: float
-    edge_noise_std: float
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,6 @@ def fill_triangles(
     w1,
     fraction: float,
     rng: np.random.Generator,
-    max_attempts: int = 200,
 ) -> np.ndarray:
     """Activate a uniform subset of the triangles supported by ``w1``.
 
@@ -159,7 +155,7 @@ def fill_triangles(
     independent of the filled set is kept: an unfilled triangle whose
     boundary lies in the span of the filled boundaries is invisible to
     any low-curl flow, so such fills are unidentifiable from edge data.
-    If no independent fill shows up within ``max_attempts`` draws (dense
+    If no independent fill shows up within 200 draws (dense
     graphs may admit none), the final draw is returned as is.
     """
     if not 0.0 <= fraction <= 1.0:
@@ -170,7 +166,7 @@ def fill_triangles(
     if count == 0:
         return w2
     active_rows = np.flatnonzero(np.asarray(w1) != 0)
-    for _ in range(max(1, max_attempts)):
+    for _ in range(_MAX_FILL_DRAWS):
         chosen = rng.choice(eligible, size=count, replace=False)
         w2[:] = 0
         w2[chosen] = 1
@@ -306,15 +302,7 @@ def generate_instance(
     )
     observed = sample_observed_edges(w1, params.observed_fraction, rng)
     truth = GroundTruth(skeleton, make_selection(skeleton, w1, w2), int(seed))
-    signals = SignalSet(
-        x0=x0,
-        x1_full=x1_noisy,
-        x1_obs=x1_noisy[observed],
-        observed_edges=observed,
-        node_noise_std=params.node_noise_std,
-        edge_noise_std=params.edge_noise_std,
-    )
-    return truth, signals
+    return truth, SignalSet(x0=x0, x1_obs=x1_noisy[observed], observed_edges=observed)
 
 
 # ---------------------------------------------------------------------------

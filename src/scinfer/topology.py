@@ -350,9 +350,7 @@ def hodge_laplacian(skeleton: ComplexSkeleton, w1, w2) -> np.ndarray:
     return b1.T @ b1 + b2 @ b2.T
 
 
-def hodge_decompose(
-    skeleton: ComplexSkeleton, w1, w2, x, sv_cutoff: float = _SV_CUTOFF
-) -> HodgeParts:
+def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:
     """Split an edge flow into gradient, curl and harmonic parts.
 
     Parameters
@@ -361,8 +359,6 @@ def hodge_decompose(
         Binary selection; must be downward closed.
     x : ndarray, shape (n_active_edges,)
         Flow on the active edges, ordered by ascending candidate index.
-    sv_cutoff : float
-        Relative singular-value cutoff of the least-squares solves.
 
     Returns
     -------
@@ -383,10 +379,10 @@ def hodge_decompose(
     b1 = skeleton.b1_full[:, active_e]
     b2 = b2_block(skeleton, active_e, active_t)
 
-    v, *_ = np.linalg.lstsq(b1.T, xa, rcond=sv_cutoff)
+    v, *_ = np.linalg.lstsq(b1.T, xa, rcond=_SV_CUTOFF)
     gradient = b1.T @ v
     if active_t.size:
-        t, *_ = np.linalg.lstsq(b2, xa - gradient, rcond=sv_cutoff)
+        t, *_ = np.linalg.lstsq(b2, xa - gradient, rcond=_SV_CUTOFF)
         curl = b2 @ t
     else:
         t = np.zeros(0)
@@ -430,10 +426,21 @@ def complex_to_dict(skeleton: ComplexSkeleton, selection: Selection) -> dict:
     }
 
 
+def _vertices(entry, size: int, kind: str):
+    """The vertices of one serialized simplex, which must be a list of
+    ``size`` integers (bools and floats such as 1.7 are refused)."""
+    if isinstance(entry, (list, tuple)) and len(entry) == size and all(
+        type(v) is int for v in entry
+    ):
+        return entry
+    raise ValueError(f"{kind} entry {entry!r} must be a list of {size} integer vertices")
+
+
 def complex_from_dict(data: dict) -> tuple[ComplexSkeleton, Selection]:
     """Parse and validate a serialized complex.
 
-    Rejects out-of-range vertices, unsorted simplices, duplicate or
+    Rejects simplex entries that are not lists of integer vertices,
+    out-of-range vertices, unsorted simplices, duplicate or
     non-lexicographic listings, and triangles missing a listed edge.
     """
     if not isinstance(data, dict):
@@ -441,16 +448,16 @@ def complex_from_dict(data: dict) -> tuple[ComplexSkeleton, Selection]:
     for key in ("n_nodes", "edges", "triangles"):
         if key not in data:
             raise ValueError(f"complex document missing key '{key}'")
+    for key in ("edges", "triangles"):
+        if not isinstance(data[key], list):
+            raise ValueError(f"complex document key '{key}' must be a list")
     n_nodes = data["n_nodes"]
     skeleton = build_skeleton(n_nodes)
 
     w1 = np.zeros(skeleton.n_edges, dtype=np.int8)
     prev = None
     for entry in data["edges"]:
-        pair = tuple(int(v) for v in entry)
-        if len(pair) != 2:
-            raise ValueError(f"edge entry {entry!r} must have two vertices")
-        idx = edge_index(skeleton, *pair)
+        idx = edge_index(skeleton, *_vertices(entry, 2, "edge"))
         if prev is not None and idx <= prev:
             raise ValueError(f"edges must be strictly lexicographic; saw {entry!r} out of order")
         prev = idx
@@ -459,10 +466,7 @@ def complex_from_dict(data: dict) -> tuple[ComplexSkeleton, Selection]:
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
     prev = None
     for entry in data["triangles"]:
-        trip = tuple(int(v) for v in entry)
-        if len(trip) != 3:
-            raise ValueError(f"triangle entry {entry!r} must have three vertices")
-        idx = triangle_index(skeleton, *trip)
+        idx = triangle_index(skeleton, *_vertices(entry, 3, "triangle"))
         if prev is not None and idx <= prev:
             raise ValueError(
                 f"triangles must be strictly lexicographic; saw {entry!r} out of order"

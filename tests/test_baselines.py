@@ -133,16 +133,6 @@ class TestRc:
         for i in np.flatnonzero(sel.w1):
             assert 4 not in sk.edges[i]
 
-    def test_absolute_mode(self):
-        sk = build_skeleton(6)
-        x0 = self._correlated_signals()
-        sel = run_rc(
-            sk, x0, BaselineConfig(rc_threshold_mode="absolute", rc_abs_threshold=0.95)
-        )
-        picked = {sk.edges[i] for i in np.flatnonzero(sel.w1)}
-        assert picked == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
-        assert int(sel.w2.sum()) == 4
-
     def test_full_budget_gives_complete_flag_complex(self):
         sk = build_skeleton(5)
         rng = np.random.default_rng(8)
@@ -167,10 +157,13 @@ class TestRc:
             sel = run_rc(sk, x0, BaselineConfig(e_min=int(rng.integers(0, 22)), t_min=3))
             assert is_closed(sk, sel.w1, sel.w2)
 
-    def test_rejects_unknown_mode(self):
+    @pytest.mark.parametrize("t_min", [-1, 5])
+    def test_rejects_t_min_out_of_range(self, t_min):
         sk = build_skeleton(4)
-        with pytest.raises(ValueError, match="rc_threshold_mode"):
-            run_rc(sk, np.zeros((4, 5)), BaselineConfig(rc_threshold_mode="quantile"))
+        x0 = np.random.default_rng(2).standard_normal((4, 10))
+        with pytest.raises(ValueError, match=r"t_min must be in \[0, 4\]"):
+            run_rc(sk, x0, BaselineConfig(e_min=6, t_min=t_min))
+        assert int(run_rc(sk, x0, BaselineConfig(e_min=6, t_min=None)).w2.sum()) == 4
 
 
 class TestMethods:

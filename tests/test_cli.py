@@ -1,5 +1,6 @@
 """Config parsing, CLI subcommands, and the sweep harness."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,10 @@ import pytest
 
 from scinfer.cli import main
 from scinfer.config import load_config, parse_hyperparams, parse_instance, parse_sweep
+from scinfer.learner import HyperParams
 from scinfer.sweep import CSV_COLUMNS, run_sweep
 from scinfer.svgplot import line_plot_svg
+from scinfer.synth import InstanceParams
 
 
 def write(path, text):
@@ -135,6 +138,31 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"no \[sweep\] section"):
             parse_sweep(load_config(cfg))
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [("instance", f) for f in dataclasses.fields(InstanceParams)]
+        + [("params", f) for f in dataclasses.fields(HyperParams)],
+        ids=lambda v: v if isinstance(v, str) else v.name,
+    )
+    def test_every_field_is_a_key(self, tmp_path, section, field):
+        default = field.default
+        if default is None:
+            value, text = 3, "3"
+        elif isinstance(default, bool):
+            value = not default
+            text = str(value).lower()
+        else:
+            value = default + type(default)(1) + type(default)(0.5)
+            text = repr(value)
+        parse = {"instance": lambda p: parse_instance(p)[0], "params": parse_hyperparams}[section]
+        cfg = write(tmp_path / "a.ini", f"[{section}]\n{field.name} = {text}\n")
+        parsed = getattr(parse(load_config(cfg)), field.name)
+        assert parsed == value
+        assert type(parsed) is type(value)
+        if default is None:
+            cfg = write(tmp_path / "a.ini", f"[{section}]\n{field.name} = auto\n")
+            assert getattr(parse(load_config(cfg)), field.name) is None
+
     def test_malformed_ini(self, tmp_path):
         cfg = write(tmp_path / "a.ini", "n_nodes = 5\n")
         with pytest.raises(ValueError, match="bad config"):
@@ -246,6 +274,13 @@ class TestLearn:
         assert len(result["complex"]["edges"]) == 13
         assert result["complex"]["triangles"] == []
 
+    def test_rc_rejects_negative_t_min(self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["learn", str(bundle_dir), "--method", "RC", "--t-min", "-1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid-argument: t_min must be in")
+        assert not out.exists()
+
     def test_unknown_method_is_usage_error(self, bundle_dir):
         with pytest.raises(SystemExit) as exc:
             main(["learn", str(bundle_dir), "--method", "Magic"])
@@ -317,12 +352,44 @@ class TestEval:
             "closure_violations",
         }
 
+    @pytest.mark.parametrize("edges", [[1, 2], [[0, 1.7]], [[0, True]], [["0", "1"]]])
+    def test_malformed_edge_entry(self, bundle_dir, tmp_path, capsys, edges):
+        doc = {"n_nodes": 7, "edges": edges, "triangles": []}
+        est = write(tmp_path / "bad.json", json.dumps(doc))
+        code = main(["eval", "--est", est, "--truth", str(bundle_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid-argument: edge entry")
+
     def test_node_count_mismatch(self, bundle_dir, tmp_path, capsys):
         other = {"n_nodes": 3, "edges": [[0, 1]], "triangles": []}
         est = write(tmp_path / "other.json", json.dumps(other))
         code = main(["eval", "--est", est, "--truth", str(bundle_dir)])
         assert code == 1
         assert "node count mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("generate", "[instance]\ncurl_atten = nan\n"),
+        ("generate", "[instance]\nedge_noise_std = inf\n"),
+        ("learn", "[params]\ngamma = inf\n"),
+        ("sweep", "[sweep]\nvariable = node_noise_std\ngrid = 0, nan\ntrials = 1\n"),
+        ("sweep", "[sweep]\nvariable = observed_fraction\ngrid = 0.5, inf\ntrials = 1\n"),
+    ],
+    ids=["curl_atten-nan", "edge_noise_std-inf", "gamma-inf", "grid-nan", "grid-inf"],
+)
+def test_non_finite_config_floats_rejected(command, text, bundle_dir, tmp_path, capsys):
+    cfg = write(tmp_path / "a.ini", text)
+    out = str(tmp_path / "out")
+    argv = {
+        "generate": ["generate", "--config", cfg, "--out", out],
+        "learn": ["learn", str(bundle_dir), "--config", cfg, "--out", out],
+        "sweep": ["sweep", "--config", cfg, "--out", out],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: invalid-argument: key '")
+    assert not os.path.exists(out)
 
 
 def strip_seconds(csv_text):

@@ -282,6 +282,15 @@ class TestComplexJson:
         with pytest.raises(ValueError, match="not downward closed"):
             complex_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edges, triangles",
+        [([1, 2], []), ([[0, 1.7]], []), ([[0, 1], [0, 2], [1, 2]], [[0, 1, 2.0]]), (5, [])],
+    )
+    def test_rejects_non_integer_simplex_entries(self, edges, triangles):
+        doc = {"n_nodes": 4, "edges": edges, "triangles": triangles}
+        with pytest.raises(ValueError, match="entry|must be a list"):
+            complex_from_dict(doc)
+
     def test_rejects_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):
             complex_from_dict({"n_nodes": 4, "edges": []})
