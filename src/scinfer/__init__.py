@@ -6,8 +6,6 @@ flows, via greedy block-coordinate descent, plus two baselines, a
 synthetic data generator, evaluation metrics, and a sweep harness.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
 from .baselines import BaselineConfig, run_rc, run_sep_scl
 from .config import (
     METHOD_NAMES,
@@ -62,10 +60,7 @@ from .topology import (
     write_complex_json,
 )
 
-try:
-    __version__ = version("scinfer")
-except PackageNotFoundError:
-    __version__ = "0.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BaselineConfig",

@@ -39,17 +39,9 @@ from .synth import (
     write_dataset,
     write_matrix_csv,
 )
-from .topology import complex_from_dict, complex_to_dict, read_complex_json
+from .topology import JSON_STYLE, complex_to_dict, read_complex_json, write_json
 
 __all__ = ["main", "build_parser"]
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("SCINFER_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,12 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a configured experiment grid")
     p_sweep.add_argument("--config", required=True, help="INI file with a [sweep] section")
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=_default_jobs(),
-        help="worker processes (default: $SCINFER_JOBS or 1)",
-    )
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 
@@ -157,9 +144,7 @@ def _cmd_learn(args) -> int:
     out_dir = args.out if args.out is not None else args.dataset
     os.makedirs(out_dir, exist_ok=True)
     result_path = os.path.join(out_dir, "result.json")
-    with open(result_path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(result_path, result)
     if args.save_x1 and state.x1_est.size:
         write_matrix_csv(os.path.join(out_dir, "x1_est.csv"), state.x1_est)
     print(
@@ -173,15 +158,8 @@ def _cmd_learn(args) -> int:
 def _load_complex(path):
     """Accept a complex.json, a result.json, or a bundle directory."""
     if os.path.isdir(path):
-        return read_complex_json(os.path.join(path, "complex.json"))
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON in {path}: {exc}") from exc
-    if isinstance(data, dict) and "complex" in data:
-        data = data["complex"]
-    return complex_from_dict(data)
+        path = os.path.join(path, "complex.json")
+    return read_complex_json(path)
 
 
 def _cmd_eval(args) -> int:
@@ -192,13 +170,10 @@ def _cmd_eval(args) -> int:
             f"node count mismatch: estimate has {est_skel.n_nodes}, "
             f"reference has {truth_skel.n_nodes}"
         )
-    report = evaluate(truth_skel, est_sel, truth_sel)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    print(text)
+    report = evaluate(truth_skel, est_sel, truth_sel).to_dict()
+    print(json.dumps(report, **JSON_STYLE))
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        write_json(args.out, report)
     return 0
 
 

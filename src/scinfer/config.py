@@ -61,6 +61,8 @@ class SweepSpec:
             raise ValueError("sweep grid must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
+        for value in self.grid:  # each grid point must make a valid InstanceParams
+            replace(self.instance, **{self.variable: value})
         if self.n_trials < 1:
             raise ValueError("trials must be >= 1")
         if len(self.methods) == 0:

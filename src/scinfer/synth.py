@@ -11,7 +11,6 @@ a seed pins every byte of the output.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -27,7 +26,9 @@ from .topology import (
     missing_edges,
     node_laplacian,
     read_complex_json,
+    read_json,
     write_complex_json,
+    write_json,
 )
 
 __all__ = [
@@ -90,6 +91,14 @@ class InstanceParams:
     node_noise_std: float = 0.0
     edge_noise_std: float = 0.0
     observed_fraction: float = 0.8
+
+    def __post_init__(self):
+        for name in ("n_node_signals", "n_edge_signals"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("node_noise_std", "edge_noise_std"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -309,32 +318,23 @@ def generate_instance(
 # dataset bundles on disk
 
 
-def write_matrix_csv(path, arr: np.ndarray) -> None:
-    """Row-major CSV, 17 significant digits, no header."""
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write(",".join(f"{v:.16e}" for v in row))
-            fh.write("\n")
+def write_matrix_csv(path, arr, fmt: str = "%.16e") -> None:
+    """Row-major CSV without header; the default format keeps 17
+    significant digits, so floats round-trip exactly."""
+    np.savetxt(path, np.atleast_2d(arr), fmt=fmt, delimiter=",")
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    rows = []
+def read_matrix_csv(path, dtype=np.float64) -> np.ndarray:
+    """Read a CSV matrix as a 2-D array; blank lines are skipped and
+    every error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: bad float field: {exc}") from exc
-    if not rows:
+        lines = [line for line in fh if line.strip()]
+    if not lines:
         raise ValueError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows")
-    return np.array(rows, dtype=np.float64)
+    try:
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_dataset(
@@ -346,14 +346,10 @@ def write_dataset(
     write_complex_json(os.path.join(out_dir, "complex.json"), truth.skeleton, truth.selection)
     write_matrix_csv(os.path.join(out_dir, "x0.csv"), signals.x0)
     write_matrix_csv(os.path.join(out_dir, "x1_obs.csv"), signals.x1_obs)
-    with open(os.path.join(out_dir, "observed_edges.csv"), "w", encoding="utf-8") as fh:
-        for idx in signals.observed_edges:
-            fh.write(f"{int(idx)}\n")
-    meta = dict(asdict(params))
-    meta["seed"] = truth.seed
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_matrix_csv(
+        os.path.join(out_dir, "observed_edges.csv"), signals.observed_edges[:, None], fmt="%d"
+    )
+    write_json(os.path.join(out_dir, "meta.json"), {**asdict(params), "seed": truth.seed})
 
 
 def read_dataset(in_dir) -> Dataset:
@@ -371,19 +367,10 @@ def read_dataset(in_dir) -> Dataset:
     for name, arr in (("x0.csv", x0), ("x1_obs.csv", x1_obs)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{paths[name]}: non-finite values (nan or inf)")
-    observed = []
-    with open(paths["observed_edges.csv"], "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                observed.append(int(line))
-            except ValueError as exc:
-                raise ValueError(
-                    f"{paths['observed_edges.csv']}:{line_no}: bad edge index"
-                ) from exc
-    observed_arr = np.array(observed, dtype=np.int64)
+    observed = read_matrix_csv(paths["observed_edges.csv"], dtype=np.int64)
+    if observed.shape[1] != 1:
+        raise ValueError(f"{paths['observed_edges.csv']}: expected one edge index per line")
+    observed_arr = observed[:, 0]
     if observed_arr.size and (
         np.any(np.diff(observed_arr) <= 0)
         or observed_arr[0] < 0
@@ -394,6 +381,4 @@ def read_dataset(in_dir) -> Dataset:
         raise ValueError(
             f"x1_obs.csv has {x1_obs.shape[0]} rows but {observed_arr.size} edges are observed"
         )
-    with open(paths["meta.json"], "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return Dataset(skeleton, truth, x0, x1_obs, observed_arr, meta)
+    return Dataset(skeleton, truth, x0, x1_obs, observed_arr, read_json(paths["meta.json"]))

@@ -57,6 +57,9 @@ MAX_NODES = 40
 
 _SV_CUTOFF = 1e-10
 
+# Layout of every JSON document the package writes or prints.
+JSON_STYLE = {"indent": 2, "sort_keys": True}
+
 # Boundary signs of a triangle on its edges, in ``tri_edges`` column order.
 _TRI_SIGNS = np.array([1.0, -1.0, 1.0])
 
@@ -484,16 +487,30 @@ def complex_from_dict(data: dict) -> tuple[ComplexSkeleton, Selection]:
     return skeleton, make_selection(skeleton, w1, w2)
 
 
-def write_complex_json(path, skeleton: ComplexSkeleton, selection: Selection) -> None:
+def write_json(path, doc) -> None:
+    """Write ``doc`` in the one JSON layout of every file the package
+    writes: indent 2, sorted keys, trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(complex_to_dict(skeleton, selection), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, **JSON_STYLE)
         fh.write("\n")
 
 
-def read_complex_json(path) -> tuple[ComplexSkeleton, Selection]:
+def read_json(path):
+    """Parse a JSON file; a syntax error becomes a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def write_complex_json(path, skeleton: ComplexSkeleton, selection: Selection) -> None:
+    write_json(path, complex_to_dict(skeleton, selection))
+
+
+def read_complex_json(path) -> tuple[ComplexSkeleton, Selection]:
+    """Read a complex.json, or the ``complex`` member of a result.json."""
+    data = read_json(path)
+    if isinstance(data, dict) and "complex" in data:
+        data = data["complex"]
     return complex_from_dict(data)

@@ -4,11 +4,12 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from scinfer.cli import main
+from scinfer.cli import build_parser, main
 from scinfer.config import load_config, parse_hyperparams, parse_instance, parse_sweep
 from scinfer.learner import HyperParams
 from scinfer.sweep import CSV_COLUMNS, run_sweep
@@ -207,6 +208,18 @@ class TestGenerate:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: invalid-argument:")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["n_edge_signals = 0", "n_node_signals = 0", "node_noise_std = -1", "edge_noise_std = -0.5"],
+    )
+    def test_out_of_range_instance_rejected(self, tmp_path, capsys, line):
+        cfg = write(tmp_path / "a.ini", f"[instance]\nn_nodes = 6\n{line}\n")
+        out = tmp_path / "d"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 1
+        field = line.split(" = ")[0]
+        assert capsys.readouterr().err.startswith(f"error: invalid-argument: {field} must be >= ")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def bundle_dir(tmp_path_factory):
@@ -308,6 +321,31 @@ class TestLearn:
         assert "x0.csv" in err
         assert not (tmp_path / "run" / "result.json").exists()
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("x0.csv", "", "x0.csv: empty matrix file"),
+            ("meta.json", '{"seed": 11,', "invalid JSON in "),
+        ],
+        ids=["empty-x0", "malformed-meta"],
+    )
+    def test_bad_bundle_file_one_error_line(self, bundle_dir, tmp_path, capsys, name, text, message):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for path in bundle_dir.iterdir():
+            (ds / path.name).write_bytes(path.read_bytes())
+        (ds / name).write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["learn", str(ds), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: invalid-argument:")
+        assert message in err
+        assert str(ds / name) in err
+
 
 class TestEval:
     def test_self_comparison_is_ideal(self, bundle_dir, tmp_path, capsys):
@@ -399,6 +437,23 @@ def strip_seconds(csv_text):
 
 
 class TestSweep:
+    def test_out_of_range_grid_rejected_at_parse(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path / "s.ini",
+            "[sweep]\nvariable = node_noise_std\ngrid = -0.1, 0\ntrials = 1\n\n"
+            "[instance]\nn_nodes = 6\nn_node_signals = 5\nn_edge_signals = 5\n",
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-argument: node_noise_std must be >= 0")
+        assert not out.exists()
+
+    def test_jobs_defaults_to_one(self, monkeypatch):
+        monkeypatch.setenv("SCINFER_JOBS", "3")
+        args = build_parser().parse_args(["sweep", "--config", "s.ini", "--out", "o"])
+        assert args.jobs == 1
+
     def test_row_count_and_files(self, tmp_path, capsys):
         cfg = write(tmp_path / "s.ini", TINY_SWEEP)
         out = tmp_path / "out"

@@ -330,3 +330,37 @@ class TestDatasetBundle:
         obs_path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="rows"):
             read_dataset(tmp_path)
+
+    def test_matrix_csv_bytes(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, np.array([[1.0, -0.5], [1.0 / 3.0, -0.0]]))
+        assert path.read_bytes() == (
+            b"1.0000000000000000e+00,-5.0000000000000000e-01\n"
+            b"3.3333333333333331e-01,-0.0000000000000000e+00\n"
+        )
+
+    def test_observed_edges_bytes(self, tmp_path):
+        params = self._params()
+        truth, signals = generate_instance(params, seed=21)
+        write_dataset(tmp_path, truth, signals, params)
+        expected = "".join(f"{int(i)}\n" for i in signals.observed_edges)
+        assert (tmp_path / "observed_edges.csv").read_text() == expected
+        assert read_dataset(tmp_path).observed_edges.dtype == np.int64
+
+    @pytest.mark.parametrize("text", ["1.5\n", "0\n1.5\n", "0,1\n2\n", "0,1\n", "x\n"])
+    def test_read_rejects_bad_edge_index(self, tmp_path, text):
+        params = self._params()
+        truth, signals = generate_instance(params, seed=5)
+        write_dataset(tmp_path, truth, signals, params)
+        (tmp_path / "observed_edges.csv").write_text(text)
+        with pytest.raises(ValueError, match="observed_edges.csv: "):
+            read_dataset(tmp_path)
+
+    def test_matrix_csv_errors_name_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n  \n")
+        with pytest.raises(ValueError, match=r"m\.csv: empty matrix file"):
+            read_matrix_csv(path)
+        path.write_text("1,2\n3\n")
+        with pytest.raises(ValueError, match=r"m\.csv: the number of columns changed"):
+            read_matrix_csv(path)

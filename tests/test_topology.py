@@ -25,9 +25,11 @@ from scinfer.topology import (
     make_selection,
     node_laplacian,
     read_complex_json,
+    read_json,
     triangle_index,
     upper_laplacian,
     write_complex_json,
+    write_json,
 )
 
 
@@ -300,3 +302,23 @@ class TestComplexJson:
         path.write_text("{not json")
         with pytest.raises(ValueError, match="invalid JSON"):
             read_complex_json(path)
+
+    def test_reads_complex_member_of_result_json(self, tmp_path):
+        sk, sel = self._sample()
+        path = tmp_path / "result.json"
+        write_json(path, {"method": "RC", "complex": complex_to_dict(sk, sel), "eval": {}})
+        sk2, sel2 = read_complex_json(path)
+        assert sk2.n_nodes == sk.n_nodes
+        np.testing.assert_array_equal(sel2.w1, sel.w1)
+        np.testing.assert_array_equal(sel2.w2, sel.w2)
+
+
+class TestJsonLayout:
+    def test_write_json_bytes(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"b": {"z": [1, 2.5], "a": None}, "a": True})
+        assert path.read_bytes() == (
+            b'{\n  "a": true,\n  "b": {\n    "a": null,\n    "z": [\n'
+            b'      1,\n      2.5\n    ]\n  }\n}\n'
+        )
+        assert read_json(path) == {"a": True, "b": {"a": None, "z": [1, 2.5]}}
