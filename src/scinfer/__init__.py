@@ -6,7 +6,7 @@ flows, via greedy block-coordinate descent, plus two baselines, a
 synthetic data generator, evaluation metrics, and a sweep harness.
 """
 
-from .baselines import BaselineConfig, run_rc, run_sep_scl
+from .baselines import run_rc, run_sep_scl
 from .config import (
     METHOD_NAMES,
     SWEEP_VARIABLES,
@@ -63,7 +63,6 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineConfig",
     "ClosureReport",
     "ComplexSkeleton",
     "Dataset",

@@ -19,7 +19,9 @@ The learner alternates three exact block solves of one objective over
 
 Scores are evaluated through squared row norms of the per-edge
 gradients and per-triangle curls of the signals; the candidate-by-
-candidate Gram matrices are never formed.
+candidate Gram matrices are never formed. A run computes the node-signal
+smoothness once and the curl energy once per interpolated signal, which
+feeds both the objective of its iteration and the next triangle scores.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .topology import (
     ComplexSkeleton,
     Selection,
     b2_block,
+    check_observed_edges,
     closure_violations,
     edge_coverage,
     edge_gradient,
@@ -95,22 +98,26 @@ class LearnState:
     phase_seconds: dict[str, float]
 
 
-def _check_observed(skeleton: ComplexSkeleton, observed_edges) -> np.ndarray:
-    obs = np.asarray(observed_edges, dtype=np.int64)
-    if obs.ndim != 1:
-        raise ValueError("observed_edges must be a 1-d index array")
-    if obs.size:
-        if obs.min() < 0 or obs.max() >= skeleton.n_edges:
-            raise ValueError("observed edge index out of range")
-        if np.any(np.diff(obs) <= 0):
-            raise ValueError("observed_edges must be strictly increasing")
+def _check_inputs(skeleton: ComplexSkeleton, x0, x1_obs, observed_edges, params) -> np.ndarray:
+    """The input check every method runs first; returns the observed indices as int64."""
+    obs = check_observed_edges(skeleton, observed_edges)
+    for name, arr, rows in (("x0", x0, skeleton.n_nodes), ("x1_obs", x1_obs, obs.size)):
+        if np.ndim(arr) != 2 or np.shape(arr)[0] != rows:
+            raise ValueError(f"{name} must be 2-d with {rows} rows, got shape {np.shape(arr)}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has non-finite entries")
+    if params.e_min is None or params.t_min is None:
+        raise ValueError("params.e_min and params.t_min must be set")
+    if not 0 <= params.e_min <= skeleton.n_edges:
+        raise ValueError(f"e_min must be in [0, {skeleton.n_edges}], got {params.e_min}")
+    if not 0 <= params.t_min <= skeleton.n_triangles:
+        raise ValueError(f"t_min must be in [0, {skeleton.n_triangles}], got {params.t_min}")
     return obs
 
 
-def _check_finite(**arrays) -> None:
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} has non-finite entries")
+def _row_energy(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row."""
+    return np.einsum("ij,ij->i", a, a)
 
 
 def triangle_scores(
@@ -127,9 +134,11 @@ def triangle_scores(
     x1 = np.asarray(x1_est, dtype=np.float64)
     if x1.ndim != 2 or x1.shape[0] != skeleton.n_edges:
         raise ValueError(f"x1_est must have {skeleton.n_edges} rows")
-    curl = triangle_curl(skeleton, x1)
-    curl_energy = np.einsum("ij,ij->i", curl, curl)
-    missing = missing_edges(skeleton, w1a)
+    return _triangle_scores(skeleton, _row_energy(triangle_curl(skeleton, x1)), w1a, params)
+
+
+def _triangle_scores(skeleton: ComplexSkeleton, curl_energy, w1, params) -> np.ndarray:
+    missing = missing_edges(skeleton, w1)
     return params.alpha2 + params.beta2 * curl_energy + params.gamma * missing
 
 
@@ -159,10 +168,12 @@ def edge_scores(
     x0a = np.asarray(x0, dtype=np.float64)
     if x0a.ndim != 2 or x0a.shape[0] != skeleton.n_nodes:
         raise ValueError(f"x0 must have {skeleton.n_nodes} rows")
-    obs = _check_observed(skeleton, observed_edges)
-    diffs = edge_gradient(skeleton, x0a)
-    smoothness = np.einsum("ij,ij->i", diffs, diffs)
-    coverage = edge_coverage(skeleton, w2a)
+    obs = check_observed_edges(skeleton, observed_edges)
+    return _edge_scores(skeleton, _row_energy(edge_gradient(skeleton, x0a)), w2a, obs, params)
+
+
+def _edge_scores(skeleton: ComplexSkeleton, smoothness, w2, obs, params) -> np.ndarray:
+    coverage = edge_coverage(skeleton, w2)
     scores = params.alpha1 + params.beta1 * smoothness - params.gamma * coverage
     scores[obs] = 0.0
     return scores
@@ -226,7 +237,7 @@ def interpolate_edge_signals(
     w2a = np.asarray(w2, dtype=np.float64)
     if w2a.shape != (skeleton.n_triangles,):
         raise ValueError(f"w2 must have shape ({skeleton.n_triangles},)")
-    obs = _check_observed(skeleton, observed_edges)
+    obs = check_observed_edges(skeleton, observed_edges)
     if obs.size == 0:
         raise ValueError("interpolation requires at least one observed edge")
     x1o = np.asarray(x1_obs, dtype=np.float64)
@@ -269,14 +280,17 @@ def objective_value(
     params: HyperParams,
 ) -> float:
     """Full objective: sparsity + smoothness + curl fit + data fit + closure."""
+    obs = np.asarray(observed_edges, dtype=np.int64)
+    smoothness = _row_energy(edge_gradient(skeleton, x0))
+    curl_energy = _row_energy(triangle_curl(skeleton, x1_est))
+    return _objective(skeleton, smoothness, curl_energy, x1_est, w1, w2, obs, x1_obs, params)
+
+
+def _objective(
+    skeleton: ComplexSkeleton, smoothness, curl_energy, x1_est, w1, w2, obs, x1_obs, params
+) -> float:
     w1a = np.asarray(w1, dtype=np.float64)
     w2a = np.asarray(w2, dtype=np.float64)
-    obs = np.asarray(observed_edges, dtype=np.int64)
-
-    diffs = edge_gradient(skeleton, x0)
-    smoothness = np.einsum("ij,ij->i", diffs, diffs)
-    curl = triangle_curl(skeleton, x1_est)
-    curl_energy = np.einsum("ij,ij->i", curl, curl)
     resid = x1_est[obs] - x1_obs
     return float(
         params.alpha1 * w1a.sum()
@@ -306,21 +320,10 @@ def run_greedy_scl(
     re-interpolated against the pruned triangle set.
     """
     t_start = time.perf_counter()
-    _check_finite(x0=x0, x1_obs=x1_obs)
-    obs = _check_observed(skeleton, observed_edges)
+    obs = _check_inputs(skeleton, x0, x1_obs, observed_edges, params)
     if obs.size == 0:
         raise ValueError("at least one observed edge is required")
-    if params.e_min is None or params.t_min is None:
-        raise ValueError("params.e_min and params.t_min must be set")
     e_min, t_min = int(params.e_min), int(params.t_min)
-    if not obs.size <= e_min <= skeleton.n_edges:
-        raise ValueError(
-            f"e_min must be in [{obs.size}, {skeleton.n_edges}], got {e_min}"
-        )
-    if not 0 <= t_min <= skeleton.n_triangles:
-        raise ValueError(
-            f"t_min must be in [0, {skeleton.n_triangles}], got {t_min}"
-        )
     if params.max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
@@ -332,24 +335,28 @@ def run_greedy_scl(
         phase[key] += time.perf_counter() - t0
         return out
 
+    def interpolate(w2):
+        x1 = interpolate_edge_signals(skeleton, w2, obs, x1_obs, params)
+        return x1, _row_energy(triangle_curl(skeleton, x1))
+
+    smoothness = _row_energy(edge_gradient(skeleton, np.asarray(x0, dtype=np.float64)))
     w1 = np.zeros(skeleton.n_edges, dtype=np.int8)
     w1[obs] = 1
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
-    x1_est = timed("interpolate", interpolate_edge_signals, skeleton, w2, obs, x1_obs, params)
+    x1_est, curl_energy = timed("interpolate", interpolate, w2)
 
     trace: list[float] = []
     converged = False
     iterations = 0
     for _ in range(params.max_iters):
         prev_w1, prev_w2 = w1, w2
-        s2 = timed("triangle_select", triangle_scores, skeleton, x1_est, w1, params)
+        s2 = timed("triangle_select", _triangle_scores, skeleton, curl_energy, w1, params)
         w2 = select_triangles(s2, t_min)
-        s1 = timed("edge_select", edge_scores, skeleton, x0, w2, obs, params)
+        s1 = timed("edge_select", _edge_scores, skeleton, smoothness, w2, obs, params)
         w1 = select_edges(s1, obs, e_min, params.strict_lemma_mode)
-        x1_est = timed("interpolate", interpolate_edge_signals, skeleton, w2, obs, x1_obs, params)
-        trace.append(
-            timed("objective", objective_value, skeleton, x0, x1_est, w1, w2, obs, x1_obs, params)
-        )
+        x1_est, curl_energy = timed("interpolate", interpolate, w2)
+        args = (skeleton, smoothness, curl_energy, x1_est, w1, w2, obs, x1_obs, params)
+        trace.append(timed("objective", _objective, *args))
         iterations += 1
         if np.array_equal(w1, prev_w1) and np.array_equal(w2, prev_w2):
             converged = True

@@ -22,6 +22,7 @@ from .topology import (
     Selection,
     b2_block,
     build_skeleton,
+    check_observed_edges,
     make_selection,
     missing_edges,
     node_laplacian,
@@ -370,15 +371,13 @@ def read_dataset(in_dir) -> Dataset:
     observed = read_matrix_csv(paths["observed_edges.csv"], dtype=np.int64)
     if observed.shape[1] != 1:
         raise ValueError(f"{paths['observed_edges.csv']}: expected one edge index per line")
-    observed_arr = observed[:, 0]
-    if observed_arr.size and (
-        np.any(np.diff(observed_arr) <= 0)
-        or observed_arr[0] < 0
-        or observed_arr[-1] >= skeleton.n_edges
-    ):
-        raise ValueError("observed_edges.csv must list strictly increasing valid indices")
+    try:
+        observed_arr = check_observed_edges(skeleton, observed[:, 0])
+    except ValueError as exc:
+        raise ValueError(f"{paths['observed_edges.csv']}: {exc}") from exc
     if x1_obs.shape[0] != observed_arr.size:
         raise ValueError(
-            f"x1_obs.csv has {x1_obs.shape[0]} rows but {observed_arr.size} edges are observed"
+            f"{paths['x1_obs.csv']}: {x1_obs.shape[0]} rows but "
+            f"{observed_arr.size} edges are observed"
         )
     return Dataset(skeleton, truth, x0, x1_obs, observed_arr, read_json(paths["meta.json"]))

@@ -287,6 +287,18 @@ def b2_block(skeleton: ComplexSkeleton, rows, cols) -> np.ndarray:
     return block
 
 
+def check_observed_edges(skeleton: ComplexSkeleton, observed_edges) -> np.ndarray:
+    """Observed edge indices as int64; they must be 1-d, strictly increasing and in range."""
+    obs = np.asarray(observed_edges, dtype=np.int64)
+    if obs.ndim != 1:
+        raise ValueError("observed_edges must be a 1-d index array")
+    if (obs[1:] <= obs[:-1]).any():
+        raise ValueError("observed_edges must be strictly increasing")
+    if obs.size and (obs[0] < 0 or obs[-1] >= skeleton.n_edges):
+        raise ValueError("observed edge index out of range")
+    return obs
+
+
 def prune_open_triangles(skeleton: ComplexSkeleton, w1, w2) -> tuple[np.ndarray, int]:
     """Deactivate every active triangle missing a supporting edge.
 

@@ -1,10 +1,12 @@
 """Baseline behavior: decoupled greedy pass and correlation thresholding."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from scinfer.baselines import METHODS, BaselineConfig, run_rc, run_sep_scl
-from scinfer.learner import HyperParams
+from scinfer.baselines import METHODS, run_rc, run_sep_scl
+from scinfer.learner import HyperParams, objective_value
 from scinfer.synth import InstanceParams, generate_instance
 from scinfer.topology import build_skeleton, edge_index, is_closed, triangle_index
 
@@ -78,6 +80,17 @@ class TestSepScl:
             state.x1_est[signals.observed_edges], signals.x1_obs
         )
 
+    def test_objective_matches_public_objective(self):
+        """The one-pass objective equals the public formula bit for bit."""
+        truth, signals, hp = _instance(3)
+        sk, obs = truth.skeleton, signals.observed_edges
+        state = run_sep_scl(sk, signals.x0, signals.x1_obs, obs, hp)
+        sel = state.selection
+        assert state.objective_trace[0] == objective_value(
+            sk, signals.x0, state.x1_est, sel.w1, sel.w2, obs, signals.x1_obs,
+            replace(hp, gamma=0.0),
+        )
+
     def test_requires_budgets(self):
         truth, signals, _ = _instance(0)
         with pytest.raises(ValueError, match="must be set"):
@@ -85,6 +98,12 @@ class TestSepScl:
                 truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges,
                 HyperParams(),
             )
+
+
+def _rc(sk, x0, e_min, t_min):
+    """RC's selection under the common method signature, with no edge flows."""
+    params = HyperParams(e_min=e_min, t_min=t_min)
+    return run_rc(sk, x0, np.zeros((0, 1)), np.array([], dtype=np.int64), params).selection
 
 
 class TestRc:
@@ -104,7 +123,7 @@ class TestRc:
     def test_budget_mode_ranks_by_absolute_correlation(self):
         sk = build_skeleton(6)
         x0 = self._correlated_signals()
-        sel = run_rc(sk, x0, BaselineConfig(e_min=6, t_min=None))
+        sel = _rc(sk, x0, 6, sk.n_triangles)
         picked = {sk.edges[i] for i in np.flatnonzero(sel.w1)}
         # the 6 strongest pairs are exactly those among the latent block
         assert picked == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
@@ -113,7 +132,7 @@ class TestRc:
     def test_clique_fill_and_budget_cap(self):
         sk = build_skeleton(6)
         x0 = self._correlated_signals()
-        sel = run_rc(sk, x0, BaselineConfig(e_min=6, t_min=None))
+        sel = _rc(sk, x0, 6, sk.n_triangles)
         # the block {0,1,2,3} is a 4-clique: all four triangles fill
         expected_tris = {
             triangle_index(sk, 0, 1, 2),
@@ -122,14 +141,14 @@ class TestRc:
             triangle_index(sk, 1, 2, 3),
         }
         assert set(np.flatnonzero(sel.w2).tolist()) == expected_tris
-        capped = run_rc(sk, x0, BaselineConfig(e_min=6, t_min=2))
+        capped = _rc(sk, x0, 6, 2)
         assert int(capped.w2.sum()) == 2
         assert set(np.flatnonzero(capped.w2).tolist()) <= expected_tris
 
     def test_zero_variance_node_never_selected_first(self):
         sk = build_skeleton(6)
         x0 = self._correlated_signals()
-        sel = run_rc(sk, x0, BaselineConfig(e_min=3, t_min=None))
+        sel = _rc(sk, x0, 3, sk.n_triangles)
         for i in np.flatnonzero(sel.w1):
             assert 4 not in sk.edges[i]
 
@@ -137,7 +156,7 @@ class TestRc:
         sk = build_skeleton(5)
         rng = np.random.default_rng(8)
         x0 = rng.standard_normal((5, 30))
-        sel = run_rc(sk, x0, BaselineConfig(e_min=sk.n_edges, t_min=None))
+        sel = _rc(sk, x0, sk.n_edges, sk.n_triangles)
         assert int(sel.w1.sum()) == sk.n_edges
         assert int(sel.w2.sum()) == sk.n_triangles
 
@@ -146,7 +165,7 @@ class TestRc:
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal((4, 20))
         x0[3] = x0[2]
-        sel = run_rc(sk, x0, BaselineConfig(e_min=1, t_min=None))
+        sel = _rc(sk, x0, 1, sk.n_triangles)
         assert np.flatnonzero(sel.w1).tolist() == [edge_index(sk, 2, 3)]
 
     def test_output_always_closed(self):
@@ -154,7 +173,7 @@ class TestRc:
         rng = np.random.default_rng(17)
         for _ in range(5):
             x0 = rng.standard_normal((7, 15))
-            sel = run_rc(sk, x0, BaselineConfig(e_min=int(rng.integers(0, 22)), t_min=3))
+            sel = _rc(sk, x0, int(rng.integers(0, 22)), 3)
             assert is_closed(sk, sel.w1, sel.w2)
 
     @pytest.mark.parametrize("t_min", [-1, 5])
@@ -162,11 +181,34 @@ class TestRc:
         sk = build_skeleton(4)
         x0 = np.random.default_rng(2).standard_normal((4, 10))
         with pytest.raises(ValueError, match=r"t_min must be in \[0, 4\]"):
-            run_rc(sk, x0, BaselineConfig(e_min=6, t_min=t_min))
-        assert int(run_rc(sk, x0, BaselineConfig(e_min=6, t_min=None)).w2.sum()) == 4
+            _rc(sk, x0, 6, t_min)
+        assert int(_rc(sk, x0, 6, sk.n_triangles).w2.sum()) == 4
+
+
+# Malformed variants of a valid method call: (skeleton, x0, x1_obs,
+# observed_edges, params) -> the same five arguments.
+_BAD_INPUTS = {
+    "reversed-observed": lambda sk, x0, x1, obs, hp: (sk, x0, x1, obs[::-1], hp),
+    "observed-minus-one": lambda sk, x0, x1, obs, hp: (sk, x0, x1, np.r_[-1, obs[1:]], hp),
+    "observed-n-edges": lambda sk, x0, x1, obs, hp: (sk, x0, x1, np.r_[obs[:-1], sk.n_edges], hp),
+    "x1-obs-one-row": lambda sk, x0, x1, obs, hp: (sk, x0, x1[:1], obs, hp),
+    "x1-obs-1d": lambda sk, x0, x1, obs, hp: (sk, x0, x1[:, 0], obs, hp),
+    "x0-wrong-rows": lambda sk, x0, x1, obs, hp: (sk, x0[:-1], x1, obs, hp),
+    "budgets-unset": lambda sk, x0, x1, obs, hp: (sk, x0, x1, obs, HyperParams()),
+}
 
 
 class TestMethods:
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+    def test_bad_inputs_rejected(self, method, case):
+        truth, signals, hp = _instance(0)
+        args = _BAD_INPUTS[case](
+            truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp
+        )
+        with pytest.raises(ValueError):
+            METHODS[method](*args)
+
     @pytest.mark.parametrize("method", sorted(METHODS))
     @pytest.mark.parametrize("signal", ["x0", "x1_obs"])
     def test_non_finite_signals_rejected(self, method, signal):

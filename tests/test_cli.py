@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -345,6 +346,26 @@ class TestLearn:
         assert err.startswith("error: invalid-argument:")
         assert message in err
         assert str(ds / name) in err
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("observed_edges.csv", "5\n3\n", "observed_edges must be strictly increasing"),
+            ("x1_obs.csv", "0.5\n", "1 rows but 12 edges are observed"),
+        ],
+        ids=["unsorted-observed", "x1-obs-row-mismatch"],
+    )
+    def test_bundle_index_errors_name_the_file(
+        self, bundle_dir, tmp_path, capsys, name, text, message
+    ):
+        ds = tmp_path / "ds"
+        shutil.copytree(bundle_dir, ds)
+        (ds / name).write_text(text)
+        code = main(["learn", str(ds), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid-argument: {ds / name}: ")
+        assert message in err
 
 
 class TestEval:

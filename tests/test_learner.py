@@ -14,6 +14,7 @@ from oracles import (
     gradient_descent_interpolation,
     triangle_subproblem_value,
 )
+from scinfer import learner
 from scinfer.learner import (
     HyperParams,
     edge_scores,
@@ -341,6 +342,32 @@ class TestRunGreedyScl:
         s1 = edge_scores(sk, signals.x0, w2_next, signals.observed_edges, hp)
         w1_next = select_edges(s1, signals.observed_edges, hp.e_min)
         np.testing.assert_array_equal(w1_next, state.selection.w1)
+
+    def test_trace_matches_public_objective(self):
+        """The one-pass objective equals the public formula bit for bit."""
+        truth, signals, hp = _learn_instance(3)
+        sk, obs = truth.skeleton, signals.observed_edges
+        state = run_greedy_scl(sk, signals.x0, signals.x1_obs, obs, hp)
+        assert state.converged and state.pruned_triangles == 0
+        sel = state.selection
+        assert state.objective_trace[-1] == objective_value(
+            sk, signals.x0, state.x1_est, sel.w1, sel.w2, obs, signals.x1_obs, hp
+        )
+
+    def test_one_energy_pass_per_interpolation(self, monkeypatch):
+        """k iterations take k + 1 curl-energy passes and one smoothness pass."""
+        truth, signals, hp = _learn_instance(3)
+        calls = {"triangle_curl": 0, "edge_gradient": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(learner, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(learner, name, counted)
+        state = run_greedy_scl(
+            truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp
+        )
+        assert calls == {"triangle_curl": state.iterations_run + 1, "edge_gradient": 1}
 
     def test_single_iteration_cap(self):
         truth, signals, hp = _learn_instance(1)
