@@ -39,6 +39,7 @@ from .topology import (
     missing_edges,
     prune_open_triangles,
     triangle_curl,
+    triangle_nodes,
 )
 
 __all__ = ["METHODS", "run_sep_scl", "run_rc"]
@@ -121,7 +122,7 @@ def run_rc(
     t_start = time.perf_counter()
     _check_inputs(skeleton, x0, x1_obs, observed_edges, params)
     corr = _node_correlations(x0)
-    strength = np.array([abs(corr[i, j]) for i, j in skeleton.edges])
+    strength = np.abs(corr[skeleton.edge_nodes[:, 0], skeleton.edge_nodes[:, 1]])
     w1 = np.zeros(skeleton.n_edges, dtype=np.int8)
     w1[np.argsort(-strength, kind="stable")[: params.e_min]] = 1
 
@@ -130,7 +131,7 @@ def run_rc(
     w2[clique] = 1
     if int(w2.sum()) > params.t_min:
         clique_idx = np.flatnonzero(clique)
-        i, j, k = np.array([skeleton.triangles[t] for t in clique_idx]).reshape(-1, 3).T
+        i, j, k = triangle_nodes(skeleton, clique_idx).T
         abs_corr = np.abs(corr)
         min_strengths = np.minimum(np.minimum(abs_corr[i, j], abs_corr[i, k]), abs_corr[j, k])
         keep = clique_idx[np.argsort(-min_strengths, kind="stable")[: params.t_min]]

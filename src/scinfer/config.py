@@ -65,6 +65,8 @@ class SweepSpec:
             replace(self.instance, **{self.variable: value})
         if self.n_trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if len(self.methods) == 0:
             raise ValueError("methods must be nonempty")
         for name in self.methods:

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .topology import (
+    MAX_NODES,
     ComplexSkeleton,
     Selection,
     b2_block,
@@ -94,12 +95,21 @@ class InstanceParams:
     observed_fraction: float = 0.8
 
     def __post_init__(self):
+        if not 2 <= self.n_nodes <= MAX_NODES:
+            raise ValueError(f"n_nodes must be in [2, {MAX_NODES}], got {self.n_nodes}")
+        for name in ("edge_prob", "fill_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         for name in ("n_node_signals", "n_edge_signals"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("node_noise_std", "edge_noise_std"):
+        for name in ("curl_atten", "node_noise_std", "edge_noise_std"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 < self.observed_fraction <= 1.0:
+            raise ValueError(
+                f"observed_fraction must be in (0, 1], got {self.observed_fraction}"
+            )
 
 
 @dataclass(frozen=True)
@@ -136,8 +146,7 @@ def sample_er_selection(
 def _connected(skeleton: ComplexSkeleton, w1: np.ndarray) -> bool:
     n = skeleton.n_nodes
     adj: list[list[int]] = [[] for _ in range(n)]
-    for idx in np.flatnonzero(w1):
-        i, j = skeleton.edges[idx]
+    for i, j in skeleton.edge_nodes[w1 != 0].tolist():
         adj[i].append(j)
         adj[j].append(i)
     seen = {0}

@@ -7,9 +7,11 @@ order. A concrete complex is then just a pair of binary indicator
 vectors over those candidate lists, which keeps topology selection,
 Laplacian assembly and subset scoring in plain array land.
 
-The skeleton stores only the endpoints of each edge and the three edges
-of each triangle; the other modules reach that layout solely through
-the gather/scatter operators defined here.
+The skeleton stores only ``n_nodes``, ``edge_nodes`` (the endpoints of
+each edge) and ``tri_edges`` (the three edges of each triangle); the
+vertex-tuple views ``edges`` and ``triangles`` are built from them on
+first read. The other modules reach that layout solely through the
+arrays and the gather/scatter operators defined here.
 
 Orientation convention (fixed): edge ``(i, j)`` with ``i < j`` runs from
 ``i`` to ``j``, so its incidence column carries ``-1`` at row ``i`` and
@@ -22,10 +24,10 @@ in integer arithmetic.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,34 +74,38 @@ class ComplexSkeleton:
     ----------
     n_nodes : int
         Number of vertices.
-    edges : tuple of (int, int)
-        All candidate edges ``(i, j)``, ``i < j``, lexicographic.
-    triangles : tuple of (int, int, int)
-        All candidate triangles ``(i, j, k)``, ``i < j < k``, lexicographic.
     edge_nodes : ndarray of int, shape (n_edges, 2)
-        Endpoints ``(i, j)`` of each candidate edge.
+        Endpoints ``(i, j)``, ``i < j``, of each candidate edge, lexicographic.
     tri_edges : ndarray of int, shape (n_triangles, 3)
         Candidate-edge indices ``(ij, ik, jk)`` of each triangle's
         boundary, ascending; the boundary signs are ``(+1, -1, +1)``.
 
-    Both arrays are read-only. The dense matrices ``b1_full``,
-    ``b2_full`` and ``b2_unsigned`` are read-only properties built from
-    them on every access, for reference use.
+    These are the only stored fields; both arrays are read-only. The
+    views ``edges`` and ``triangles`` list the same simplices as vertex
+    tuples, ``i < j < k``, and are built on first read. The dense
+    matrices ``b1_full``, ``b2_full`` and ``b2_unsigned`` are read-only
+    properties built from the arrays on every access, for reference use.
     """
 
     n_nodes: int
-    edges: tuple[tuple[int, int], ...]
-    triangles: tuple[tuple[int, int, int], ...]
     edge_nodes: np.ndarray
     tri_edges: np.ndarray
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_nodes)
 
     @property
     def n_triangles(self) -> int:
-        return len(self.triangles)
+        return len(self.tri_edges)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.edge_nodes.T.tolist()))
+
+    @cached_property
+    def triangles(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(*triangle_nodes(self, slice(None)).T.tolist()))
 
     @property
     def b1_full(self) -> np.ndarray:
@@ -131,14 +137,6 @@ class Selection:
 
     w1: np.ndarray
     w2: np.ndarray
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.w1.sum())
-
-    @property
-    def triangle_count(self) -> int:
-        return int(self.w2.sum())
 
 
 @dataclass(frozen=True)
@@ -188,19 +186,13 @@ def build_skeleton(n_nodes: int) -> ComplexSkeleton:
         raise ValueError(f"n_nodes must be an integer, got {type(n_nodes).__name__}")
     if n_nodes < 2 or n_nodes > MAX_NODES:
         raise ValueError(f"n_nodes must be in [2, {MAX_NODES}], got {n_nodes}")
-    n_nodes = int(n_nodes)
+    n = int(n_nodes)
 
-    edges = tuple(itertools.combinations(range(n_nodes), 2))
-    triangles = tuple(itertools.combinations(range(n_nodes), 3))
-    edge_nodes = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    i, j, k = np.array(triangles, dtype=np.intp).reshape(-1, 3).T
-    tri_edges = np.stack(
-        [_edge_rank(n_nodes, i, j), _edge_rank(n_nodes, i, k), _edge_rank(n_nodes, j, k)],
-        axis=1,
-    )
-    return ComplexSkeleton(
-        n_nodes, edges, triangles, _read_only(edge_nodes), _read_only(tri_edges)
-    )
+    i, j = np.triu_indices(n, 1)
+    # Triangles in order: each edge (i, j) in order, then every k > j.
+    ij, k = np.nonzero(np.arange(n) > j[:, None])
+    tri_edges = np.stack([ij, _edge_rank(n, i[ij], k), _edge_rank(n, j[ij], k)], axis=1)
+    return ComplexSkeleton(n, _read_only(np.stack([i, j], axis=1)), _read_only(tri_edges))
 
 
 def _edge_rank(n: int, i, j):
@@ -234,6 +226,12 @@ def triangle_index(skeleton: ComplexSkeleton, i: int, j: int, k: int) -> int:
 # Incidence operators: every product with b1/b2 in the package goes through
 # these. They are helpers of the package's own modules, so they stay out of
 # ``__all__`` and profile as part of their callers.
+
+
+def triangle_nodes(skeleton: ComplexSkeleton, idx) -> np.ndarray:
+    """Vertex rows ``(i, j, k)`` of the candidate triangles ``idx`` (an index or a mask)."""
+    ij, _, jk = np.moveaxis(skeleton.tri_edges[idx], -1, 0)
+    return np.concatenate([skeleton.edge_nodes[ij], skeleton.edge_nodes[jk, 1:]], axis=-1)
 
 
 def edge_gradient(skeleton: ComplexSkeleton, x0) -> np.ndarray:
@@ -336,7 +334,8 @@ def node_laplacian(skeleton: ComplexSkeleton, w1) -> np.ndarray:
     w = np.asarray(w1, dtype=np.float64)
     if w.shape != (skeleton.n_edges,):
         raise ValueError(f"w1 must have shape ({skeleton.n_edges},), got {w.shape}")
-    return (skeleton.b1_full * w) @ skeleton.b1_full.T
+    b1 = skeleton.b1_full
+    return (b1 * w) @ b1.T
 
 
 def upper_laplacian(skeleton: ComplexSkeleton, w2) -> np.ndarray:
@@ -436,8 +435,8 @@ def complex_to_dict(skeleton: ComplexSkeleton, selection: Selection) -> dict:
     w2 = _as_indicator(selection.w2, skeleton.n_triangles, "w2")
     return {
         "n_nodes": skeleton.n_nodes,
-        "edges": [list(skeleton.edges[i]) for i in np.flatnonzero(w1)],
-        "triangles": [list(skeleton.triangles[i]) for i in np.flatnonzero(w2)],
+        "edges": skeleton.edge_nodes[w1 != 0].tolist(),
+        "triangles": triangle_nodes(skeleton, w2 != 0).tolist(),
     }
 
 

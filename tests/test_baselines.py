@@ -1,11 +1,15 @@
 """Baseline behavior: decoupled greedy pass and correlation thresholding."""
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from scinfer.baselines import METHODS, run_rc, run_sep_scl
+from scinfer.baselines import METHODS, _node_correlations, run_rc, run_sep_scl
 from scinfer.learner import HyperParams, objective_value
 from scinfer.synth import InstanceParams, generate_instance
 from scinfer.topology import build_skeleton, edge_index, is_closed, triangle_index
@@ -106,7 +110,50 @@ def _rc(sk, x0, e_min, t_min):
     return run_rc(sk, x0, np.zeros((0, 1)), np.array([], dtype=np.int64), params).selection
 
 
+def _rc_loop_reference(n, x0, e_min, t_min):
+    """RC's selection with per-edge and per-triangle Python loops over the
+    vertex tuples; also returns whether the clique trimming ran."""
+    corr = _node_correlations(x0)
+    edges = list(itertools.combinations(range(n), 2))
+    strength = np.array([abs(corr[i, j]) for i, j in edges])
+    w1 = np.zeros(len(edges), dtype=np.int8)
+    w1[np.argsort(-strength, kind="stable")[:e_min]] = 1
+    active = {edges[e] for e in np.flatnonzero(w1)}
+    cliques = [
+        (t, (i, j, k))
+        for t, (i, j, k) in enumerate(itertools.combinations(range(n), 3))
+        if {(i, j), (i, k), (j, k)} <= active
+    ]
+    trimmed = len(cliques) > t_min
+    if trimmed:
+        mins = [min(abs(corr[i, j]), abs(corr[i, k]), abs(corr[j, k])) for _, (i, j, k) in cliques]
+        cliques = [cliques[p] for p in np.argsort(-np.array(mins), kind="stable")[:t_min]]
+    w2 = np.zeros(math.comb(n, 3), dtype=np.int8)
+    w2[[t for t, _ in cliques]] = 1
+    return w1, w2, trimmed
+
+
 class TestRc:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_loop_reference(self, data):
+        n = data.draw(st.integers(4, 9))
+        cols = data.draw(st.integers(2, 6))
+        # Small integer entries make tied correlations, so the stable
+        # tie order is compared too.
+        x0 = np.array(
+            data.draw(st.lists(st.integers(-2, 2), min_size=n * cols, max_size=n * cols)),
+            dtype=np.float64,
+        ).reshape(n, cols)
+        n_edges = math.comb(n, 2)
+        e_min = data.draw(st.integers(n_edges // 2, n_edges))
+        t_min = data.draw(st.integers(0, 4))
+        w1, w2, trimmed = _rc_loop_reference(n, x0, e_min, t_min)
+        assume(trimmed)
+        sel = _rc(build_skeleton(n), x0, e_min, t_min)
+        np.testing.assert_array_equal(sel.w1, w1)
+        np.testing.assert_array_equal(sel.w2, w2)
+
     def _correlated_signals(self, n=6, cols=40, seed=0):
         """Nodes 0,1,2 share one latent signal; node 3 is its negation;
         node 4 is constant (zero variance); node 5 is independent."""

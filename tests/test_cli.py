@@ -154,7 +154,10 @@ class TestConfig:
             value = not default
             text = str(value).lower()
         else:
-            value = default + type(default)(1) + type(default)(0.5)
+            # A float field moves to a third of its default plus 0.1: a new
+            # value for every field that keeps probabilities and fractions
+            # inside [0, 1].
+            value = default + 1 if isinstance(default, int) else default / 3 + 0.1
             text = repr(value)
         parse = {"instance": lambda p: parse_instance(p)[0], "params": parse_hyperparams}[section]
         cfg = write(tmp_path / "a.ini", f"[{section}]\n{field.name} = {text}\n")
@@ -210,15 +213,26 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("error: invalid-argument:")
 
     @pytest.mark.parametrize(
-        "line",
-        ["n_edge_signals = 0", "n_node_signals = 0", "node_noise_std = -1", "edge_noise_std = -0.5"],
+        "line, prefix",
+        [
+            pytest.param(line, prefix, id=line)
+            for line, prefix in [
+                ("n_edge_signals = 0", "n_edge_signals must be >= "),
+                ("n_node_signals = 0", "n_node_signals must be >= "),
+                ("node_noise_std = -1", "node_noise_std must be >= "),
+                ("edge_noise_std = -0.5", "edge_noise_std must be >= "),
+                ("edge_prob = 1.5", "edge_prob must be in [0, 1]"),
+                ("fill_fraction = 2", "fill_fraction must be in [0, 1]"),
+                ("curl_atten = -1", "curl_atten must be >= 0"),
+                ("observed_fraction = 0", "observed_fraction must be in (0, 1]"),
+            ]
+        ],
     )
-    def test_out_of_range_instance_rejected(self, tmp_path, capsys, line):
+    def test_out_of_range_instance_rejected(self, tmp_path, capsys, line, prefix):
         cfg = write(tmp_path / "a.ini", f"[instance]\nn_nodes = 6\n{line}\n")
         out = tmp_path / "d"
         assert main(["generate", "--config", cfg, "--out", str(out)]) == 1
-        field = line.split(" = ")[0]
-        assert capsys.readouterr().err.startswith(f"error: invalid-argument: {field} must be >= ")
+        assert capsys.readouterr().err.startswith(f"error: invalid-argument: {prefix}")
         assert not out.exists()
 
 
@@ -458,16 +472,36 @@ def strip_seconds(csv_text):
 
 
 class TestSweep:
-    def test_out_of_range_grid_rejected_at_parse(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "sweep, instance, prefix",
+        [
+            ("variable = node_noise_std\ngrid = -0.1, 0", "n_nodes = 6",
+             "node_noise_std must be >= 0"),
+            ("variable = observed_fraction\ngrid = 0, 0.5", "n_nodes = 6",
+             "observed_fraction must be in (0, 1]"),
+            ("variable = node_noise_std\ngrid = 0\nbase_seed = -5", "n_nodes = 6",
+             "base_seed must be >= 0"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 41", "n_nodes must be in [2, 40]"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nedge_prob = 1.5",
+             "edge_prob must be in [0, 1]"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nfill_fraction = 2",
+             "fill_fraction must be in [0, 1]"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\ncurl_atten = -1",
+             "curl_atten must be >= 0"),
+        ],
+        ids=["noise-grid", "observed-grid", "base-seed", "n-nodes", "edge-prob",
+             "fill-fraction", "curl-atten"],
+    )
+    def test_out_of_range_grid_rejected_at_parse(self, tmp_path, capsys, sweep, instance, prefix):
         cfg = write(
             tmp_path / "s.ini",
-            "[sweep]\nvariable = node_noise_std\ngrid = -0.1, 0\ntrials = 1\n\n"
-            "[instance]\nn_nodes = 6\nn_node_signals = 5\nn_edge_signals = 5\n",
+            f"[sweep]\n{sweep}\ntrials = 1\n\n"
+            f"[instance]\n{instance}\nn_node_signals = 5\nn_edge_signals = 5\n",
         )
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid-argument: node_noise_std must be >= 0")
+        assert err.startswith(f"error: invalid-argument: {prefix}")
         assert not out.exists()
 
     def test_jobs_defaults_to_one(self, monkeypatch):

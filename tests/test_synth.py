@@ -1,6 +1,8 @@
 """Statistical and structural tests for the instance generator."""
 
+import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from scinfer.synth import (
     GenerationError,
     InstanceParams,
+    _connected,
     fill_triangles,
     gen_low_curl_edge_signals,
     gen_smooth_node_signals,
@@ -55,6 +58,31 @@ class TestErSelection:
         sk = build_skeleton(4)
         with pytest.raises(ValueError):
             sample_er_selection(sk, 1.5, np.random.default_rng(0))
+
+    def test_connectivity_matches_reference_bfs(self):
+        rng = np.random.default_rng(9)
+        outcomes = set()
+        for n in (2, 3, 6, 12, 20):
+            sk = build_skeleton(n)
+            edges = list(itertools.combinations(range(n), 2))
+            for p in (0.05, 0.2, 0.4):
+                for _ in range(15):
+                    w1 = (rng.random(sk.n_edges) < p).astype(np.int8)
+                    adj = {u: [] for u in range(n)}
+                    for e in np.flatnonzero(w1):
+                        i, j = edges[e]
+                        adj[i].append(j)
+                        adj[j].append(i)
+                    seen, queue = {0}, deque([0])
+                    while queue:
+                        for v in adj[queue.popleft()]:
+                            if v not in seen:
+                                seen.add(v)
+                                queue.append(v)
+                    expected = len(seen) == n
+                    assert _connected(sk, w1) == expected
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
 
     def test_deterministic_given_seed(self):
         sk = build_skeleton(12)

@@ -6,6 +6,8 @@ i -> j -> k -> i.
 """
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 
@@ -14,6 +16,7 @@ import pytest
 
 from scinfer.topology import (
     MAX_NODES,
+    ComplexSkeleton,
     build_skeleton,
     closure_violations,
     complex_from_dict,
@@ -58,6 +61,29 @@ class TestBuildSkeleton:
         sk = build_skeleton(4)
         assert sk.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         assert sk.triangles == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+    def test_arrays_match_loop_enumeration(self):
+        assert [f.name for f in dataclasses.fields(ComplexSkeleton)] == [
+            "n_nodes", "edge_nodes", "tri_edges"
+        ]
+        for n in range(2, MAX_NODES + 1):
+            sk = build_skeleton(n)
+            triangles = tuple(itertools.combinations(range(n), 3))
+            assert sk.edges == tuple(itertools.combinations(range(n), 2))
+            assert sk.triangles == triangles
+            faces = [
+                [edge_index(sk, i, j), edge_index(sk, i, k), edge_index(sk, j, k)]
+                for i, j, k in triangles
+            ]
+            np.testing.assert_array_equal(sk.tri_edges, np.array(faces).reshape(-1, 3))
+
+    def test_tuple_views_are_cached_on_first_read(self):
+        for name in ("edges", "triangles"):
+            assert isinstance(vars(ComplexSkeleton)[name], functools.cached_property)
+        sk = build_skeleton(5)
+        assert "edges" not in vars(sk) and "triangles" not in vars(sk)
+        edges, triangles = sk.edges, sk.triangles
+        assert vars(sk)["edges"] is edges and vars(sk)["triangles"] is triangles
 
     def test_incidence_signs_n3(self):
         sk = _k3()
