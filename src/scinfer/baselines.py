@@ -114,10 +114,10 @@ def run_rc(
 
     Edge strength is the absolute Pearson correlation of the endpoint
     signals. Triangles are the 3-cliques of the graph of the ``e_min``
-    strongest pairs; when there are more than ``t_min``, the cliques
-    with the largest minimum edge strength survive, so
-    ``t_min = n_triangles`` keeps every clique. The edge flows are
-    checked but not used, and no edge signals are estimated.
+    strongest pairs, ranked by their minimum edge strength; the first
+    ``t_min`` survive, so ``t_min = n_triangles`` keeps every clique.
+    The edge flows are checked but not used, and no edge signals are
+    estimated.
     """
     t_start = time.perf_counter()
     _check_inputs(skeleton, x0, x1_obs, observed_edges, params)
@@ -126,17 +126,12 @@ def run_rc(
     w1 = np.zeros(skeleton.n_edges, dtype=np.int8)
     w1[np.argsort(-strength, kind="stable")[: params.e_min]] = 1
 
-    clique = missing_edges(skeleton, w1) == 0.0
+    cliques = np.flatnonzero(missing_edges(skeleton, w1) == 0.0)
+    i, j, k = triangle_nodes(skeleton, cliques).T
+    abs_corr = np.abs(corr)
+    min_strengths = np.minimum(np.minimum(abs_corr[i, j], abs_corr[i, k]), abs_corr[j, k])
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
-    w2[clique] = 1
-    if int(w2.sum()) > params.t_min:
-        clique_idx = np.flatnonzero(clique)
-        i, j, k = triangle_nodes(skeleton, clique_idx).T
-        abs_corr = np.abs(corr)
-        min_strengths = np.minimum(np.minimum(abs_corr[i, j], abs_corr[i, k]), abs_corr[j, k])
-        keep = clique_idx[np.argsort(-min_strengths, kind="stable")[: params.t_min]]
-        w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
-        w2[keep] = 1
+    w2[cliques[np.argsort(-min_strengths, kind="stable")[: params.t_min]]] = 1
     selection = make_selection(skeleton, w1, w2)
     phase_seconds = {"total": time.perf_counter() - t_start}
     return LearnState(selection, np.zeros((0, 0)), (), 1, True, 0, 0, phase_seconds)

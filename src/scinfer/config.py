@@ -67,6 +67,11 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        n = self.instance.n_nodes  # a budget that is set must fit every cell's skeleton
+        for name, top in (("e_min", math.comb(n, 2)), ("t_min", math.comb(n, 3))):
+            budget = getattr(self.params, name)
+            if budget is not None and not 0 <= budget <= top:
+                raise ValueError(f"{name} must be in [0, {top}], got {budget}")
         if len(self.methods) == 0:
             raise ValueError("methods must be nonempty")
         for name in self.methods:

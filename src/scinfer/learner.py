@@ -83,6 +83,10 @@ class HyperParams:
     strict_lemma_mode: bool = False
     prune_closure: bool = True
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+
 
 @dataclass(frozen=True)
 class LearnState:
@@ -148,9 +152,7 @@ def select_triangles(scores: np.ndarray, t_min: int) -> np.ndarray:
     if not 0 <= t_min <= scores.size:
         raise ValueError(f"t_min must be in [0, {scores.size}], got {t_min}")
     w2 = np.zeros(scores.size, dtype=np.int8)
-    if t_min:
-        order = np.argsort(scores, kind="stable")
-        w2[order[:t_min]] = 1
+    w2[np.argsort(scores, kind="stable")[:t_min]] = 1
     return w2
 
 
@@ -187,11 +189,12 @@ def select_edges(
 ) -> np.ndarray:
     """Pick the active edge set given scores and the forced observed set.
 
-    Default mode returns the exact minimizer of the edge block: observed
-    edges, every strictly negative score, then the smallest nonnegative
-    scores until ``e_min`` entries are active. Strict mode activates
-    exactly ``e_min`` entries: the observed set first, the rest by
-    ascending score. Ties resolve to the lowest candidate index.
+    Observed edges are always active. Both modes then activate a prefix
+    of one order of the unobserved edges (ascending score, ties to the
+    lowest candidate index) and differ only in its length. Strict mode
+    takes ``e_min - |observed|`` entries. Default mode also takes every
+    strictly negative score, which sort first, so it returns the exact
+    minimizer of the edge block.
     """
     scores = np.asarray(scores, dtype=np.float64)
     obs = np.asarray(observed_edges, dtype=np.int64)
@@ -203,19 +206,11 @@ def select_edges(
     w1 = np.zeros(scores.size, dtype=np.int8)
     w1[obs] = 1
     unobserved = np.flatnonzero(w1 == 0)
-    if strict_lemma_mode:
-        quota = e_min - obs.size
-        order = unobserved[np.argsort(scores[unobserved], kind="stable")]
-        w1[order[:quota]] = 1
-        return w1
-
-    negative = unobserved[scores[unobserved] < 0.0]
-    w1[negative] = 1
-    shortfall = e_min - int(w1.sum())
-    if shortfall > 0:
-        pool = unobserved[scores[unobserved] >= 0.0]
-        order = pool[np.argsort(scores[pool], kind="stable")]
-        w1[order[:shortfall]] = 1
+    order = unobserved[np.argsort(scores[unobserved], kind="stable")]
+    take = e_min - obs.size
+    if not strict_lemma_mode:
+        take = max(take, int((scores[unobserved] < 0.0).sum()))
+    w1[order[:take]] = 1
     return w1
 
 
@@ -324,8 +319,6 @@ def run_greedy_scl(
     if obs.size == 0:
         raise ValueError("at least one observed edge is required")
     e_min, t_min = int(params.e_min), int(params.t_min)
-    if params.max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
 
     phase = {"triangle_select": 0.0, "edge_select": 0.0, "interpolate": 0.0, "objective": 0.0}
 

@@ -21,6 +21,7 @@ from .topology import (
     MAX_NODES,
     ComplexSkeleton,
     Selection,
+    _span_basis,
     b2_block,
     build_skeleton,
     check_observed_edges,
@@ -174,40 +175,29 @@ def fill_triangles(
     independent of the filled set is kept: an unfilled triangle whose
     boundary lies in the span of the filled boundaries is invisible to
     any low-curl flow, so such fills are unidentifiable from edge data.
-    If no independent fill shows up within 200 draws (dense
-    graphs may admit none), the final draw is returned as is.
+    The boundaries of the eligible triangles on the active edges are
+    built once per call, and each draw tests column slices of that one
+    block. If no independent fill shows up within 200 draws, the final
+    draw is returned as is; dense graphs may admit none, and at 40 nodes
+    with the default edge density no draw qualifies.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     eligible = np.flatnonzero(missing_edges(skeleton, w1) == 0.0)
     count = math.floor(fraction * eligible.size)
+    boundary = b2_block(skeleton, np.flatnonzero(np.asarray(w1) != 0), eligible)
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
-    if count == 0:
-        return w2
-    active_rows = np.flatnonzero(np.asarray(w1) != 0)
     for _ in range(_MAX_FILL_DRAWS):
         chosen = rng.choice(eligible, size=count, replace=False)
         w2[:] = 0
         w2[chosen] = 1
-        if _fill_identifiable(skeleton, active_rows, eligible, w2):
+        filled = w2[eligible] == 1
+        basis = _span_basis(boundary[:, filled])
+        probe = boundary[:, ~filled]
+        residual = probe - basis @ (basis.T @ probe)
+        if (np.linalg.norm(residual, axis=0) > 1e-8).all():
             break
     return w2
-
-
-def _fill_identifiable(skeleton, active_rows, eligible, w2) -> bool:
-    """True when no unfilled eligible triangle's boundary is spanned by
-    the filled boundaries (restricted to active edges)."""
-    spurious = eligible[w2[eligible] == 0]
-    filled = eligible[w2[eligible] == 1]
-    if spurious.size == 0 or filled.size == 0:
-        return True
-    basis_cols = b2_block(skeleton, active_rows, filled)
-    u_basis, sv, _ = np.linalg.svd(basis_cols, full_matrices=False)
-    rank = int((sv > 1e-10 * sv[0]).sum())
-    u_basis = u_basis[:, :rank]
-    probe = b2_block(skeleton, active_rows, spurious)
-    residual = probe - u_basis @ (u_basis.T @ probe)
-    return bool((np.linalg.norm(residual, axis=0) > 1e-8).all())
 
 
 def gen_smooth_node_signals(
@@ -256,19 +246,11 @@ def gen_low_curl_edge_signals(
     if curl_atten < 0.0:
         raise ValueError(f"curl_atten must be nonnegative, got {curl_atten}")
     w1a = np.asarray(w1, dtype=np.float64)
-    w2a = np.asarray(w2, dtype=np.float64)
     active_e = np.flatnonzero(w1a)
-    active_t = np.flatnonzero(w2a)
 
     white = rng.standard_normal((active_e.size, n_signals))
-    if active_t.size:
-        b2a = b2_block(skeleton, active_e, active_t)
-        u, s, _ = np.linalg.svd(b2a, full_matrices=False)
-        rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
-        basis = u[:, :rank]
-        curl = basis @ (basis.T @ white)
-    else:
-        curl = np.zeros_like(white)
+    basis = _span_basis(b2_block(skeleton, active_e, np.flatnonzero(w2)))
+    curl = basis @ (basis.T @ white)
     flows = white - (1.0 - curl_atten) * curl
     flows = _normalize_columns(flows)
 
@@ -303,6 +285,8 @@ def generate_instance(
     params: InstanceParams, seed: int
 ) -> tuple[GroundTruth, SignalSet]:
     """Run the full generation protocol for one seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     skeleton = build_skeleton(params.n_nodes)
     rng = np.random.default_rng(seed)
     w1 = sample_er_selection(skeleton, params.edge_prob, rng)

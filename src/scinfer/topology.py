@@ -285,6 +285,13 @@ def b2_block(skeleton: ComplexSkeleton, rows, cols) -> np.ndarray:
     return block
 
 
+def _span_basis(b: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of ``b``: the left singular
+    vectors whose singular value exceeds ``_SV_CUTOFF`` times the largest."""
+    u, sv, _ = np.linalg.svd(b, full_matrices=False)
+    return u[:, : int((sv > _SV_CUTOFF * sv[:1]).sum())]
+
+
 def check_observed_edges(skeleton: ComplexSkeleton, observed_edges) -> np.ndarray:
     """Observed edge indices as int64; they must be 1-d, strictly increasing and in range."""
     obs = np.asarray(observed_edges, dtype=np.int64)
@@ -385,22 +392,17 @@ def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:
     if _violation_count(skeleton, w1a, w2a) != 0:
         raise ValueError("selection is not downward closed")
     active_e = np.flatnonzero(w1a)
-    active_t = np.flatnonzero(w2a)
     xa = np.asarray(x, dtype=np.float64)
     if xa.shape != (active_e.size,):
         raise ValueError(f"x must have shape ({active_e.size},), got {xa.shape}")
 
     b1 = skeleton.b1_full[:, active_e]
-    b2 = b2_block(skeleton, active_e, active_t)
+    b2 = b2_block(skeleton, active_e, np.flatnonzero(w2a))
 
     v, *_ = np.linalg.lstsq(b1.T, xa, rcond=_SV_CUTOFF)
     gradient = b1.T @ v
-    if active_t.size:
-        t, *_ = np.linalg.lstsq(b2, xa - gradient, rcond=_SV_CUTOFF)
-        curl = b2 @ t
-    else:
-        t = np.zeros(0)
-        curl = np.zeros_like(xa)
+    t, *_ = np.linalg.lstsq(b2, xa - gradient, rcond=_SV_CUTOFF)
+    curl = b2 @ t
     harmonic = xa - gradient - curl
     return HodgeParts(gradient, curl, harmonic, v, t)
 

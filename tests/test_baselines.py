@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from scinfer.baselines import METHODS, _node_correlations, run_rc, run_sep_scl
@@ -149,7 +149,7 @@ class TestRc:
         e_min = data.draw(st.integers(n_edges // 2, n_edges))
         t_min = data.draw(st.integers(0, 4))
         w1, w2, trimmed = _rc_loop_reference(n, x0, e_min, t_min)
-        assume(trimmed)
+        event("trimmed" if trimmed else "untrimmed")
         sel = _rc(build_skeleton(n), x0, e_min, t_min)
         np.testing.assert_array_equal(sel.w1, w1)
         np.testing.assert_array_equal(sel.w2, w2)

@@ -236,6 +236,21 @@ class TestGenerate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "config, flags, seed",
+        [("[instance]\nn_nodes = 6\nseed = -3\n", [], -3),
+         ("[instance]\nn_nodes = 6\n", ["--seed", "-4"], -4)],
+        ids=["config-seed", "seed-flag"],
+    )
+    def test_negative_seed_named(self, tmp_path, capsys, config, flags, seed):
+        cfg = write(tmp_path / "a.ini", config)
+        out = tmp_path / "d"
+        assert main(["generate", "--config", cfg, "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: invalid-argument: seed must be >= 0, got {seed}\n"
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def bundle_dir(tmp_path_factory):
     """A small noiseless fully observed bundle, generated once."""
@@ -307,6 +322,18 @@ class TestLearn:
         code = main(["learn", str(bundle_dir), "--method", "RC", "--t-min", "-1", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: invalid-argument: t_min must be in")
+        assert not out.exists()
+
+    def test_max_iters_rejected_at_parse(self, bundle_dir, tmp_path, capsys):
+        # RC never iterates, so only the parse-time check can catch this.
+        cfg = write(tmp_path / "p.ini", "[params]\nmax_iters = 0\n")
+        out = tmp_path / "run"
+        code = main(
+            ["learn", str(bundle_dir), "--method", "RC", "--config", cfg, "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-argument: max_iters must be at least 1")
         assert not out.exists()
 
     def test_unknown_method_is_usage_error(self, bundle_dir):
@@ -473,30 +500,43 @@ def strip_seconds(csv_text):
 
 class TestSweep:
     @pytest.mark.parametrize(
-        "sweep, instance, prefix",
+        "sweep, instance, params, prefix",
         [
-            ("variable = node_noise_std\ngrid = -0.1, 0", "n_nodes = 6",
+            ("variable = node_noise_std\ngrid = -0.1, 0", "n_nodes = 6", "",
              "node_noise_std must be >= 0"),
-            ("variable = observed_fraction\ngrid = 0, 0.5", "n_nodes = 6",
+            ("variable = observed_fraction\ngrid = 0, 0.5", "n_nodes = 6", "",
              "observed_fraction must be in (0, 1]"),
-            ("variable = node_noise_std\ngrid = 0\nbase_seed = -5", "n_nodes = 6",
+            ("variable = node_noise_std\ngrid = 0\nbase_seed = -5", "n_nodes = 6", "",
              "base_seed must be >= 0"),
-            ("variable = node_noise_std\ngrid = 0", "n_nodes = 41", "n_nodes must be in [2, 40]"),
-            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nedge_prob = 1.5",
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 41", "",
+             "n_nodes must be in [2, 40]"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nedge_prob = 1.5", "",
              "edge_prob must be in [0, 1]"),
-            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nfill_fraction = 2",
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nfill_fraction = 2", "",
              "fill_fraction must be in [0, 1]"),
-            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\ncurl_atten = -1",
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\ncurl_atten = -1", "",
              "curl_atten must be >= 0"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "e_min = -2",
+             "e_min must be in [0, 15], got -2"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "e_min = 16",
+             "e_min must be in [0, 15], got 16"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "t_min = 21",
+             "t_min must be in [0, 20], got 21"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "max_iters = 0",
+             "max_iters must be at least 1"),
         ],
         ids=["noise-grid", "observed-grid", "base-seed", "n-nodes", "edge-prob",
-             "fill-fraction", "curl-atten"],
+             "fill-fraction", "curl-atten", "e-min-negative", "e-min-above", "t-min-above",
+             "max-iters"],
     )
-    def test_out_of_range_grid_rejected_at_parse(self, tmp_path, capsys, sweep, instance, prefix):
+    def test_out_of_range_grid_rejected_at_parse(
+        self, tmp_path, capsys, sweep, instance, params, prefix
+    ):
         cfg = write(
             tmp_path / "s.ini",
             f"[sweep]\n{sweep}\ntrials = 1\n\n"
-            f"[instance]\n{instance}\nn_node_signals = 5\nn_edge_signals = 5\n",
+            f"[instance]\n{instance}\nn_node_signals = 5\nn_edge_signals = 5\n\n"
+            f"[params]\n{params}\n",
         )
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1

@@ -130,6 +130,25 @@ class TestEdgeScores:
         np.testing.assert_allclose(scores, [-7.0, -7.0, -7.0])
 
 
+def _select_edges_two_branch(scores, obs, e_min, strict):
+    """Edge selection written as two separate rules: strict ranks all
+    unobserved edges; default takes the negatives, then pads from the
+    stably sorted nonnegative pool."""
+    w1 = np.zeros(scores.size, dtype=np.int8)
+    w1[obs] = 1
+    unobserved = np.flatnonzero(w1 == 0)
+    if strict:
+        order = unobserved[np.argsort(scores[unobserved], kind="stable")]
+        w1[order[: e_min - obs.size]] = 1
+        return w1
+    w1[unobserved[scores[unobserved] < 0.0]] = 1
+    shortfall = e_min - int(w1.sum())
+    if shortfall > 0:
+        pool = unobserved[scores[unobserved] >= 0.0]
+        w1[pool[np.argsort(scores[pool], kind="stable")][:shortfall]] = 1
+    return w1
+
+
 class TestSelectEdges:
     def test_reference_example_both_modes(self):
         scores = np.array([0.0, 5.0, -2.0, 3.0])
@@ -182,6 +201,22 @@ class TestSelectEdges:
         assert np.all(w1[obs] == 1)
         strict = select_edges(scores, obs, e_min, strict_lemma_mode=True)
         assert strict.sum() == e_min
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_two_branch_reference(self, data):
+        # Small integers, halves and -0.0 make many ties, so the stable
+        # tie order across the negative/nonnegative split is compared too.
+        values = st.sampled_from([-2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+        scores = np.array(data.draw(st.lists(values, min_size=1, max_size=14)))
+        mask = data.draw(st.lists(st.booleans(), min_size=scores.size, max_size=scores.size))
+        obs = np.flatnonzero(mask).astype(np.int64)
+        e_min = data.draw(st.integers(obs.size, scores.size))
+        for strict in (False, True):
+            np.testing.assert_array_equal(
+                select_edges(scores, obs, e_min, strict),
+                _select_edges_two_branch(scores, obs, e_min, strict),
+            )
 
 
 class TestInterpolation:

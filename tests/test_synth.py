@@ -6,6 +6,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from scinfer.synth import (
     GenerationError,
@@ -22,7 +24,7 @@ from scinfer.synth import (
     write_dataset,
     write_matrix_csv,
 )
-from scinfer.topology import build_skeleton, hodge_decompose, node_laplacian
+from scinfer.topology import b2_block, build_skeleton, hodge_decompose, node_laplacian
 
 
 def _er_instance(seed, n=10, p=0.5):
@@ -91,7 +93,49 @@ class TestErSelection:
         np.testing.assert_array_equal(a, b)
 
 
+def _fill_triangles_per_draw(skeleton, w1, fraction, rng):
+    """The fill rule with its identifiability test rebuilt from fresh
+    ``b2_block`` calls and an SVD on every draw, and a zero fill
+    returned before any draw; also returns the number of draws."""
+    eligible = np.flatnonzero(skeleton.b2_unsigned.T @ (np.asarray(w1) != 0) == 3)
+    count = math.floor(fraction * eligible.size)
+    w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
+    if count == 0:
+        return w2, 0
+    active = np.flatnonzero(w1)
+    for draws in range(1, 201):
+        w2[:] = 0
+        w2[rng.choice(eligible, size=count, replace=False)] = 1
+        filled, spurious = eligible[w2[eligible] == 1], eligible[w2[eligible] == 0]
+        if spurious.size == 0:
+            break
+        u, sv, _ = np.linalg.svd(b2_block(skeleton, active, filled), full_matrices=False)
+        u = u[:, : int((sv > 1e-10 * sv[0]).sum())]
+        probe = b2_block(skeleton, active, spurious)
+        if (np.linalg.norm(probe - u @ (u.T @ probe), axis=0) > 1e-8).all():
+            break
+    return w2, draws
+
+
 class TestFillTriangles:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(4, 14),
+        st.floats(0.3, 0.6),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_draw_reference(self, n, edge_prob, fraction, seed):
+        sk = build_skeleton(n)
+        rng = np.random.default_rng(seed)
+        w1 = (rng.random(sk.n_edges) < edge_prob).astype(np.int8)
+        ref_rng = np.random.default_rng(seed + 1)
+        new_rng = np.random.default_rng(seed + 1)
+        expected, draws = _fill_triangles_per_draw(sk, w1, fraction, ref_rng)
+        event("no draw" if draws == 0 else "one draw" if draws == 1 else "several draws")
+        np.testing.assert_array_equal(fill_triangles(sk, w1, fraction, new_rng), expected)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_closure_and_count(self):
         for seed in range(10):
             sk, w1, w2, _ = _er_instance(seed)
@@ -208,6 +252,19 @@ class TestLowCurlEdgeSignals:
         white = replay.standard_normal((int(w1.sum()), 12))
         white /= np.linalg.norm(white, axis=0, keepdims=True)
         np.testing.assert_allclose(clean[np.flatnonzero(w1)], white, atol=1e-12)
+
+    def test_no_triangles_is_normalized_white_draw(self):
+        """With no filled triangle there is no curl to attenuate, so the
+        flows are the white draw, normalized per column, bit for bit."""
+        sk, w1, _, _ = _er_instance(4)
+        w2 = np.zeros(sk.n_triangles, dtype=np.int8)
+        noisy, clean = gen_low_curl_edge_signals(
+            sk, w1, w2, 9, 0.05, 0.0, np.random.default_rng(77)
+        )
+        white = np.random.default_rng(77).standard_normal((int(w1.sum()), 9))
+        white /= np.linalg.norm(white, axis=0, keepdims=True)
+        np.testing.assert_array_equal(clean[np.flatnonzero(w1)], white)
+        np.testing.assert_array_equal(noisy, clean)
 
     def test_curl_fraction_scales_linearly_with_atten(self):
         """The curl/non-curl energy ratio per column scales with atten;

@@ -234,6 +234,7 @@ class TestHodgeDecompose:
         x = rng.standard_normal(sk.n_edges)
         parts = hodge_decompose(sk, w1, w2, x)
         np.testing.assert_array_equal(parts.curl, np.zeros(sk.n_edges))
+        assert parts.triangle_potential.shape == (0,)
 
     def test_rejects_open_selection(self):
         sk = build_skeleton(4)
