@@ -160,8 +160,8 @@ def resolve_budgets(params: HyperParams, truth: Selection) -> HyperParams:
 
 
 def parse_sweep(parser: configparser.ConfigParser) -> SweepSpec:
-    """Build a SweepSpec; requires ``[sweep]`` and folds in the other
-    two sections."""
+    """Build a SweepSpec from ``[sweep]`` plus the other two sections;
+    ``[instance]`` may not set ``seed`` or the swept variable."""
     if not parser.has_section("sweep"):
         raise ValueError("config has no [sweep] section")
     section = parser["sweep"]
@@ -192,6 +192,11 @@ def parse_sweep(parser: configparser.ConfigParser) -> SweepSpec:
         methods = METHOD_NAMES
 
     instance, _ = parse_instance(parser)
+    for key, replacement in (("seed", "base_seed"), (variable, "grid")):
+        if key in _section(parser, "instance"):
+            raise ValueError(
+                f"key {key!r} in [instance] is unused by a sweep; [sweep] {replacement} sets it"
+            )
     params = parse_hyperparams(parser)
     return SweepSpec(
         variable=variable,

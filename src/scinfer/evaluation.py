@@ -18,7 +18,8 @@ import numpy as np
 from .topology import (
     ComplexSkeleton,
     Selection,
-    closure_violations,
+    _as_indicator,
+    _violation_count,
     edge_coverage,
     node_degrees,
 )
@@ -90,16 +91,14 @@ def _support_metrics(est: np.ndarray, true: np.ndarray) -> tuple[float, float, f
 
 
 def evaluate(skeleton: ComplexSkeleton, est: Selection, truth: Selection) -> EvalReport:
-    """Compare an estimated selection against the ground truth."""
-    nerr_l0 = _count_nerr(
-        node_degrees(skeleton, est.w1), node_degrees(skeleton, truth.w1), est.w1, truth.w1, 2
-    )
-    nerr_lu = _count_nerr(
-        edge_coverage(skeleton, est.w2), edge_coverage(skeleton, truth.w2), est.w2, truth.w2, 6
-    )
-    e_p, e_r, e_f1 = _support_metrics(est.w1, truth.w1)
-    t_p, t_r, t_f1 = _support_metrics(est.w2, truth.w2)
-    report = closure_violations(skeleton, est.w1, est.w2)
+    """Compare an estimated selection against the ground truth; both
+    must be binary indicators over this skeleton's candidates."""
+    e1, t1 = (_as_indicator(sel.w1, skeleton.n_edges, "w1") for sel in (est, truth))
+    e2, t2 = (_as_indicator(sel.w2, skeleton.n_triangles, "w2") for sel in (est, truth))
+    nerr_l0 = _count_nerr(node_degrees(skeleton, e1), node_degrees(skeleton, t1), e1, t1, 2)
+    nerr_lu = _count_nerr(edge_coverage(skeleton, e2), edge_coverage(skeleton, t2), e2, t2, 6)
+    e_p, e_r, e_f1 = _support_metrics(e1, t1)
+    t_p, t_r, t_f1 = _support_metrics(e2, t2)
     return EvalReport(
         nerr_l0=nerr_l0,
         nerr_lu=nerr_lu,
@@ -109,5 +108,5 @@ def evaluate(skeleton: ComplexSkeleton, est: Selection, truth: Selection) -> Eva
         triangle_precision=t_p,
         triangle_recall=t_r,
         triangle_f1=t_f1,
-        closure_violations=report.count,
+        closure_violations=_violation_count(skeleton, e1, e2),
     )

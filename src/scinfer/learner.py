@@ -34,6 +34,7 @@ import numpy as np
 from .topology import (
     ComplexSkeleton,
     Selection,
+    _as_indicator,
     b2_block,
     check_observed_edges,
     closure_violations,
@@ -57,6 +58,9 @@ __all__ = [
     "run_greedy_scl",
 ]
 
+# Relative eigenvalue cutoff of the interpolation solve.
+PINV_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -64,8 +68,7 @@ class HyperParams:
 
     ``e_min``/``t_min`` are the minimum active-edge and active-triangle
     counts; they have no sensible universal default and must be set
-    (reproduction runs derive them from the ground truth). ``pinv_tol``
-    is the relative eigenvalue cutoff of the interpolation solve.
+    (reproduction runs derive them from the ground truth).
     ``strict_lemma_mode`` switches edge selection from the exact block
     minimizer to the fixed-cardinality rule.
     """
@@ -79,7 +82,6 @@ class HyperParams:
     e_min: int | None = None
     t_min: int | None = None
     max_iters: int = 50
-    pinv_tol: float = 1e-10
     strict_lemma_mode: bool = False
     prune_closure: bool = True
 
@@ -105,9 +107,8 @@ class LearnState:
 def _check_inputs(skeleton: ComplexSkeleton, x0, x1_obs, observed_edges, params) -> np.ndarray:
     """The input check every method runs first; returns the observed indices as int64."""
     obs = check_observed_edges(skeleton, observed_edges)
-    for name, arr, rows in (("x0", x0, skeleton.n_nodes), ("x1_obs", x1_obs, obs.size)):
-        if np.ndim(arr) != 2 or np.shape(arr)[0] != rows:
-            raise ValueError(f"{name} must be 2-d with {rows} rows, got shape {np.shape(arr)}")
+    _check_rows(("x0", x0, skeleton.n_nodes), ("x1_obs", x1_obs, obs.size))
+    for name, arr in (("x0", x0), ("x1_obs", x1_obs)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} has non-finite entries")
     if params.e_min is None or params.t_min is None:
@@ -117,6 +118,13 @@ def _check_inputs(skeleton: ComplexSkeleton, x0, x1_obs, observed_edges, params)
     if not 0 <= params.t_min <= skeleton.n_triangles:
         raise ValueError(f"t_min must be in [0, {skeleton.n_triangles}], got {params.t_min}")
     return obs
+
+
+def _check_rows(*checks) -> None:
+    """Each ``(name, arr, rows)`` must be a 2-d array with ``rows`` rows."""
+    for name, arr, rows in checks:
+        if np.ndim(arr) != 2 or np.shape(arr)[0] != rows:
+            raise ValueError(f"{name} must be 2-d with {rows} rows, got shape {np.shape(arr)}")
 
 
 def _row_energy(a: np.ndarray) -> np.ndarray:
@@ -129,15 +137,12 @@ def triangle_scores(
 ) -> np.ndarray:
     """Per-candidate-triangle selection scores.
 
-    score_t = alpha2 + beta2 * ||row_t(b2^T X1)||^2
+    score_t = alpha2 + beta2 * ||row_t(B2^T X1)||^2
             + gamma * (# inactive supporting edges of t)
     """
-    w1a = np.asarray(w1, dtype=np.float64)
-    if w1a.shape != (skeleton.n_edges,):
-        raise ValueError(f"w1 must have shape ({skeleton.n_edges},)")
+    w1a = _as_indicator(w1, skeleton.n_edges, "w1")
+    _check_rows(("x1_est", x1_est, skeleton.n_edges))
     x1 = np.asarray(x1_est, dtype=np.float64)
-    if x1.ndim != 2 or x1.shape[0] != skeleton.n_edges:
-        raise ValueError(f"x1_est must have {skeleton.n_edges} rows")
     return _triangle_scores(skeleton, _row_energy(triangle_curl(skeleton, x1)), w1a, params)
 
 
@@ -161,15 +166,12 @@ def edge_scores(
 ) -> np.ndarray:
     """Per-candidate-edge selection scores; observed edges score zero.
 
-    score_l = alpha1 + beta1 * ||row_l(b1^T X0)||^2
+    score_l = alpha1 + beta1 * ||row_l(B1^T X0)||^2
             - gamma * (# active triangles supported by l)
     """
-    w2a = np.asarray(w2, dtype=np.float64)
-    if w2a.shape != (skeleton.n_triangles,):
-        raise ValueError(f"w2 must have shape ({skeleton.n_triangles},)")
+    w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
+    _check_rows(("x0", x0, skeleton.n_nodes))
     x0a = np.asarray(x0, dtype=np.float64)
-    if x0a.ndim != 2 or x0a.shape[0] != skeleton.n_nodes:
-        raise ValueError(f"x0 must have {skeleton.n_nodes} rows")
     obs = check_observed_edges(skeleton, observed_edges)
     return _edge_scores(skeleton, _row_energy(edge_gradient(skeleton, x0a)), w2a, obs, params)
 
@@ -223,21 +225,18 @@ def interpolate_edge_signals(
 ) -> np.ndarray:
     """Closed-form minimizer of the interpolation block.
 
-    Solves (beta2 * b2 diag(w2) b2^T + eta * Theta^T Theta) X =
-    eta * Theta^T X1_obs by eigendecomposition with relative cutoff
-    ``pinv_tol``, restricted to the rows that can be nonzero: observed
-    edges and edges incident to an active triangle. All other rows of
-    the result are structurally zero.
+    Solves (beta2 * B2 diag(w2) B2^T + eta * Theta^T Theta) X =
+    eta * Theta^T X1_obs for a binary ``w2`` by eigendecomposition with
+    relative eigenvalue cutoff ``PINV_TOL``, restricted to the rows that
+    can be nonzero: observed edges and edges incident to an active
+    triangle. All other rows of the result are structurally zero.
     """
-    w2a = np.asarray(w2, dtype=np.float64)
-    if w2a.shape != (skeleton.n_triangles,):
-        raise ValueError(f"w2 must have shape ({skeleton.n_triangles},)")
+    w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
     obs = check_observed_edges(skeleton, observed_edges)
     if obs.size == 0:
         raise ValueError("interpolation requires at least one observed edge")
+    _check_rows(("x1_obs", x1_obs, obs.size))
     x1o = np.asarray(x1_obs, dtype=np.float64)
-    if x1o.ndim != 2 or x1o.shape[0] != obs.size:
-        raise ValueError(f"x1_obs must have {obs.size} rows, got {x1o.shape}")
 
     obs_mask = np.zeros(skeleton.n_edges, dtype=bool)
     obs_mask[obs] = True
@@ -253,7 +252,7 @@ def interpolate_edge_signals(
     rhs[obs_in_support] = params.eta * x1o
 
     eigvals, eigvecs = np.linalg.eigh(sys_mat)
-    cutoff = params.pinv_tol * eigvals.max()
+    cutoff = PINV_TOL * eigvals.max()
     inv = np.zeros_like(eigvals)
     keep = eigvals > cutoff
     inv[keep] = 1.0 / eigvals[keep]
@@ -275,7 +274,11 @@ def objective_value(
     params: HyperParams,
 ) -> float:
     """Full objective: sparsity + smoothness + curl fit + data fit + closure."""
-    obs = np.asarray(observed_edges, dtype=np.int64)
+    obs = check_observed_edges(skeleton, observed_edges)
+    rows = (("x0", x0, skeleton.n_nodes), ("x1_est", x1_est, skeleton.n_edges))
+    _check_rows(*rows, ("x1_obs", x1_obs, obs.size))
+    w1 = _as_indicator(w1, skeleton.n_edges, "w1")
+    w2 = _as_indicator(w2, skeleton.n_triangles, "w2")
     smoothness = _row_energy(edge_gradient(skeleton, x0))
     curl_energy = _row_energy(triangle_curl(skeleton, x1_est))
     return _objective(skeleton, smoothness, curl_energy, x1_est, w1, w2, obs, x1_obs, params)

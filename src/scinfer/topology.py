@@ -10,16 +10,17 @@ Laplacian assembly and subset scoring in plain array land.
 The skeleton stores only ``n_nodes``, ``edge_nodes`` (the endpoints of
 each edge) and ``tri_edges`` (the three edges of each triangle); the
 vertex-tuple views ``edges`` and ``triangles`` are built from them on
-first read. The other modules reach that layout solely through the
-arrays and the gather/scatter operators defined here.
+first read. The boundary operators B1 (nodes by edges) and B2 (edges
+by triangles) of the complete complex exist only as the gather/scatter
+operators defined here; no dense copy of them is stored or built.
 
 Orientation convention (fixed): edge ``(i, j)`` with ``i < j`` runs from
-``i`` to ``j``, so its incidence column carries ``-1`` at row ``i`` and
+``i`` to ``j``, so its column of B1 carries ``-1`` at row ``i`` and
 ``+1`` at row ``j``. Triangle ``(i, j, k)`` with ``i < j < k`` traverses
 its boundary as ``i -> j -> k -> i``, contributing ``+1`` to edges
 ``(i, j)`` and ``(j, k)`` and ``-1`` to edge ``(i, k)``. Under this
-convention the chain property ``b1_full @ b2_full == 0`` holds exactly
-in integer arithmetic.
+convention the chain property ``B1 B2 = 0`` holds exactly in integer
+arithmetic: ``triangle_curl(edge_gradient(x)) == 0`` for every ``x``.
 """
 
 from __future__ import annotations
@@ -82,9 +83,7 @@ class ComplexSkeleton:
 
     These are the only stored fields; both arrays are read-only. The
     views ``edges`` and ``triangles`` list the same simplices as vertex
-    tuples, ``i < j < k``, and are built on first read. The dense
-    matrices ``b1_full``, ``b2_full`` and ``b2_unsigned`` are read-only
-    properties built from the arrays on every access, for reference use.
+    tuples, ``i < j < k``, and are built on first read.
     """
 
     n_nodes: int
@@ -106,24 +105,6 @@ class ComplexSkeleton:
     @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(zip(*triangle_nodes(self, slice(None)).T.tolist()))
-
-    @property
-    def b1_full(self) -> np.ndarray:
-        """Node-to-edge incidence, shape (n_nodes, n_edges)."""
-        b1 = np.zeros((self.n_nodes, self.n_edges))
-        b1[self.edge_nodes[:, 0], np.arange(self.n_edges)] = -1.0
-        b1[self.edge_nodes[:, 1], np.arange(self.n_edges)] = 1.0
-        return _read_only(b1)
-
-    @property
-    def b2_full(self) -> np.ndarray:
-        """Edge-to-triangle incidence, shape (n_edges, n_triangles)."""
-        return _read_only(b2_block(self, np.arange(self.n_edges), np.arange(self.n_triangles)))
-
-    @property
-    def b2_unsigned(self) -> np.ndarray:
-        """Entrywise absolute value of ``b2_full``."""
-        return _read_only(np.abs(self.b2_full))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -160,7 +141,7 @@ class ClosureReport:
     """Downward-closure violations of a selection.
 
     ``count`` totals missing-edge incidences over active triangles, i.e.
-    ``(1 - w1)^T b2_unsigned w2``. ``items`` lists each offending
+    ``(1 - w1)^T |B2| w2``. ``items`` lists each offending
     triangle index with the candidate-edge indices it is missing.
     """
 
@@ -223,7 +204,7 @@ def triangle_index(skeleton: ComplexSkeleton, i: int, j: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Incidence operators: every product with b1/b2 in the package goes through
+# Incidence operators: every product with B1/B2 in the package goes through
 # these. They are helpers of the package's own modules, so they stay out of
 # ``__all__`` and profile as part of their callers.
 
@@ -236,14 +217,14 @@ def triangle_nodes(skeleton: ComplexSkeleton, idx) -> np.ndarray:
 
 def edge_gradient(skeleton: ComplexSkeleton, x0) -> np.ndarray:
     """Node-signal difference ``x0[j] - x0[i]`` along each candidate
-    edge, i.e. ``b1_full.T @ x0``."""
+    edge, i.e. ``B1^T x0``."""
     x0 = np.asarray(x0)
     return x0[skeleton.edge_nodes[:, 1]] - x0[skeleton.edge_nodes[:, 0]]
 
 
 def triangle_curl(skeleton: ComplexSkeleton, x1) -> np.ndarray:
     """Edge-signal curl ``x1[ij] - x1[ik] + x1[jk]`` around each
-    candidate triangle, i.e. ``b2_full.T @ x1``."""
+    candidate triangle, i.e. ``B2^T x1``."""
     x1 = np.asarray(x1)
     ij, ik, jk = skeleton.tri_edges.T
     return x1[ij] - x1[ik] + x1[jk]
@@ -251,14 +232,14 @@ def triangle_curl(skeleton: ComplexSkeleton, x1) -> np.ndarray:
 
 def edge_coverage(skeleton: ComplexSkeleton, w2) -> np.ndarray:
     """Number of active triangles on each candidate edge, as floats;
-    ``b2_unsigned @ w2`` for a binary ``w2``."""
+    ``|B2| w2`` for a binary ``w2``."""
     active = skeleton.tri_edges[np.asarray(w2) != 0]
     return np.bincount(active.ravel(), minlength=skeleton.n_edges).astype(np.float64)
 
 
 def missing_edges(skeleton: ComplexSkeleton, w1) -> np.ndarray:
     """Number of inactive edges of each candidate triangle, as floats;
-    ``b2_unsigned.T @ (1 - w1)`` for a binary ``w1``."""
+    ``|B2|^T (1 - w1)`` for a binary ``w1``."""
     inactive = np.asarray(w1) == 0
     return inactive[skeleton.tri_edges].sum(axis=1).astype(np.float64)
 
@@ -270,7 +251,7 @@ def node_degrees(skeleton: ComplexSkeleton, w1) -> np.ndarray:
 
 
 def b2_block(skeleton: ComplexSkeleton, rows, cols) -> np.ndarray:
-    """Signed incidence ``b2_full[np.ix_(rows, cols)]`` for distinct
+    """Signed incidence ``B2[np.ix_(rows, cols)]`` for distinct
     candidate edges ``rows`` and candidate triangles ``cols``."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
@@ -333,7 +314,7 @@ def make_selection(skeleton: ComplexSkeleton, w1, w2) -> Selection:
 
 
 def node_laplacian(skeleton: ComplexSkeleton, w1) -> np.ndarray:
-    """Weighted node Laplacian ``b1_full diag(w1) b1_full^T``.
+    """Weighted node Laplacian ``B1 diag(w1) B1^T``.
 
     ``w1`` may be any nonnegative edge weighting; binary vectors give
     the combinatorial graph Laplacian of the active edge set.
@@ -341,12 +322,12 @@ def node_laplacian(skeleton: ComplexSkeleton, w1) -> np.ndarray:
     w = np.asarray(w1, dtype=np.float64)
     if w.shape != (skeleton.n_edges,):
         raise ValueError(f"w1 must have shape ({skeleton.n_edges},), got {w.shape}")
-    b1 = skeleton.b1_full
-    return (b1 * w) @ b1.T
+    b1t = edge_gradient(skeleton, np.eye(skeleton.n_nodes))
+    return (b1t.T * w) @ b1t
 
 
 def upper_laplacian(skeleton: ComplexSkeleton, w2) -> np.ndarray:
-    """Upper edge Laplacian ``b2_full diag(w2) b2_full^T`` on all candidate edges."""
+    """Upper edge Laplacian ``B2 diag(w2) B2^T`` on all candidate edges."""
     w = np.asarray(w2, dtype=np.float64)
     if w.shape != (skeleton.n_triangles,):
         raise ValueError(f"w2 must have shape ({skeleton.n_triangles},), got {w.shape}")
@@ -355,20 +336,22 @@ def upper_laplacian(skeleton: ComplexSkeleton, w2) -> np.ndarray:
     return (b2 * w[active]) @ b2.T
 
 
-def hodge_laplacian(skeleton: ComplexSkeleton, w1, w2) -> np.ndarray:
-    """Hodge Laplacian ``B1^T B1 + B2 B2^T`` restricted to the active edges.
-
-    Requires a downward-closed selection; the restriction of ``b2_full``
-    to active rows/columns is only a boundary operator in that case.
-    """
+def _closed_blocks(skeleton: ComplexSkeleton, w1, w2) -> tuple[np.ndarray, np.ndarray]:
+    """``B1^T`` and ``B2`` on the active simplices of a binary selection,
+    which must be downward closed for the restricted B2 to be a boundary."""
     w1a = _as_indicator(w1, skeleton.n_edges, "w1")
     w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
     if _violation_count(skeleton, w1a, w2a) != 0:
-        raise ValueError("selection is not downward closed; cannot restrict b2")
+        raise ValueError("selection is not downward closed")
     active_e = np.flatnonzero(w1a)
-    b1 = skeleton.b1_full[:, active_e]
-    b2 = b2_block(skeleton, active_e, np.flatnonzero(w2a))
-    return b1.T @ b1 + b2 @ b2.T
+    b1t = edge_gradient(skeleton, np.eye(skeleton.n_nodes))[active_e]
+    return b1t, b2_block(skeleton, active_e, np.flatnonzero(w2a))
+
+
+def hodge_laplacian(skeleton: ComplexSkeleton, w1, w2) -> np.ndarray:
+    """Hodge Laplacian ``B1^T B1 + B2 B2^T`` on the active edges of a closed selection."""
+    b1t, b2 = _closed_blocks(skeleton, w1, w2)
+    return b1t @ b1t.T + b2 @ b2.T
 
 
 def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:
@@ -387,20 +370,13 @@ def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:
         Parts are mutually orthogonal and sum to ``x``; closure of the
         selection makes the gradient and curl ranges orthogonal.
     """
-    w1a = _as_indicator(w1, skeleton.n_edges, "w1")
-    w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
-    if _violation_count(skeleton, w1a, w2a) != 0:
-        raise ValueError("selection is not downward closed")
-    active_e = np.flatnonzero(w1a)
+    b1t, b2 = _closed_blocks(skeleton, w1, w2)
     xa = np.asarray(x, dtype=np.float64)
-    if xa.shape != (active_e.size,):
-        raise ValueError(f"x must have shape ({active_e.size},), got {xa.shape}")
+    if xa.shape != (b1t.shape[0],):
+        raise ValueError(f"x must have shape ({b1t.shape[0]},), got {xa.shape}")
 
-    b1 = skeleton.b1_full[:, active_e]
-    b2 = b2_block(skeleton, active_e, np.flatnonzero(w2a))
-
-    v, *_ = np.linalg.lstsq(b1.T, xa, rcond=_SV_CUTOFF)
-    gradient = b1.T @ v
+    v, *_ = np.linalg.lstsq(b1t, xa, rcond=_SV_CUTOFF)
+    gradient = b1t @ v
     t, *_ = np.linalg.lstsq(b2, xa - gradient, rcond=_SV_CUTOFF)
     curl = b2 @ t
     harmonic = xa - gradient - curl

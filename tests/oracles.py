@@ -1,11 +1,13 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes target quantities from first principles:
+dense incidence matrices enumerated from the orientation rule,
 exhaustive subset enumeration for the cardinality-constrained selection
 subproblems, fixed-step gradient descent for the interpolation solve,
 and literal matrix-product objective formulas (no row-norm shortcuts).
 The implementations under test must agree with these to tight
-tolerances; the oracles deliberately share no code with the package.
+tolerances; the oracles deliberately share no code with the package
+and import nothing from it.
 """
 
 from __future__ import annotations
@@ -15,51 +17,74 @@ import itertools
 import numpy as np
 
 
-def triangle_subproblem_value(b2_full, x1_est, w1, w2, alpha2, beta2, gamma):
+def incidence(n):
+    """Dense boundary matrices ``(b1, b2)`` of the complete complex on
+    ``n`` vertices: ``b1`` is nodes by edges, ``b2`` edges by triangles.
+
+    Edges and triangles are the lexicographic vertex combinations. Edge
+    ``(i, j)`` carries -1 at ``i`` and +1 at ``j``; triangle ``(i, j, k)``
+    carries +1 on ``(i, j)``, -1 on ``(i, k)`` and +1 on ``(j, k)``.
+    """
+    edges = list(itertools.combinations(range(n), 2))
+    position = {edge: col for col, edge in enumerate(edges)}
+    triangles = list(itertools.combinations(range(n), 3))
+    b1 = np.zeros((n, len(edges)))
+    for col, (i, j) in enumerate(edges):
+        b1[i, col] = -1.0
+        b1[j, col] = 1.0
+    b2 = np.zeros((len(edges), len(triangles)))
+    for col, (i, j, k) in enumerate(triangles):
+        b2[position[(i, j)], col] = 1.0
+        b2[position[(i, k)], col] = -1.0
+        b2[position[(j, k)], col] = 1.0
+    return b1, b2
+
+
+def triangle_subproblem_value(b2, x1_est, w1, w2, alpha2, beta2, gamma):
     """Literal value of the triangle-block partial objective."""
     w2 = np.asarray(w2, dtype=float)
-    lu = b2_full @ np.diag(w2) @ b2_full.T
+    lu = b2 @ np.diag(w2) @ b2.T
     fit = np.trace(x1_est @ x1_est.T @ lu)
-    closure = (1.0 - np.asarray(w1, dtype=float)) @ np.abs(b2_full) @ w2
+    closure = (1.0 - np.asarray(w1, dtype=float)) @ np.abs(b2) @ w2
     return alpha2 * w2.sum() + beta2 * fit + gamma * closure
 
 
-def brute_force_triangles(b2_full, x1_est, w1, alpha2, beta2, gamma, t_min):
+def brute_force_triangles(b2, x1_est, w1, alpha2, beta2, gamma, t_min):
     """Exhaustive minimum of the triangle block over all admissible w2.
 
     Enumerates every binary vector with at least ``t_min`` active
     entries. Only usable for small candidate counts.
     """
-    n = b2_full.shape[1]
+    n = b2.shape[1]
     best_val = np.inf
     best_w2 = None
     for bits in itertools.product((0, 1), repeat=n):
         w2 = np.array(bits, dtype=float)
         if w2.sum() < t_min:
             continue
-        val = triangle_subproblem_value(b2_full, x1_est, w1, w2, alpha2, beta2, gamma)
+        val = triangle_subproblem_value(b2, x1_est, w1, w2, alpha2, beta2, gamma)
         if val < best_val:
             best_val = val
             best_w2 = w2
     return best_val, best_w2
 
 
-def edge_subproblem_value(b1_full, b2_full, x0, w1, w2, alpha1, beta1, gamma):
+def edge_subproblem_value(b1, b2, x0, w1, w2, alpha1, beta1, gamma):
     """Literal value of the edge-block partial objective."""
     w1 = np.asarray(w1, dtype=float)
-    l0 = b1_full @ np.diag(w1) @ b1_full.T
+    l0 = b1 @ np.diag(w1) @ b1.T
     fit = np.trace(x0 @ x0.T @ l0)
-    closure = (1.0 - w1) @ np.abs(b2_full) @ np.asarray(w2, dtype=float)
+    closure = (1.0 - w1) @ np.abs(b2) @ np.asarray(w2, dtype=float)
     return alpha1 * w1.sum() + beta1 * fit + gamma * closure
 
 
-def brute_force_edges(b1_full, b2_full, x0, w2, observed, alpha1, beta1, gamma, e_min):
+def brute_force_edges(b1, b2, x0, w2, observed, alpha1, beta1, gamma, e_min):
     """Exhaustive minimum of the edge block over admissible w1.
 
     Admissible vectors contain every observed edge and have at least
     ``e_min`` active entries.
     """
-    n = b1_full.shape[1]
+    n = b1.shape[1]
     observed = set(int(o) for o in observed)
     best_val = np.inf
     best_w1 = None
@@ -69,23 +94,23 @@ def brute_force_edges(b1_full, b2_full, x0, w2, observed, alpha1, beta1, gamma, 
             continue
         if w1.sum() < e_min:
             continue
-        val = edge_subproblem_value(b1_full, b2_full, x0, w1, w2, alpha1, beta1, gamma)
+        val = edge_subproblem_value(b1, b2, x0, w1, w2, alpha1, beta1, gamma)
         if val < best_val:
             best_val = val
             best_w1 = w1
     return best_val, best_w1
 
 
-def interpolation_objective(b2_full, w2, observed, x1_obs, x, beta2, eta):
+def interpolation_objective(b2, w2, observed, x1_obs, x, beta2, eta):
     """Quadratic objective the interpolation step is meant to minimize."""
-    lu = b2_full @ np.diag(np.asarray(w2, dtype=float)) @ b2_full.T
+    lu = b2 @ np.diag(np.asarray(w2, dtype=float)) @ b2.T
     fit = np.trace(x.T @ lu @ x)
     resid = x[np.asarray(observed, dtype=int)] - x1_obs
     return beta2 * fit + eta * np.sum(resid * resid)
 
 
 def gradient_descent_interpolation(
-    b2_full, w2, observed, x1_obs, beta2, eta, max_iters=400_000, tol=1e-14
+    b2, w2, observed, x1_obs, beta2, eta, max_iters=400_000, tol=1e-14
 ):
     """First-order solve of the interpolation subproblem.
 
@@ -94,12 +119,12 @@ def gradient_descent_interpolation(
     minimizer (the pseudoinverse solution). Returns the iterate once the
     relative gradient norm drops below ``tol``.
     """
-    n_edges = b2_full.shape[0]
+    n_edges = b2.shape[0]
     n_cols = x1_obs.shape[1]
     observed = np.asarray(observed, dtype=int)
     w2 = np.asarray(w2, dtype=float)
 
-    lu = b2_full @ np.diag(w2) @ b2_full.T
+    lu = b2 @ np.diag(w2) @ b2.T
     theta_diag = np.zeros(n_edges)
     theta_diag[observed] = 1.0
     rhs = np.zeros((n_edges, n_cols))

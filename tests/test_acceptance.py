@@ -29,12 +29,21 @@ from scinfer import (
     select_triangles,
     triangle_scores,
 )
+from scinfer.topology import (
+    b2_block,
+    edge_coverage,
+    edge_gradient,
+    missing_edges,
+    node_degrees,
+    triangle_curl,
+)
 
 from oracles import (
     brute_force_edges,
     brute_force_triangles,
     edge_subproblem_value,
     gradient_descent_interpolation,
+    incidence,
     triangle_subproblem_value,
 )
 
@@ -110,6 +119,7 @@ class TestAcceptance:
     def test_c1_greedy_blocks_match_brute_force(self):
         """Both selection blocks hit the exhaustive minimum on N=5."""
         skeleton = build_skeleton(5)
+        b1, b2 = incidence(5)
         params = HyperParams(e_min=0, t_min=0)
         start = time.perf_counter()
         worst = 0.0
@@ -125,21 +135,21 @@ class TestAcceptance:
 
             got_w2 = select_triangles(triangle_scores(skeleton, x1_est, w1, params), t_min)
             got_val = triangle_subproblem_value(
-                skeleton.b2_full, x1_est, w1, got_w2, params.alpha2, params.beta2, params.gamma
+                b2, x1_est, w1, got_w2, params.alpha2, params.beta2, params.gamma
             )
             best_val, _ = brute_force_triangles(
-                skeleton.b2_full, x1_est, w1, params.alpha2, params.beta2, params.gamma, t_min
+                b2, x1_est, w1, params.alpha2, params.beta2, params.gamma, t_min
             )
             worst = max(worst, abs(got_val - best_val) / max(abs(best_val), 1e-30))
 
             scores = edge_scores(skeleton, x0, w2, observed, params)
             got_w1 = select_edges(scores, observed, e_min)
             got_val = edge_subproblem_value(
-                skeleton.b1_full, skeleton.b2_full, x0, got_w1, w2,
+                b1, b2, x0, got_w1, w2,
                 params.alpha1, params.beta1, params.gamma,
             )
             best_val, _ = brute_force_edges(
-                skeleton.b1_full, skeleton.b2_full, x0, w2, observed,
+                b1, b2, x0, w2, observed,
                 params.alpha1, params.beta1, params.gamma, e_min,
             )
             worst = max(worst, abs(got_val - best_val) / max(abs(best_val), 1e-30))
@@ -154,6 +164,7 @@ class TestAcceptance:
     def test_c2_interpolation_matches_solver_oracle(self):
         """Closed form equals gradient descent and solves the normal equations."""
         skeleton = build_skeleton(6)
+        _, b2 = incidence(6)
         params = HyperParams(e_min=0, t_min=0)
         start = time.perf_counter()
         worst_gd, worst_ne = 0.0, 0.0
@@ -166,16 +177,14 @@ class TestAcceptance:
 
             got = interpolate_edge_signals(skeleton, w2, observed, x1_obs, params)
             want = gradient_descent_interpolation(
-                skeleton.b2_full, w2, observed, x1_obs, params.beta2, params.eta
+                b2, w2, observed, x1_obs, params.beta2, params.eta
             )
             worst_gd = max(
                 worst_gd,
                 np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-30),
             )
 
-            sys_mat = params.beta2 * (
-                skeleton.b2_full * w2.astype(float)
-            ) @ skeleton.b2_full.T
+            sys_mat = params.beta2 * (b2 * w2.astype(float)) @ b2.T
             sys_mat[observed, observed] += params.eta
             rhs = np.zeros_like(got)
             rhs[observed] = params.eta * x1_obs
@@ -224,17 +233,37 @@ class TestAcceptance:
     def test_c4_structural_invariants(self):
         """Chain property, closure of outputs, Hodge identities."""
         start = time.perf_counter()
-        # Entries are {-1, 0, 1} held in float64, so every dot product
-        # is exact integer arithmetic; the product must be exactly zero.
+        # Entries are {-1, 0, 1} held in float64 and the inputs are
+        # integers, so every dot product is exact integer arithmetic: the
+        # oracle product must be exactly zero, the package operators must
+        # equal the oracle products exactly, and so must their chain.
         chain_ok = True
+        rng = np.random.default_rng(4100)
         for n in range(2, 16):
-            skeleton = build_skeleton(n)
+            b1, b2 = incidence(n)
             entries_ok = bool(
-                np.isin(skeleton.b1_full, (-1.0, 0.0, 1.0)).all()
-                and np.isin(skeleton.b2_full, (-1.0, 0.0, 1.0)).all()
+                np.isin(b1, (-1.0, 0.0, 1.0)).all() and np.isin(b2, (-1.0, 0.0, 1.0)).all()
             )
-            product = skeleton.b1_full @ skeleton.b2_full
-            chain_ok &= entries_ok and not product.any()
+            chain_ok &= entries_ok and not (b1 @ b2).any()
+
+            skeleton = build_skeleton(n)
+            n_e, n_t = skeleton.n_edges, skeleton.n_triangles
+            x0 = rng.integers(-9, 10, size=(n, 4)).astype(float)
+            x1 = rng.integers(-9, 10, size=(n_e, 4)).astype(float)
+            w1 = rng.integers(0, 2, size=n_e).astype(float)
+            w2 = rng.integers(0, 2, size=n_t).astype(float)
+            rows = rng.permutation(n_e)[: rng.integers(1, n_e + 1)]
+            cols = rng.permutation(n_t)[: rng.integers(0, n_t + 1)]
+            chain_ok &= bool(
+                np.array_equal(edge_gradient(skeleton, x0), b1.T @ x0)
+                and np.array_equal(triangle_curl(skeleton, x1), b2.T @ x1)
+                and np.array_equal(b2_block(skeleton, np.arange(n_e), np.arange(n_t)), b2)
+                and np.array_equal(b2_block(skeleton, rows, cols), b2[np.ix_(rows, cols)])
+                and np.array_equal(edge_coverage(skeleton, w2), np.abs(b2) @ w2)
+                and np.array_equal(missing_edges(skeleton, w1), np.abs(b2).T @ (1.0 - w1))
+                and np.array_equal(node_degrees(skeleton, w1), np.abs(b1) @ w1)
+                and not triangle_curl(skeleton, edge_gradient(skeleton, x0)).any()
+            )
 
         closure_ok = True
         for n_nodes, seed in ((6, 0), (6, 1), (8, 2), (8, 3), (8, 4), (10, 5)):

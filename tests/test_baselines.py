@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from oracles import incidence
 from scinfer.baselines import METHODS, _node_correlations, run_rc, run_sep_scl
 from scinfer.learner import HyperParams, objective_value
 from scinfer.synth import InstanceParams, generate_instance
@@ -65,7 +66,8 @@ class TestSepScl:
         truth, signals, hp = _instance(2)
         sk = truth.skeleton
         state = run_sep_scl(sk, signals.x0, signals.x1_obs, signals.observed_edges, hp)
-        diffs = sk.b1_full.T @ signals.x0
+        b1, _ = incidence(sk.n_nodes)
+        diffs = b1.T @ signals.x0
         smooth = np.einsum("ij,ij->i", diffs, diffs)
         expected = np.zeros(sk.n_edges, dtype=np.int8)
         expected[np.argsort(smooth, kind="stable")[: hp.e_min]] = 1

@@ -79,6 +79,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key 'n_node'"):
             parse_instance(load_config(cfg))
 
+    def test_pinv_tol_is_not_a_key(self, tmp_path):
+        cfg = write(tmp_path / "a.ini", "[params]\npinv_tol = 1e-8\n")
+        with pytest.raises(ValueError, match=r"unknown key 'pinv_tol' in \[params\]"):
+            parse_hyperparams(load_config(cfg))
+
     def test_bad_value_names_key(self, tmp_path):
         cfg = write(tmp_path / "a.ini", "[instance]\nn_nodes = five\n")
         with pytest.raises(ValueError, match="'n_nodes'"):
@@ -524,10 +529,16 @@ class TestSweep:
              "t_min must be in [0, 20], got 21"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "max_iters = 0",
              "max_iters must be at least 1"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nseed = 12345", "",
+             "key 'seed' in [instance] is unused by a sweep; [sweep] base_seed sets it"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nnode_noise_std = 0.7", "",
+             "key 'node_noise_std' in [instance] is unused by a sweep; [sweep] grid sets it"),
+            ("variable = observed_fraction\ngrid = 0.5", "n_nodes = 6\nobserved_fraction = 1",
+             "", "key 'observed_fraction' in [instance] is unused by a sweep; [sweep] grid sets it"),
         ],
         ids=["noise-grid", "observed-grid", "base-seed", "n-nodes", "edge-prob",
              "fill-fraction", "curl-atten", "e-min-negative", "e-min-above", "t-min-above",
-             "max-iters"],
+             "max-iters", "instance-seed", "instance-noise", "instance-observed"],
     )
     def test_out_of_range_grid_rejected_at_parse(
         self, tmp_path, capsys, sweep, instance, params, prefix

@@ -1,5 +1,6 @@
 """Metric tests: normalized Laplacian error and support recovery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import incidence
 from scinfer.evaluation import evaluate, nerr
 from scinfer.synth import InstanceParams, generate_instance
 from scinfer.topology import (
@@ -15,7 +17,6 @@ from scinfer.topology import (
     make_selection,
     node_laplacian,
     triangle_index,
-    upper_laplacian,
 )
 
 
@@ -105,6 +106,25 @@ class TestNerr:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("side", ["est", "truth"])
+    def test_rejects_selection_of_another_size(self, side):
+        sk, sel = _random_selection(8)
+        _, other = _random_selection(8, n=6)
+        pair = {"est": sel, "truth": sel, side: other}
+        with pytest.raises(ValueError, match=r"w1 must have shape \(21,\)"):
+            evaluate(sk, pair["est"], pair["truth"])
+
+    @pytest.mark.parametrize("value", [0.5, 1e-6, -1.0])
+    @pytest.mark.parametrize("field", ["w1", "w2"])
+    @pytest.mark.parametrize("side", ["est", "truth"])
+    def test_rejects_non_binary_indicator(self, side, field, value):
+        sk, sel = _random_selection(8)
+        w = getattr(sel, field).astype(float)
+        w[np.flatnonzero(w)[0]] = value
+        pair = {"est": sel, "truth": sel, side: dataclasses.replace(sel, **{field: w})}
+        with pytest.raises(ValueError, match=f"{field} must be binary"):
+            evaluate(sk, pair["est"], pair["truth"])
+
     def test_self_comparison_is_ideal(self):
         sk, sel = _random_selection(8)
         report = evaluate(sk, sel, sel)
@@ -170,10 +190,9 @@ class TestEvaluate:
     def test_nerr_matches_direct_formula(self, case):
         sk, truth, est = case
         report = evaluate(sk, est, truth)
-        l0_t = node_laplacian(sk, truth.w1.astype(float))
-        l0_e = node_laplacian(sk, est.w1.astype(float))
-        lu_t = upper_laplacian(sk, truth.w2.astype(float))
-        lu_e = upper_laplacian(sk, est.w2.astype(float))
+        b1, b2 = incidence(sk.n_nodes)
+        l0_t, l0_e = ((b1 * sel.w1) @ b1.T for sel in (truth, est))
+        lu_t, lu_e = ((b2 * sel.w2) @ b2.T for sel in (truth, est))
         assert report.nerr_l0 == pytest.approx(
             ((l0_t - l0_e) ** 2).sum() / (l0_t**2).sum(), rel=1e-12
         )

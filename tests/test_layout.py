@@ -1,5 +1,7 @@
 """The skeleton layout boundary: only ``topology`` reads the vertex-tuple
-views, and the generate/learn/eval pipeline never builds them."""
+views, the generate/learn/eval pipeline never builds them, no module
+reaches for a dense incidence matrix, and the test oracles stay
+independent of the package."""
 
 import ast
 from pathlib import Path
@@ -12,20 +14,41 @@ from scinfer.config import resolve_budgets
 from scinfer.evaluation import evaluate
 from scinfer.learner import HyperParams
 from scinfer.synth import InstanceParams, generate_instance, read_dataset, write_dataset
-from scinfer.topology import complex_from_dict, complex_to_dict
+from scinfer.topology import build_skeleton, complex_from_dict, complex_to_dict
 
 _VIEWS = ("edges", "triangles")
+_DENSE = ("b1_full", "b2_full", "b2_unsigned")
+
+
+def _attribute_reads(names, skip=()):
+    reads = []
+    for path in sorted(Path(scinfer.__file__).parent.glob("*.py")):
+        if path.name in skip:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    return reads
 
 
 def test_no_module_outside_topology_reads_the_tuple_views():
-    reads = []
-    for path in sorted(Path(scinfer.__file__).parent.glob("*.py")):
-        if path.name == "topology.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in _VIEWS:
-                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
-    assert reads == []
+    assert _attribute_reads(_VIEWS, skip=("topology.py",)) == []
+
+
+def test_no_module_reads_a_dense_incidence_matrix():
+    assert _attribute_reads(_DENSE) == []
+    assert not any(hasattr(build_skeleton(4), name) for name in _DENSE)
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert modules and not [m for m in modules if m.split(".")[0] in ("scinfer", "")]
 
 
 def test_pipeline_builds_no_tuple_view(tmp_path):

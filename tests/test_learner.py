@@ -12,6 +12,7 @@ from oracles import (
     edge_subproblem_value,
     full_objective,
     gradient_descent_interpolation,
+    incidence,
     triangle_subproblem_value,
 )
 from scinfer import learner
@@ -58,8 +59,9 @@ class TestTriangleScores:
     def test_matches_gram_diagonal(self):
         sk, _, x1, w1, _, _, _ = _random_subset_instance(0, n=6)
         params = HyperParams(alpha2=0.7, beta2=1.3, gamma=2.0)
-        gram_diag = np.diag(sk.b2_full.T @ x1 @ x1.T @ sk.b2_full)
-        missing = sk.b2_unsigned.T @ (1.0 - w1.astype(float))
+        _, b2 = incidence(sk.n_nodes)
+        gram_diag = np.diag(b2.T @ x1 @ x1.T @ b2)
+        missing = np.abs(b2).T @ (1.0 - w1.astype(float))
         expected = 0.7 + 1.3 * gram_diag + 2.0 * missing
         np.testing.assert_allclose(
             triangle_scores(sk, x1, w1, params), expected, rtol=1e-10
@@ -71,14 +73,15 @@ class TestSelectTriangles:
         params = HyperParams(alpha2=1e-3, beta2=1.0, gamma=10.0)
         for seed in range(6):
             sk, _, x1, w1, _, _, _ = _random_subset_instance(seed)
+            _, b2 = incidence(sk.n_nodes)
             for t_min in (0, 1, 3):
                 scores = triangle_scores(sk, x1, w1, params)
                 w2 = select_triangles(scores, t_min)
                 val = triangle_subproblem_value(
-                    sk.b2_full, x1, w1, w2, params.alpha2, params.beta2, params.gamma
+                    b2, x1, w1, w2, params.alpha2, params.beta2, params.gamma
                 )
                 best_val, _ = brute_force_triangles(
-                    sk.b2_full, x1, w1, params.alpha2, params.beta2, params.gamma, t_min
+                    b2, x1, w1, params.alpha2, params.beta2, params.gamma, t_min
                 )
                 assert abs(val - best_val) <= 1e-12 * max(1.0, abs(best_val))
 
@@ -161,15 +164,16 @@ class TestSelectEdges:
         params = HyperParams(alpha1=1e-3, beta1=1.0, gamma=10.0)
         for seed in range(6):
             sk, x0, _, _, w2, obs, _ = _random_subset_instance(seed)
+            b1, b2 = incidence(sk.n_nodes)
             for e_min in (3, 5, 8):
                 scores = edge_scores(sk, x0, w2, obs, params)
                 w1 = select_edges(scores, obs, e_min)
                 val = edge_subproblem_value(
-                    sk.b1_full, sk.b2_full, x0, w1, w2,
+                    b1, b2, x0, w1, w2,
                     params.alpha1, params.beta1, params.gamma,
                 )
                 best_val, _ = brute_force_edges(
-                    sk.b1_full, sk.b2_full, x0, w2, obs,
+                    b1, b2, x0, w2, obs,
                     params.alpha1, params.beta1, params.gamma, e_min,
                 )
                 assert abs(val - best_val) <= 1e-12 * max(1.0, abs(best_val))
@@ -236,7 +240,7 @@ class TestInterpolation:
         obs = np.array([7, 9], dtype=np.int64)
         x1o = rng.standard_normal((2, 3))
         out = interpolate_edge_signals(sk, w2, obs, x1o, HyperParams())
-        covered = sk.b2_unsigned @ w2 > 0
+        covered = np.abs(incidence(sk.n_nodes)[1]) @ w2 > 0
         covered[obs] = True
         np.testing.assert_array_equal(out[~covered], 0.0)
 
@@ -247,7 +251,7 @@ class TestInterpolation:
             x1o = rng.standard_normal((obs.size, 3))
             closed = interpolate_edge_signals(sk, w2, obs, x1o, params)
             iterative = gradient_descent_interpolation(
-                sk.b2_full, w2, obs, x1o, params.beta2, params.eta
+                incidence(sk.n_nodes)[1], w2, obs, x1o, params.beta2, params.eta
             )
             scale = max(np.linalg.norm(iterative), 1e-12)
             assert np.linalg.norm(closed - iterative) <= 1e-6 * scale
@@ -257,7 +261,8 @@ class TestInterpolation:
         sk, _, _, _, w2, obs, rng = _random_subset_instance(7, n=6)
         x1o = rng.standard_normal((obs.size, 4))
         x = interpolate_edge_signals(sk, w2, obs, x1o, params)
-        lu = (sk.b2_full * w2.astype(float)) @ sk.b2_full.T
+        _, b2 = incidence(sk.n_nodes)
+        lu = (b2 * w2.astype(float)) @ b2.T
         theta = np.zeros((sk.n_edges, sk.n_edges))
         theta[obs, obs] = 1.0
         rhs = np.zeros((sk.n_edges, 4))
@@ -281,7 +286,7 @@ class TestObjective:
             sk, x0, x1, w1, w2, obs, rng = _random_subset_instance(seed)
             x1o = rng.standard_normal((obs.size, 3))
             ours = objective_value(sk, x0, x1, w1, w2, obs, x1o, params)
-            ref = full_objective(sk.b1_full, sk.b2_full, x0, x1, w1, w2, obs, x1o, params)
+            ref = full_objective(*incidence(sk.n_nodes), x0, x1, w1, w2, obs, x1o, params)
             assert abs(ours - ref) <= 1e-10 * max(1.0, abs(ref))
 
     def test_triangle_block_decomposition(self):
@@ -290,7 +295,8 @@ class TestObjective:
         sk, x0, x1, w1, w2, obs, rng = _random_subset_instance(2)
         x1o = rng.standard_normal((obs.size, 3))
         s2 = triangle_scores(sk, x1, w1, params)
-        diffs = sk.b1_full.T @ x0
+        b1, _ = incidence(sk.n_nodes)
+        diffs = b1.T @ x0
         smooth = np.einsum("ij,ij->i", diffs, diffs)
         resid = x1[obs] - x1o
         rest = (
@@ -310,11 +316,12 @@ class TestObjective:
         w1[obs] = 1.0
         x1o = rng.standard_normal((obs.size, 3))
         s1 = edge_scores(sk, x0, w2, obs, params)
-        diffs = sk.b1_full.T @ x0
+        b1, b2 = incidence(sk.n_nodes)
+        diffs = b1.T @ x0
         smooth = np.einsum("ij,ij->i", diffs, diffs)
-        curl = sk.b2_full.T @ x1
+        curl = b2.T @ x1
         curl_e = np.einsum("ij,ij->i", curl, curl)
-        cover = sk.b2_unsigned @ w2.astype(float)
+        cover = np.abs(b2) @ w2.astype(float)
         resid = x1[obs] - x1o
         unobs = np.setdiff1d(np.arange(sk.n_edges), obs)
         rest = (
@@ -327,6 +334,62 @@ class TestObjective:
         )
         total = objective_value(sk, x0, x1, w1, w2, obs, x1o, params)
         np.testing.assert_allclose(total, s1[unobs] @ w1[unobs] + rest, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda a: {**a, "x1_obs": a["x1_obs"][:1]}, "x1_obs must be 2-d with 4 rows"),
+            (lambda a: {**a, "observed_edges": a["observed_edges"][::-1]}, "strictly increasing"),
+            (lambda a: {**a, "observed_edges": np.array([0, 2, 5, 99])}, "out of range"),
+            (lambda a: {**a, "x0": a["x0"][:-1]}, "x0 must be 2-d with 5 rows"),
+            (lambda a: {**a, "x1_est": a["x1_est"][:-1]}, "x1_est must be 2-d with 10 rows"),
+            (lambda a: {**a, "x1_est": a["x1_est"][:, 0]}, "x1_est must be 2-d"),
+            (lambda a: {**a, "w1": a["w1"][:-1]}, r"w1 must have shape \(10,\)"),
+            (lambda a: {**a, "w2": np.append(a["w2"], 0)}, r"w2 must have shape \(10,\)"),
+        ],
+        ids=["x1-obs-one-row", "reversed-observed", "observed-out-of-range", "x0-wrong-rows",
+             "x1-est-wrong-rows", "x1-est-1d", "w1-short", "w2-long"],
+    )
+    def test_bad_inputs_rejected(self, edit, match):
+        sk, x0, x1, w1, w2, _, rng = _random_subset_instance(4)
+        obs = np.array([0, 2, 5, 7], dtype=np.int64)
+        args = dict(
+            x0=x0, x1_est=x1, w1=w1, w2=w2, observed_edges=obs,
+            x1_obs=rng.standard_normal((obs.size, 3)),
+        )
+        objective_value(sk, **args, params=HyperParams())
+        with pytest.raises(ValueError, match=match):
+            objective_value(sk, **edit(args), params=HyperParams())
+
+
+def _indicator_entry_points(sk, x0, x1, w1, w2, obs):
+    """Each public block entry with one indicator argument left open."""
+    params = HyperParams()
+    x1o = x1[obs]
+    return {
+        "triangle_scores-w1": ("w1", lambda w: triangle_scores(sk, x1, w, params)),
+        "edge_scores-w2": ("w2", lambda w: edge_scores(sk, x0, w, obs, params)),
+        "interpolate-w2": ("w2", lambda w: interpolate_edge_signals(sk, w, obs, x1o, params)),
+        "objective-w1": ("w1", lambda w: objective_value(sk, x0, x1, w, w2, obs, x1o, params)),
+        "objective-w2": ("w2", lambda w: objective_value(sk, x0, x1, w1, w, obs, x1o, params)),
+    }
+
+
+class TestIndicatorInputs:
+    @pytest.mark.parametrize("value", [0.5, 1e-6, -1.0, 2.0])
+    @pytest.mark.parametrize(
+        "entry", ["triangle_scores-w1", "edge_scores-w2", "interpolate-w2", "objective-w1",
+                  "objective-w2"],
+    )
+    def test_non_binary_indicator_rejected(self, entry, value):
+        sk, x0, x1, w1, w2, obs, _ = _random_subset_instance(5)
+        name, call = _indicator_entry_points(sk, x0, x1, w1, w2, obs)[entry]
+        w = (w1 if name == "w1" else w2).astype(float)
+        w[0] = 1.0
+        call(w)
+        w[0] = value
+        with pytest.raises(ValueError, match=f"{name} must be binary"):
+            call(w)
 
 
 def _learn_instance(seed, **overrides):

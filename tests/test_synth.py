@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from oracles import incidence
 from scinfer.synth import (
     GenerationError,
     InstanceParams,
@@ -97,7 +98,8 @@ def _fill_triangles_per_draw(skeleton, w1, fraction, rng):
     """The fill rule with its identifiability test rebuilt from fresh
     ``b2_block`` calls and an SVD on every draw, and a zero fill
     returned before any draw; also returns the number of draws."""
-    eligible = np.flatnonzero(skeleton.b2_unsigned.T @ (np.asarray(w1) != 0) == 3)
+    unsigned = np.abs(incidence(skeleton.n_nodes)[1])
+    eligible = np.flatnonzero(unsigned.T @ (np.asarray(w1) != 0) == 3)
     count = math.floor(fraction * eligible.size)
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
     if count == 0:
@@ -139,14 +141,16 @@ class TestFillTriangles:
     def test_closure_and_count(self):
         for seed in range(10):
             sk, w1, w2, _ = _er_instance(seed)
-            eligible = np.flatnonzero(sk.b2_unsigned.T @ w1.astype(float) == 3.0)
+            unsigned = np.abs(incidence(sk.n_nodes)[1])
+            eligible = np.flatnonzero(unsigned.T @ w1.astype(float) == 3.0)
             assert w2.sum() == math.floor(0.5 * eligible.size)
             # every filled triangle is eligible
             assert np.all(w2[np.setdiff1d(np.arange(sk.n_triangles), eligible)] == 0)
 
     def test_extreme_fractions(self):
         sk, w1, _, rng = _er_instance(3)
-        eligible = int(np.sum(sk.b2_unsigned.T @ w1.astype(float) == 3.0))
+        unsigned = np.abs(incidence(sk.n_nodes)[1])
+        eligible = int(np.sum(unsigned.T @ w1.astype(float) == 3.0))
         assert fill_triangles(sk, w1, 0.0, rng).sum() == 0
         assert fill_triangles(sk, w1, 1.0, rng).sum() == eligible
 
@@ -165,15 +169,16 @@ class TestFillTriangles:
             sk, w1, w2, _ = _er_instance(seed, n=12, p=0.45)
             active = np.flatnonzero(w1)
             filled = np.flatnonzero(w2)
-            eligible = sk.b2_unsigned.T @ w1.astype(float) == 3.0
+            _, b2 = incidence(sk.n_nodes)
+            eligible = np.abs(b2).T @ w1.astype(float) == 3.0
             spurious = np.flatnonzero(eligible & (w2 == 0))
             if filled.size == 0 or spurious.size == 0:
                 continue
             found_spurious_cases += 1
-            base = sk.b2_full[np.ix_(active, filled)]
+            base = b2[np.ix_(active, filled)]
             base_rank = np.linalg.matrix_rank(base)
             for u in spurious:
-                grown = np.hstack([base, sk.b2_full[active, u][:, None]])
+                grown = np.hstack([base, b2[active, u][:, None]])
                 assert np.linalg.matrix_rank(grown) == base_rank + 1
         assert found_spurious_cases >= 8
 
@@ -226,7 +231,7 @@ class TestLowCurlEdgeSignals:
         _, clean = gen_low_curl_edge_signals(sk, w1, w2, 20, 0.0, 0.0, rng)
         active_e = np.flatnonzero(w1)
         active_t = np.flatnonzero(w2)
-        b2a = sk.b2_full[np.ix_(active_e, active_t)]
+        b2a = incidence(sk.n_nodes)[1][np.ix_(active_e, active_t)]
         assert np.abs(b2a.T @ clean[active_e]).max() <= 1e-8
 
     def test_inactive_rows_exactly_zero(self):
@@ -273,7 +278,7 @@ class TestLowCurlEdgeSignals:
         sk, w1, w2, _ = _er_instance(7)
         active_e = np.flatnonzero(w1)
         active_t = np.flatnonzero(w2)
-        b2a = sk.b2_full[np.ix_(active_e, active_t)]
+        b2a = incidence(sk.n_nodes)[1][np.ix_(active_e, active_t)]
         u, s, _ = np.linalg.svd(b2a, full_matrices=False)
         basis = u[:, s > 1e-10 * s[0]]
 
@@ -293,7 +298,7 @@ class TestLowCurlEdgeSignals:
         sk, w1, w2, _ = _er_instance(9)
         active_e = np.flatnonzero(w1)
         active_t = np.flatnonzero(w2)
-        b2a = sk.b2_full[np.ix_(active_e, active_t)]
+        b2a = incidence(sk.n_nodes)[1][np.ix_(active_e, active_t)]
 
         def mean_curl_energy(atten, seeds):
             vals = []

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import incidence
 from scinfer.topology import (
     MAX_NODES,
     ComplexSkeleton,
@@ -86,7 +87,6 @@ class TestBuildSkeleton:
         assert vars(sk)["edges"] is edges and vars(sk)["triangles"] is triangles
 
     def test_incidence_signs_n3(self):
-        sk = _k3()
         expected_b1 = np.array(
             [
                 [-1.0, -1.0, 0.0],
@@ -94,26 +94,27 @@ class TestBuildSkeleton:
                 [0.0, 1.0, 1.0],
             ]
         )
-        np.testing.assert_array_equal(sk.b1_full, expected_b1)
-        np.testing.assert_array_equal(sk.b2_full, np.array([[1.0], [-1.0], [1.0]]))
-        np.testing.assert_array_equal(sk.b2_unsigned, np.array([[1.0], [1.0], [1.0]]))
+        b1, b2 = incidence(3)
+        np.testing.assert_array_equal(b1, expected_b1)
+        np.testing.assert_array_equal(b2, np.array([[1.0], [-1.0], [1.0]]))
+        np.testing.assert_array_equal(np.abs(b2), np.array([[1.0], [1.0], [1.0]]))
 
     def test_triangle_column_n4(self):
-        sk = build_skeleton(4)
-        np.testing.assert_array_equal(
-            sk.b2_full[:, 0], np.array([1.0, -1.0, 0.0, 1.0, 0.0, 0.0])
-        )
+        _, b2 = incidence(4)
+        np.testing.assert_array_equal(b2[:, 0], np.array([1.0, -1.0, 0.0, 1.0, 0.0, 0.0]))
 
     def test_chain_property_exact(self):
         for n in range(2, 16):
-            sk = build_skeleton(n)
-            prod = sk.b1_full @ sk.b2_full
+            b1, b2 = incidence(n)
+            prod = b1 @ b2
             assert np.all(prod == 0.0), f"b1 @ b2 != 0 for n={n}"
 
     def test_arrays_read_only(self):
         sk = build_skeleton(4)
         with pytest.raises(ValueError):
-            sk.b1_full[0, 0] = 5.0
+            sk.edge_nodes[0, 0] = 5
+        with pytest.raises(ValueError):
+            sk.tri_edges[0, 0] = 5
 
     def test_stored_arrays_are_small(self):
         sk = build_skeleton(MAX_NODES)
@@ -219,8 +220,9 @@ class TestHodgeDecompose:
         sk, w1, w2 = _closed_selection_k5(rng)
         active_e = np.flatnonzero(w1)
         active_t = np.flatnonzero(w2)
-        b1 = sk.b1_full[:, active_e]
-        b2 = sk.b2_full[np.ix_(active_e, active_t)]
+        b1, b2 = incidence(sk.n_nodes)
+        b1 = b1[:, active_e]
+        b2 = b2[np.ix_(active_e, active_t)]
         x = rng.standard_normal(active_e.size)
         parts = hodge_decompose(sk, w1, w2, x)
         assert np.abs(b1 @ parts.curl).max() <= 1e-10
