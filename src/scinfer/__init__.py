@@ -50,13 +50,11 @@ from .topology import (
     complex_to_dict,
     edge_index,
     hodge_decompose,
-    hodge_laplacian,
     is_closed,
     make_selection,
     node_laplacian,
     read_complex_json,
     triangle_index,
-    upper_laplacian,
     write_complex_json,
 )
 
@@ -87,7 +85,6 @@ __all__ = [
     "evaluate",
     "generate_instance",
     "hodge_decompose",
-    "hodge_laplacian",
     "interpolate_edge_signals",
     "is_closed",
     "load_config",
@@ -108,7 +105,6 @@ __all__ = [
     "select_triangles",
     "triangle_index",
     "triangle_scores",
-    "upper_laplacian",
     "write_complex_json",
     "write_dataset",
 ]

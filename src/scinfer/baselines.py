@@ -26,7 +26,6 @@ from .learner import (
     _check_inputs,
     _edge_scores,
     _objective,
-    _row_energy,
     _triangle_scores,
     run_greedy_scl,
     select_edges,
@@ -34,11 +33,12 @@ from .learner import (
 )
 from .topology import (
     ComplexSkeleton,
+    _curl_energy,
+    _row_energy,
     edge_gradient,
     make_selection,
     missing_edges,
     prune_open_triangles,
-    triangle_curl,
     triangle_nodes,
 )
 
@@ -72,7 +72,7 @@ def run_sep_scl(
     x1_filled = np.zeros((skeleton.n_edges, x1_obs.shape[1]))
     x1_filled[obs] = x1_obs
 
-    curl_energy = _row_energy(triangle_curl(skeleton, x1_filled))
+    curl_energy = _curl_energy(skeleton, x1_filled)
     s2 = _triangle_scores(skeleton, curl_energy, w1, decoupled)
     w2 = select_triangles(s2, int(params.t_min))
 

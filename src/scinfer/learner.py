@@ -19,7 +19,9 @@ The learner alternates three exact block solves of one objective over
 
 Scores are evaluated through squared row norms of the per-edge
 gradients and per-triangle curls of the signals; the candidate-by-
-candidate Gram matrices are never formed. A run computes the node-signal
+candidate Gram matrices are never formed. The curl energy is evaluated
+in fixed-size blocks of triangles (``topology._curl_energy``), so each
+block's gathered rows stay in cache. A run computes the node-signal
 smoothness once and the curl energy once per interpolated signal, which
 feeds both the objective of its iteration and the next triangle scores.
 """
@@ -35,6 +37,8 @@ from .topology import (
     ComplexSkeleton,
     Selection,
     _as_indicator,
+    _curl_energy,
+    _row_energy,
     b2_block,
     check_observed_edges,
     closure_violations,
@@ -43,7 +47,6 @@ from .topology import (
     make_selection,
     missing_edges,
     prune_open_triangles,
-    triangle_curl,
 )
 
 __all__ = [
@@ -106,7 +109,7 @@ class LearnState:
 
 def _check_inputs(skeleton: ComplexSkeleton, x0, x1_obs, observed_edges, params) -> np.ndarray:
     """The input check every method runs first; returns the observed indices as int64."""
-    obs = check_observed_edges(skeleton, observed_edges)
+    obs = check_observed_edges(skeleton.n_edges, observed_edges)
     _check_rows(("x0", x0, skeleton.n_nodes), ("x1_obs", x1_obs, obs.size))
     for name, arr in (("x0", x0), ("x1_obs", x1_obs)):
         if not np.isfinite(arr).all():
@@ -127,11 +130,6 @@ def _check_rows(*checks) -> None:
             raise ValueError(f"{name} must be 2-d with {rows} rows, got shape {np.shape(arr)}")
 
 
-def _row_energy(a: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row."""
-    return np.einsum("ij,ij->i", a, a)
-
-
 def triangle_scores(
     skeleton: ComplexSkeleton, x1_est: np.ndarray, w1, params: HyperParams
 ) -> np.ndarray:
@@ -143,7 +141,7 @@ def triangle_scores(
     w1a = _as_indicator(w1, skeleton.n_edges, "w1")
     _check_rows(("x1_est", x1_est, skeleton.n_edges))
     x1 = np.asarray(x1_est, dtype=np.float64)
-    return _triangle_scores(skeleton, _row_energy(triangle_curl(skeleton, x1)), w1a, params)
+    return _triangle_scores(skeleton, _curl_energy(skeleton, x1), w1a, params)
 
 
 def _triangle_scores(skeleton: ComplexSkeleton, curl_energy, w1, params) -> np.ndarray:
@@ -172,7 +170,7 @@ def edge_scores(
     w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
     _check_rows(("x0", x0, skeleton.n_nodes))
     x0a = np.asarray(x0, dtype=np.float64)
-    obs = check_observed_edges(skeleton, observed_edges)
+    obs = check_observed_edges(skeleton.n_edges, observed_edges)
     return _edge_scores(skeleton, _row_energy(edge_gradient(skeleton, x0a)), w2a, obs, params)
 
 
@@ -199,7 +197,7 @@ def select_edges(
     minimizer of the edge block.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    obs = np.asarray(observed_edges, dtype=np.int64)
+    obs = check_observed_edges(scores.size, observed_edges)
     if not 0 <= e_min <= scores.size:
         raise ValueError(f"e_min must be in [0, {scores.size}], got {e_min}")
     if e_min < obs.size:
@@ -232,7 +230,7 @@ def interpolate_edge_signals(
     triangle. All other rows of the result are structurally zero.
     """
     w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
-    obs = check_observed_edges(skeleton, observed_edges)
+    obs = check_observed_edges(skeleton.n_edges, observed_edges)
     if obs.size == 0:
         raise ValueError("interpolation requires at least one observed edge")
     _check_rows(("x1_obs", x1_obs, obs.size))
@@ -274,13 +272,13 @@ def objective_value(
     params: HyperParams,
 ) -> float:
     """Full objective: sparsity + smoothness + curl fit + data fit + closure."""
-    obs = check_observed_edges(skeleton, observed_edges)
+    obs = check_observed_edges(skeleton.n_edges, observed_edges)
     rows = (("x0", x0, skeleton.n_nodes), ("x1_est", x1_est, skeleton.n_edges))
     _check_rows(*rows, ("x1_obs", x1_obs, obs.size))
     w1 = _as_indicator(w1, skeleton.n_edges, "w1")
     w2 = _as_indicator(w2, skeleton.n_triangles, "w2")
     smoothness = _row_energy(edge_gradient(skeleton, x0))
-    curl_energy = _row_energy(triangle_curl(skeleton, x1_est))
+    curl_energy = _curl_energy(skeleton, x1_est)
     return _objective(skeleton, smoothness, curl_energy, x1_est, w1, w2, obs, x1_obs, params)
 
 
@@ -333,7 +331,7 @@ def run_greedy_scl(
 
     def interpolate(w2):
         x1 = interpolate_edge_signals(skeleton, w2, obs, x1_obs, params)
-        return x1, _row_energy(triangle_curl(skeleton, x1))
+        return x1, _curl_energy(skeleton, x1)
 
     smoothness = _row_energy(edge_gradient(skeleton, np.asarray(x0, dtype=np.float64)))
     w1 = np.zeros(skeleton.n_edges, dtype=np.int8)

@@ -365,7 +365,7 @@ def read_dataset(in_dir) -> Dataset:
     if observed.shape[1] != 1:
         raise ValueError(f"{paths['observed_edges.csv']}: expected one edge index per line")
     try:
-        observed_arr = check_observed_edges(skeleton, observed[:, 0])
+        observed_arr = check_observed_edges(skeleton.n_edges, observed[:, 0])
     except ValueError as exc:
         raise ValueError(f"{paths['observed_edges.csv']}: {exc}") from exc
     if x1_obs.shape[0] != observed_arr.size:

@@ -43,8 +43,6 @@ __all__ = [
     "triangle_index",
     "make_selection",
     "node_laplacian",
-    "upper_laplacian",
-    "hodge_laplacian",
     "hodge_decompose",
     "closure_violations",
     "is_closed",
@@ -65,6 +63,11 @@ JSON_STYLE = {"indent": 2, "sort_keys": True}
 
 # Boundary signs of a triangle on its edges, in ``tri_edges`` column order.
 _TRI_SIGNS = np.array([1.0, -1.0, 1.0])
+
+# Triangles per block of ``_curl_energy``. At 100 signals per edge the
+# three gathers of a 512-row block stay in cache; 512 measured fastest
+# at n = 20, 30 and 40, and 2048 lost the gain at n = 20.
+_CURL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -225,9 +228,38 @@ def edge_gradient(skeleton: ComplexSkeleton, x0) -> np.ndarray:
 def triangle_curl(skeleton: ComplexSkeleton, x1) -> np.ndarray:
     """Edge-signal curl ``x1[ij] - x1[ik] + x1[jk]`` around each
     candidate triangle, i.e. ``B2^T x1``."""
+    return _curl(skeleton.tri_edges, np.asarray(x1))
+
+
+def _curl(tri_edges: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    # In place on the first gather: the same two roundings per entry as
+    # ``x1[ij] - x1[ik] + x1[jk]``, with one temporary fewer.
+    ij, ik, jk = tri_edges.T
+    curl = np.take(x1, ij, axis=0)
+    curl -= np.take(x1, ik, axis=0)
+    curl += np.take(x1, jk, axis=0)
+    return curl
+
+
+def _row_energy(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row."""
+    return np.einsum("ij,ij->i", a, a)
+
+
+def _curl_energy(skeleton: ComplexSkeleton, x1) -> np.ndarray:
+    """Curl energy ``||row_t(B2^T x1)||^2`` of every candidate triangle
+    for a 2-d ``x1``; bitwise ``_row_energy(triangle_curl(skeleton, x1))``.
+
+    Works through ``_CURL_BLOCK`` triangles at a time, so the gathered
+    rows are still in cache when their energy is taken. The range covers
+    at least one block, which is empty when there are no triangles.
+    """
     x1 = np.asarray(x1)
-    ij, ik, jk = skeleton.tri_edges.T
-    return x1[ij] - x1[ik] + x1[jk]
+    tri = skeleton.tri_edges
+    return np.concatenate([
+        _row_energy(_curl(tri[start : start + _CURL_BLOCK], x1))
+        for start in range(0, max(len(tri), 1), _CURL_BLOCK)
+    ])
 
 
 def edge_coverage(skeleton: ComplexSkeleton, w2) -> np.ndarray:
@@ -273,14 +305,15 @@ def _span_basis(b: np.ndarray) -> np.ndarray:
     return u[:, : int((sv > _SV_CUTOFF * sv[:1]).sum())]
 
 
-def check_observed_edges(skeleton: ComplexSkeleton, observed_edges) -> np.ndarray:
-    """Observed edge indices as int64; they must be 1-d, strictly increasing and in range."""
+def check_observed_edges(n_edges: int, observed_edges) -> np.ndarray:
+    """Observed edge indices as int64; they must be 1-d, strictly
+    increasing and in ``[0, n_edges)``."""
     obs = np.asarray(observed_edges, dtype=np.int64)
     if obs.ndim != 1:
         raise ValueError("observed_edges must be a 1-d index array")
     if (obs[1:] <= obs[:-1]).any():
         raise ValueError("observed_edges must be strictly increasing")
-    if obs.size and (obs[0] < 0 or obs[-1] >= skeleton.n_edges):
+    if obs.size and (obs[0] < 0 or obs[-1] >= n_edges):
         raise ValueError("observed edge index out of range")
     return obs
 
@@ -314,44 +347,11 @@ def make_selection(skeleton: ComplexSkeleton, w1, w2) -> Selection:
 
 
 def node_laplacian(skeleton: ComplexSkeleton, w1) -> np.ndarray:
-    """Weighted node Laplacian ``B1 diag(w1) B1^T``.
-
-    ``w1`` may be any nonnegative edge weighting; binary vectors give
-    the combinatorial graph Laplacian of the active edge set.
-    """
-    w = np.asarray(w1, dtype=np.float64)
-    if w.shape != (skeleton.n_edges,):
-        raise ValueError(f"w1 must have shape ({skeleton.n_edges},), got {w.shape}")
+    """Graph Laplacian ``B1 diag(w1) B1^T`` of the active edges of a
+    binary edge indicator ``w1``."""
+    w = _as_indicator(w1, skeleton.n_edges, "w1")
     b1t = edge_gradient(skeleton, np.eye(skeleton.n_nodes))
     return (b1t.T * w) @ b1t
-
-
-def upper_laplacian(skeleton: ComplexSkeleton, w2) -> np.ndarray:
-    """Upper edge Laplacian ``B2 diag(w2) B2^T`` on all candidate edges."""
-    w = np.asarray(w2, dtype=np.float64)
-    if w.shape != (skeleton.n_triangles,):
-        raise ValueError(f"w2 must have shape ({skeleton.n_triangles},), got {w.shape}")
-    active = np.flatnonzero(w)
-    b2 = b2_block(skeleton, np.arange(skeleton.n_edges), active)
-    return (b2 * w[active]) @ b2.T
-
-
-def _closed_blocks(skeleton: ComplexSkeleton, w1, w2) -> tuple[np.ndarray, np.ndarray]:
-    """``B1^T`` and ``B2`` on the active simplices of a binary selection,
-    which must be downward closed for the restricted B2 to be a boundary."""
-    w1a = _as_indicator(w1, skeleton.n_edges, "w1")
-    w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
-    if _violation_count(skeleton, w1a, w2a) != 0:
-        raise ValueError("selection is not downward closed")
-    active_e = np.flatnonzero(w1a)
-    b1t = edge_gradient(skeleton, np.eye(skeleton.n_nodes))[active_e]
-    return b1t, b2_block(skeleton, active_e, np.flatnonzero(w2a))
-
-
-def hodge_laplacian(skeleton: ComplexSkeleton, w1, w2) -> np.ndarray:
-    """Hodge Laplacian ``B1^T B1 + B2 B2^T`` on the active edges of a closed selection."""
-    b1t, b2 = _closed_blocks(skeleton, w1, w2)
-    return b1t @ b1t.T + b2 @ b2.T
 
 
 def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:
@@ -370,7 +370,13 @@ def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:
         Parts are mutually orthogonal and sum to ``x``; closure of the
         selection makes the gradient and curl ranges orthogonal.
     """
-    b1t, b2 = _closed_blocks(skeleton, w1, w2)
+    w1a = _as_indicator(w1, skeleton.n_edges, "w1")
+    w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
+    if _violation_count(skeleton, w1a, w2a) != 0:
+        raise ValueError("selection is not downward closed")
+    active_e = np.flatnonzero(w1a)
+    b1t = edge_gradient(skeleton, np.eye(skeleton.n_nodes))[active_e]
+    b2 = b2_block(skeleton, active_e, np.flatnonzero(w2a))
     xa = np.asarray(x, dtype=np.float64)
     if xa.shape != (b1t.shape[0],):
         raise ValueError(f"x must have shape ({b1t.shape[0]},), got {xa.shape}")

@@ -1,6 +1,7 @@
 """The skeleton layout boundary: only ``topology`` reads the vertex-tuple
 views, the generate/learn/eval pipeline never builds them, no module
-reaches for a dense incidence matrix, and the test oracles stay
+reaches for a dense incidence matrix, the learning methods take curl
+energies only from the blocked pass, and the test oracles stay
 independent of the package."""
 
 import ast
@@ -38,6 +39,22 @@ def test_no_module_outside_topology_reads_the_tuple_views():
 def test_no_module_reads_a_dense_incidence_matrix():
     assert _attribute_reads(_DENSE) == []
     assert not any(hasattr(build_skeleton(4), name) for name in _DENSE)
+
+
+def test_methods_never_call_triangle_curl():
+    """Every curl-energy pass of the methods goes through ``topology._curl_energy``."""
+    package = Path(scinfer.__file__).parent
+    refs = []
+    for name in ("learner.py", "baselines.py"):
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+            names = [
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                node.name if isinstance(node, ast.alias) else None,
+            ]
+            if "triangle_curl" in names:
+                refs.append(f"{name}:{getattr(node, 'lineno', '?')}")
+    assert refs == []
 
 
 def test_oracles_import_nothing_from_the_package():

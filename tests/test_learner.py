@@ -188,6 +188,15 @@ class TestSelectEdges:
         w1 = select_edges(scores, np.array([0]), e_min=2, strict_lemma_mode=True)
         np.testing.assert_array_equal(w1, [1, 1, 0, 0, 0])
 
+    def test_rejects_repeated_observed_edge(self):
+        scores = np.array([0.0, -1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            select_edges(scores, [0, 0], 3, strict_lemma_mode=True)
+
+    def test_rejects_out_of_range_observed_edge(self):
+        with pytest.raises(ValueError, match="out of range"):
+            select_edges(np.zeros(5), [9], e_min=2)
+
     def test_rejects_budget_below_observed(self):
         with pytest.raises(ValueError, match="below"):
             select_edges(np.zeros(5), np.array([0, 1, 2]), e_min=2)
@@ -455,7 +464,7 @@ class TestRunGreedyScl:
     def test_one_energy_pass_per_interpolation(self, monkeypatch):
         """k iterations take k + 1 curl-energy passes and one smoothness pass."""
         truth, signals, hp = _learn_instance(3)
-        calls = {"triangle_curl": 0, "edge_gradient": 0}
+        calls = {"_curl_energy": 0, "edge_gradient": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(learner, name)):
                 calls[_name] += 1
@@ -465,7 +474,7 @@ class TestRunGreedyScl:
         state = run_greedy_scl(
             truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp
         )
-        assert calls == {"triangle_curl": state.iterations_run + 1, "edge_gradient": 1}
+        assert calls == {"_curl_energy": state.iterations_run + 1, "edge_gradient": 1}
 
     def test_single_iteration_cap(self):
         truth, signals, hp = _learn_instance(1)

@@ -10,28 +10,33 @@ import functools
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import incidence
+from scinfer import topology
 from scinfer.topology import (
     MAX_NODES,
     ComplexSkeleton,
+    _curl_energy,
+    _row_energy,
     build_skeleton,
     closure_violations,
     complex_from_dict,
     complex_to_dict,
     edge_index,
     hodge_decompose,
-    hodge_laplacian,
     is_closed,
     make_selection,
     node_laplacian,
     read_complex_json,
     read_json,
+    triangle_curl,
     triangle_index,
-    upper_laplacian,
     write_complex_json,
     write_json,
 )
@@ -170,34 +175,61 @@ class TestLaplacians:
         np.testing.assert_allclose(l0.sum(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(l0, l0.T, atol=0)
 
-    def test_upper_laplacian_single_triangle(self):
-        sk = _k3()
-        lu = upper_laplacian(sk, np.array([1.0]))
-        np.testing.assert_array_equal(
-            lu, np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
-        )
+    @pytest.mark.parametrize("w1", [[1.0, -1.0, 0.0], [1.0, 1.0, np.nan], [0.5, 1.0, 0.0]])
+    def test_node_laplacian_rejects_non_binary_weights(self, w1):
+        with pytest.raises(ValueError, match="binary"):
+            node_laplacian(_k3(), w1)
 
-    def test_upper_laplacian_psd(self):
-        rng = np.random.default_rng(3)
-        sk = build_skeleton(6)
-        w2 = (rng.random(sk.n_triangles) < 0.4).astype(float)
-        lu = upper_laplacian(sk, w2)
-        eigvals = np.linalg.eigvalsh(lu)
-        assert eigvals.min() >= -1e-10
 
-    def test_hodge_laplacian_filled_k3(self):
-        sk = _k3()
-        l1 = hodge_laplacian(sk, np.ones(3), np.ones(1))
-        np.testing.assert_array_equal(l1, 3.0 * np.eye(3))
+def _edge_signals(sk, kind, m, rng):
+    """An (n_edges, m) edge signal of the given kind: floats, floats with
+    zero rows, integers, or a Fortran-ordered or strided float view."""
+    if kind == "int":
+        return rng.integers(-5, 6, size=(sk.n_edges, m))
+    x1 = rng.standard_normal((sk.n_edges, 2 * m))
+    if kind == "strided":
+        return x1[:, ::2]
+    x1 = x1[:, :m].copy()
+    if kind == "zero_rows":
+        x1[rng.random(sk.n_edges) < 0.5] = 0.0
+    return np.asfortranarray(x1) if kind == "fortran" else x1
 
-    def test_hodge_laplacian_rejects_open_selection(self):
-        sk = build_skeleton(4)
-        w1 = np.zeros(sk.n_edges)
-        w1[edge_index(sk, 0, 1)] = 1
-        w2 = np.zeros(sk.n_triangles)
-        w2[0] = 1
-        with pytest.raises(ValueError):
-            hodge_laplacian(sk, w1, w2)
+
+def _assert_curl_energy(sk, x1):
+    """The blocked pass equals the unblocked one bit for bit and the dense
+    oracle B2 within 1e-12 relative."""
+    energy = _curl_energy(sk, x1)
+    unblocked = _row_energy(triangle_curl(sk, x1))
+    assert energy.dtype == unblocked.dtype and np.array_equal(energy, unblocked)
+    curl = incidence(sk.n_nodes)[1].T @ np.asarray(x1, dtype=np.float64)
+    np.testing.assert_allclose(energy, (curl * curl).sum(axis=1), rtol=1e-12, atol=0)
+
+
+class TestCurlEnergy:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_blocked_pass_equals_unblocked_and_dense(self, data):
+        sk = build_skeleton(data.draw(st.integers(2, 11), label="n_nodes"))
+        t = sk.n_triangles
+        # Blocks that divide T exactly, leave a remainder, exceed T, and
+        # the module's own block, which exceeds every T drawn here.
+        divisors = [d for d in range(1, t + 1) if t % d == 0]
+        blocks = sorted({1, 7, t + 1, topology._CURL_BLOCK, *divisors})
+        block = data.draw(st.sampled_from(blocks), label="block")
+        kind = data.draw(st.sampled_from(["float", "zero_rows", "int", "fortran", "strided"]))
+        m = data.draw(st.integers(1, 6), label="signals")
+        x1 = _edge_signals(sk, kind, m, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        with mock.patch.object(topology, "_CURL_BLOCK", block):
+            _assert_curl_energy(sk, x1)
+
+    @pytest.mark.parametrize("kind", ["float", "zero_rows", "int"])
+    def test_module_block_at_the_size_limits(self, kind):
+        rng = np.random.default_rng(11)
+        for n in (2, MAX_NODES):
+            sk = build_skeleton(n)
+            _assert_curl_energy(sk, _edge_signals(sk, kind, 3, rng))
+        # MAX_NODES ends on a partial block, so the last-block path runs.
+        assert build_skeleton(MAX_NODES).n_triangles % topology._CURL_BLOCK != 0
 
 
 class TestHodgeDecompose:
