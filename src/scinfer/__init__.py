@@ -50,7 +50,6 @@ from .topology import (
     complex_to_dict,
     edge_index,
     hodge_decompose,
-    is_closed,
     make_selection,
     node_laplacian,
     read_complex_json,
@@ -86,7 +85,6 @@ __all__ = [
     "generate_instance",
     "hodge_decompose",
     "interpolate_edge_signals",
-    "is_closed",
     "load_config",
     "make_selection",
     "nerr",

@@ -85,7 +85,6 @@ def run_sep_scl(
         objective_trace=(_objective(*args),),
         iterations_run=1,
         converged=True,
-        closure_violations=0,
         pruned_triangles=pruned,
         phase_seconds={"total": time.perf_counter() - t_start},
     )
@@ -134,7 +133,7 @@ def run_rc(
     w2[cliques[np.argsort(-min_strengths, kind="stable")[: params.t_min]]] = 1
     selection = make_selection(skeleton, w1, w2)
     phase_seconds = {"total": time.perf_counter() - t_start}
-    return LearnState(selection, np.zeros((0, 0)), (), 1, True, 0, 0, phase_seconds)
+    return LearnState(selection, np.zeros((0, 0)), (), 1, True, 0, phase_seconds)
 
 
 # Entries look the functions up when called, so a wrapper rebound on the

@@ -65,12 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--e-min", type=int, help="edge budget (default: from ground truth)")
     p_learn.add_argument("--t-min", type=int, help="triangle budget (default: from ground truth)")
     p_learn.add_argument(
-        "--strict-lemma", action="store_true", help="edge step keeps exactly e_min edges"
-    )
-    p_learn.add_argument(
-        "--no-prune-closure", action="store_true", help="skip the final closure prune"
-    )
-    p_learn.add_argument(
         "--save-x1", action="store_true", help="also write the interpolated flows (x1_est.csv)"
     )
     p_learn.set_defaults(func=_cmd_learn)
@@ -117,14 +111,12 @@ def _resolve_params(args, truth) -> HyperParams:
         overrides["e_min"] = args.e_min
     if args.t_min is not None:
         overrides["t_min"] = args.t_min
-    if args.strict_lemma:
-        overrides["strict_lemma_mode"] = True
-    if args.no_prune_closure:
-        overrides["prune_closure"] = False
     return resolve_budgets(replace(params, **overrides), truth)
 
 
 def _cmd_learn(args) -> int:
+    if args.save_x1 and args.method == "RC":
+        raise ValueError("--save-x1 needs an edge-signal estimate, which RC does not make")
     ds = read_dataset(args.dataset)
     params = _resolve_params(args, ds.truth)
 
@@ -136,7 +128,7 @@ def _cmd_learn(args) -> int:
         "objective_trace": list(state.objective_trace),
         "iterations_run": state.iterations_run,
         "converged": state.converged,
-        "closure_violations": state.closure_violations,
+        "closure_violations": report.closure_violations,
         "pruned_triangles": state.pruned_triangles,
         "phase_seconds": state.phase_seconds,
         "eval": report.to_dict(),
@@ -145,7 +137,7 @@ def _cmd_learn(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     result_path = os.path.join(out_dir, "result.json")
     write_json(result_path, result)
-    if args.save_x1 and state.x1_est.size:
+    if args.save_x1:
         write_matrix_csv(os.path.join(out_dir, "x1_est.csv"), state.x1_est)
     print(
         f"{args.method}: nerr_l0={report.nerr_l0:.6g} nerr_lu={report.nerr_lu:.6g} "

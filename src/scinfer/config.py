@@ -95,12 +95,8 @@ def load_config(path) -> configparser.ConfigParser:
     return parser
 
 
-_BOOLS = {"true": True, "yes": True, "on": True, "1": True}
-_BOOLS.update(dict.fromkeys(("false", "no", "off", "0"), False))
-
-
 def _typed(key: str, raw: str, kind):
-    """Parse one value as ``kind`` (int, finite float or bool); kind
+    """Parse one value as ``kind`` (int or finite float); kind
     None is an int budget that also accepts ``auto`` (returned as None)."""
     raw = raw.strip()
     if kind is None:
@@ -108,8 +104,8 @@ def _typed(key: str, raw: str, kind):
             return None
         kind = int
     try:
-        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
-    except (KeyError, ValueError):
+        value = kind(raw)
+    except ValueError:
         raise ValueError(f"key {key!r}: cannot parse {raw!r} as {kind.__name__}") from None
     if kind is float and not math.isfinite(value):
         raise ValueError(f"key {key!r}: {raw!r} is not a finite float")

@@ -9,10 +9,9 @@ The learner alternates three exact block solves of one objective over
       the t_min smallest scores win.
   (B) edge selection -- observed edges are forced; every other
       candidate carries sparsity cost plus node-signal smoothness minus
-      a coverage bonus per active triangle leaning on it. The default
-      mode activates every negative score and pads with the smallest
-      nonnegative ones up to e_min (the exact block minimizer); the
-      strict mode activates exactly e_min entries.
+      a coverage bonus per active triangle leaning on it. Every negative
+      score is activated, padded with the smallest nonnegative ones up
+      to e_min: the exact block minimizer.
   (C) interpolation -- the edge-signal matrix minimizing curl energy
       through the active triangles plus a quadratic data-fit on the
       observed rows, solved in closed form by a pseudoinverse.
@@ -24,10 +23,14 @@ in fixed-size blocks of triangles (``topology._curl_energy``), so each
 block's gathered rows stay in cache. A run computes the node-signal
 smoothness once and the curl energy once per interpolated signal, which
 feeds both the objective of its iteration and the next triangle scores.
+
+The result is always a simplicial complex: a final pass deactivates any
+triangle still missing one of its edges.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -41,7 +44,6 @@ from .topology import (
     _row_energy,
     b2_block,
     check_observed_edges,
-    closure_violations,
     edge_coverage,
     edge_gradient,
     make_selection,
@@ -71,9 +73,9 @@ class HyperParams:
 
     ``e_min``/``t_min`` are the minimum active-edge and active-triangle
     counts; they have no sensible universal default and must be set
-    (reproduction runs derive them from the ground truth).
-    ``strict_lemma_mode`` switches edge selection from the exact block
-    minimizer to the fixed-cardinality rule.
+    (reproduction runs derive them from the ground truth). The six
+    weights must be finite and nonnegative, so that every block solve
+    minimizes the objective; zero is allowed.
     """
 
     alpha1: float = 1e-3
@@ -85,10 +87,12 @@ class HyperParams:
     e_min: int | None = None
     t_min: int | None = None
     max_iters: int = 50
-    strict_lemma_mode: bool = False
-    prune_closure: bool = True
 
     def __post_init__(self):
+        for name in ("alpha1", "alpha2", "beta1", "beta2", "gamma", "eta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -102,7 +106,6 @@ class LearnState:
     objective_trace: tuple[float, ...]
     iterations_run: int
     converged: bool
-    closure_violations: int
     pruned_triangles: int
     phase_seconds: dict[str, float]
 
@@ -181,20 +184,14 @@ def _edge_scores(skeleton: ComplexSkeleton, smoothness, w2, obs, params) -> np.n
     return scores
 
 
-def select_edges(
-    scores: np.ndarray,
-    observed_edges,
-    e_min: int,
-    strict_lemma_mode: bool = False,
-) -> np.ndarray:
+def select_edges(scores: np.ndarray, observed_edges, e_min: int) -> np.ndarray:
     """Pick the active edge set given scores and the forced observed set.
 
-    Observed edges are always active. Both modes then activate a prefix
-    of one order of the unobserved edges (ascending score, ties to the
-    lowest candidate index) and differ only in its length. Strict mode
-    takes ``e_min - |observed|`` entries. Default mode also takes every
-    strictly negative score, which sort first, so it returns the exact
-    minimizer of the edge block.
+    Observed edges are always active. The rest is a prefix of the
+    unobserved edges in ascending score order (ties to the lowest
+    candidate index), of length ``max(e_min - |observed|, #negative
+    scores)``: every strictly negative score, which sort first, padded
+    up to ``e_min``. That is the exact minimizer of the edge block.
     """
     scores = np.asarray(scores, dtype=np.float64)
     obs = check_observed_edges(scores.size, observed_edges)
@@ -207,9 +204,7 @@ def select_edges(
     w1[obs] = 1
     unobserved = np.flatnonzero(w1 == 0)
     order = unobserved[np.argsort(scores[unobserved], kind="stable")]
-    take = e_min - obs.size
-    if not strict_lemma_mode:
-        take = max(take, int((scores[unobserved] < 0.0).sum()))
+    take = max(e_min - obs.size, int((scores[unobserved] < 0.0).sum()))
     w1[order[:take]] = 1
     return w1
 
@@ -311,9 +306,9 @@ def run_greedy_scl(
     signals). Each iteration runs triangle selection, edge selection,
     then interpolation, and records the objective. Stops at the first
     iteration that leaves (w1, w2) unchanged, or after ``max_iters``.
-    With ``prune_closure`` on, a final feasibility pass deactivates any
-    triangle still missing a supporting edge and the signals are
-    re-interpolated against the pruned triangle set.
+    A final feasibility pass then deactivates any triangle still missing
+    a supporting edge, so the result is downward closed; if it removed
+    any, the signals are re-interpolated against the pruned triangle set.
     """
     t_start = time.perf_counter()
     obs = _check_inputs(skeleton, x0, x1_obs, observed_edges, params)
@@ -347,7 +342,7 @@ def run_greedy_scl(
         s2 = timed("triangle_select", _triangle_scores, skeleton, curl_energy, w1, params)
         w2 = select_triangles(s2, t_min)
         s1 = timed("edge_select", _edge_scores, skeleton, smoothness, w2, obs, params)
-        w1 = select_edges(s1, obs, e_min, params.strict_lemma_mode)
+        w1 = select_edges(s1, obs, e_min)
         x1_est, curl_energy = timed("interpolate", interpolate, w2)
         args = (skeleton, smoothness, curl_energy, x1_est, w1, w2, obs, x1_obs, params)
         trace.append(timed("objective", _objective, *args))
@@ -356,14 +351,9 @@ def run_greedy_scl(
             converged = True
             break
 
-    pruned = 0
-    if params.prune_closure:
-        w2, pruned = prune_open_triangles(skeleton, w1, w2)
-        if pruned:
-            x1_est = timed(
-                "interpolate", interpolate_edge_signals, skeleton, w2, obs, x1_obs, params
-            )
-    final_violations = closure_violations(skeleton, w1, w2).count
+    w2, pruned = prune_open_triangles(skeleton, w1, w2)
+    if pruned:
+        x1_est = timed("interpolate", interpolate_edge_signals, skeleton, w2, obs, x1_obs, params)
     phase["total"] = time.perf_counter() - t_start
 
     return LearnState(
@@ -372,7 +362,6 @@ def run_greedy_scl(
         objective_trace=tuple(trace),
         iterations_run=iterations,
         converged=converged,
-        closure_violations=final_violations,
         pruned_triangles=pruned,
         phase_seconds=phase,
     )

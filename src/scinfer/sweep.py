@@ -148,9 +148,9 @@ _AXIS_LABEL = {"node_noise_std": "node signal noise std", "observed_fraction": "
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     """Run the sweep, write results.csv and the two charts, return rows.
 
-    ``jobs > 1`` distributes cells over worker processes; the rows come
-    back in the same deterministic (grid, trial, method) order either
-    way.
+    ``jobs > 1`` distributes cells over ``min(jobs, cells)`` worker
+    processes; the rows come back in the same deterministic (grid,
+    trial, method) order either way.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -162,7 +162,7 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     if jobs == 1:
         per_cell = [_cell_worker(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             per_cell = list(pool.map(_cell_worker, tasks))
     rows = [row for cell in per_cell for row in cell]
 

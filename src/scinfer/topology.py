@@ -45,7 +45,6 @@ __all__ = [
     "node_laplacian",
     "hodge_decompose",
     "closure_violations",
-    "is_closed",
     "complex_to_dict",
     "complex_from_dict",
     "write_complex_json",
@@ -404,13 +403,6 @@ def closure_violations(skeleton: ComplexSkeleton, w1, w2) -> ClosureReport:
     )
     count = sum(len(m) for _, m in items)
     return ClosureReport(count, items)
-
-
-def is_closed(skeleton: ComplexSkeleton, w1, w2) -> bool:
-    """True when every active triangle has all three edges active."""
-    w1a = _as_indicator(w1, skeleton.n_edges, "w1")
-    w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
-    return _violation_count(skeleton, w1a, w2a) == 0
 
 
 def complex_to_dict(skeleton: ComplexSkeleton, selection: Selection) -> dict:

@@ -13,7 +13,7 @@ from oracles import incidence
 from scinfer.baselines import METHODS, _node_correlations, run_rc, run_sep_scl
 from scinfer.learner import HyperParams, objective_value
 from scinfer.synth import InstanceParams, generate_instance
-from scinfer.topology import build_skeleton, edge_index, is_closed, triangle_index
+from scinfer.topology import build_skeleton, closure_violations, edge_index, triangle_index
 
 
 def _instance(seed, **overrides):
@@ -45,8 +45,8 @@ class TestSepScl:
             )
             assert int(state.selection.w1.sum()) == hp.e_min
             assert int(state.selection.w2.sum()) <= hp.t_min
-            assert is_closed(truth.skeleton, state.selection.w1, state.selection.w2)
-            assert state.closure_violations == 0
+            sel = state.selection
+            assert closure_violations(truth.skeleton, sel.w1, sel.w2).count == 0
 
     def test_edge_set_ignores_observed_flows(self):
         """The graph estimate must not change when a different subset of
@@ -223,7 +223,7 @@ class TestRc:
         for _ in range(5):
             x0 = rng.standard_normal((7, 15))
             sel = _rc(sk, x0, int(rng.integers(0, 22)), 3)
-            assert is_closed(sk, sel.w1, sel.w2)
+            assert closure_violations(sk, sel.w1, sel.w2).count == 0
 
     @pytest.mark.parametrize("t_min", [-1, 5])
     def test_rejects_t_min_out_of_range(self, t_min):
@@ -248,6 +248,27 @@ _BAD_INPUTS = {
 
 
 class TestMethods:
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_output_is_downward_closed(self, method):
+        """No method returns an active triangle that misses an edge.
+
+        The second budget pair (e_min = |observed|, half of all triangles,
+        a weak closure weight) leaves open triangles before the final
+        prune of GreedySCL and SepSCL, so their prune path runs. RC fills
+        only 3-cliques of its own edge set and never has one to prune.
+        """
+        pruned = []
+        for seed in range(3):
+            truth, signals, hp = _instance(seed)
+            sk, obs = truth.skeleton, signals.observed_edges
+            tight = replace(hp, e_min=obs.size, t_min=sk.n_triangles // 2, gamma=1.0)
+            for params in (hp, tight):
+                state = METHODS[method](sk, signals.x0, signals.x1_obs, obs, params)
+                sel = state.selection
+                assert closure_violations(sk, sel.w1, sel.w2).count == 0
+                pruned.append(state.pruned_triangles)
+        assert (max(pruned) > 0) == (method != "RC")
+
     @pytest.mark.parametrize("method", sorted(METHODS))
     @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
     def test_bad_inputs_rejected(self, method, case):

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import warnings
 
@@ -11,7 +13,13 @@ import numpy as np
 import pytest
 
 from scinfer.cli import build_parser, main
-from scinfer.config import load_config, parse_hyperparams, parse_instance, parse_sweep
+from scinfer.config import (
+    METHOD_NAMES,
+    load_config,
+    parse_hyperparams,
+    parse_instance,
+    parse_sweep,
+)
 from scinfer.learner import HyperParams
 from scinfer.sweep import CSV_COLUMNS, run_sweep
 from scinfer.svgplot import line_plot_svg
@@ -95,11 +103,18 @@ class TestConfig:
         assert params.e_min is None
         assert params.t_min == 4
 
+    @pytest.mark.parametrize("key", ["strict_lemma_mode", "prune_closure"])
+    def test_removed_switches_are_not_keys(self, tmp_path, key):
+        cfg = write(tmp_path / "a.ini", f"[params]\n{key} = true\n")
+        with pytest.raises(ValueError, match=rf"unknown key '{key}' in \[params\]"):
+            parse_hyperparams(load_config(cfg))
+
     def test_params_bool(self, tmp_path):
-        cfg = write(tmp_path / "a.ini", "[params]\nstrict_lemma_mode = true\nprune_closure = no\n")
-        params = parse_hyperparams(load_config(cfg))
-        assert params.strict_lemma_mode is True
-        assert params.prune_closure is False
+        """No key takes a bool: a bool literal is refused, not read as 1."""
+        for key, kind in (("max_iters", "int"), ("gamma", "float")):
+            cfg = write(tmp_path / "a.ini", f"[params]\n{key} = true\n")
+            with pytest.raises(ValueError, match=f"'{key}': cannot parse 'true' as {kind}"):
+                parse_hyperparams(load_config(cfg))
 
     def test_sweep_spec(self, tmp_path):
         cfg = write(tmp_path / "a.ini", TINY_SWEEP)
@@ -155,9 +170,6 @@ class TestConfig:
         default = field.default
         if default is None:
             value, text = 3, "3"
-        elif isinstance(default, bool):
-            value = not default
-            text = str(value).lower()
         else:
             # A float field moves to a third of its default plus 0.1: a new
             # value for every field that keeps probabilities and fractions
@@ -302,7 +314,8 @@ class TestLearn:
 
     def test_budget_flags(self, bundle_dir, tmp_path):
         # The bundle is fully observed, so e_min must cover all 12
-        # active edges; strict mode then keeps exactly 13.
+        # active edges. With no triangles no edge score is negative, so
+        # exactly 13 are kept.
         out = tmp_path / "run"
         code = main(
             [
@@ -314,7 +327,6 @@ class TestLearn:
                 "13",
                 "--t-min",
                 "0",
-                "--strict-lemma",
             ]
         )
         assert code == 0
@@ -340,6 +352,33 @@ class TestLearn:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid-argument: max_iters must be at least 1")
         assert not out.exists()
+
+    def test_negative_weight_rejected_at_parse(self, bundle_dir, tmp_path, capsys):
+        cfg = write(tmp_path / "p.ini", "[params]\neta = -1\n")
+        out = tmp_path / "run"
+        assert main(["learn", str(bundle_dir), "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid-argument: eta must be")
+        assert not out.exists()
+
+    def test_rc_rejects_save_x1(self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["learn", str(bundle_dir), "--method", "RC", "--save-x1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid-argument: --save-x1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_closure_key_is_eval_count(self, bundle_dir, tmp_path, method):
+        out = tmp_path / "run"
+        assert main(["learn", str(bundle_dir), "--method", method, "--out", str(out)]) == 0
+        result = json.loads(read_bytes(out / "result.json"))
+        assert result["closure_violations"] == result["eval"]["closure_violations"]
+
+    @pytest.mark.parametrize("flag", ["--strict-lemma", "--no-prune-closure"])
+    def test_removed_switches_are_usage_errors(self, bundle_dir, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", str(bundle_dir), flag])
+        assert exc.value.code == 2
 
     def test_unknown_method_is_usage_error(self, bundle_dir):
         with pytest.raises(SystemExit) as exc:
@@ -529,6 +568,8 @@ class TestSweep:
              "t_min must be in [0, 20], got 21"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "max_iters = 0",
              "max_iters must be at least 1"),
+            ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "beta2 = -5",
+             "beta2 must be finite and >= 0, got -5.0"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nseed = 12345", "",
              "key 'seed' in [instance] is unused by a sweep; [sweep] base_seed sets it"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nnode_noise_std = 0.7", "",
@@ -538,7 +579,7 @@ class TestSweep:
         ],
         ids=["noise-grid", "observed-grid", "base-seed", "n-nodes", "edge-prob",
              "fill-fraction", "curl-atten", "e-min-negative", "e-min-above", "t-min-above",
-             "max-iters", "instance-seed", "instance-noise", "instance-observed"],
+             "max-iters", "beta2-negative", "instance-seed", "instance-noise", "instance-observed"],
     )
     def test_out_of_range_grid_rejected_at_parse(
         self, tmp_path, capsys, sweep, instance, params, prefix
@@ -559,6 +600,30 @@ class TestSweep:
         monkeypatch.setenv("SCINFER_JOBS", "3")
         args = build_parser().parse_args(["sweep", "--config", "s.ini", "--out", "o"])
         assert args.jobs == 1
+
+    def test_workers_capped_at_cell_count(self, tmp_path, monkeypatch):
+        spec = parse_sweep(load_config(write(tmp_path / "s.ini", TINY_SWEEP)))
+        spec = dataclasses.replace(spec, n_trials=1)
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("scinfer.sweep.ProcessPoolExecutor", InlinePool)
+        runs = [run_sweep(spec, tmp_path / f"o{jobs}", jobs=jobs) for jobs in (1, 2, 10**6)]
+        assert workers == [2, 2]
+        for rows in runs[1:]:
+            assert [{**r, "seconds": 0} for r in rows] == [{**r, "seconds": 0} for r in runs[0]]
 
     def test_row_count_and_files(self, tmp_path, capsys):
         cfg = write(tmp_path / "s.ini", TINY_SWEEP)
@@ -638,3 +703,17 @@ class TestSvgPlot:
         svg = read_bytes(path).decode()
         assert svg.count("<circle") == 2
         assert "<polyline" in svg
+
+
+
+def test_readme_matches_cli_and_config():
+    """Every flag of README's ``scinfer learn`` examples parses, and every
+    InstanceParams and HyperParams field is named in README."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    examples = [line for line in readme.splitlines() if line.startswith("scinfer learn ")]
+    assert examples
+    for line in examples:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+    names = [f.name for cls in (InstanceParams, HyperParams) for f in dataclasses.fields(cls)]
+    assert [name for name in names if not re.search(rf"\b{name}\b", readme)] == []

@@ -27,7 +27,7 @@ from scinfer.learner import (
     triangle_scores,
 )
 from scinfer.synth import InstanceParams, generate_instance
-from scinfer.topology import build_skeleton
+from scinfer.topology import build_skeleton, closure_violations
 
 
 def _random_subset_instance(seed, n=5):
@@ -133,17 +133,12 @@ class TestEdgeScores:
         np.testing.assert_allclose(scores, [-7.0, -7.0, -7.0])
 
 
-def _select_edges_two_branch(scores, obs, e_min, strict):
-    """Edge selection written as two separate rules: strict ranks all
-    unobserved edges; default takes the negatives, then pads from the
-    stably sorted nonnegative pool."""
+def _select_edges_two_branch(scores, obs, e_min):
+    """Edge selection written in two steps: take the negatives, then pad
+    from the stably sorted nonnegative pool."""
     w1 = np.zeros(scores.size, dtype=np.int8)
     w1[obs] = 1
     unobserved = np.flatnonzero(w1 == 0)
-    if strict:
-        order = unobserved[np.argsort(scores[unobserved], kind="stable")]
-        w1[order[: e_min - obs.size]] = 1
-        return w1
     w1[unobserved[scores[unobserved] < 0.0]] = 1
     shortfall = e_min - int(w1.sum())
     if shortfall > 0:
@@ -154,11 +149,12 @@ def _select_edges_two_branch(scores, obs, e_min, strict):
 
 class TestSelectEdges:
     def test_reference_example_both_modes(self):
+        """Both terms of max(e_min - |observed|, #negative) can set the count."""
         scores = np.array([0.0, 5.0, -2.0, 3.0])
         obs = np.array([0])
-        for strict in (False, True):
-            w1 = select_edges(scores, obs, e_min=2, strict_lemma_mode=strict)
-            np.testing.assert_array_equal(w1, [1, 0, 1, 0])
+        for e_min, expected in ((1, [1, 0, 1, 0]), (2, [1, 0, 1, 0]), (3, [1, 0, 1, 1])):
+            w1 = select_edges(scores, obs, e_min=e_min)
+            np.testing.assert_array_equal(w1, expected)
 
     def test_default_mode_matches_brute_force_value(self):
         params = HyperParams(alpha1=1e-3, beta1=1.0, gamma=10.0)
@@ -183,15 +179,10 @@ class TestSelectEdges:
         w1 = select_edges(scores, np.array([0]), e_min=2)
         np.testing.assert_array_equal(w1, [1, 1, 1, 0, 1])
 
-    def test_strict_mode_exact_cardinality(self):
-        scores = np.array([0.0, -1.0, -0.5, 2.0, -0.1])
-        w1 = select_edges(scores, np.array([0]), e_min=2, strict_lemma_mode=True)
-        np.testing.assert_array_equal(w1, [1, 1, 0, 0, 0])
-
     def test_rejects_repeated_observed_edge(self):
         scores = np.array([0.0, -1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError, match="strictly increasing"):
-            select_edges(scores, [0, 0], 3, strict_lemma_mode=True)
+            select_edges(scores, [0, 0], 3)
 
     def test_rejects_out_of_range_observed_edge(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -210,10 +201,9 @@ class TestSelectEdges:
         scores[obs] = 0.0
         e_min = max(e_min, obs.size)
         w1 = select_edges(scores, obs, e_min)
-        assert w1.sum() >= e_min
+        negatives = int((np.delete(scores, obs) < 0.0).sum())
+        assert w1.sum() == max(e_min, obs.size + negatives)
         assert np.all(w1[obs] == 1)
-        strict = select_edges(scores, obs, e_min, strict_lemma_mode=True)
-        assert strict.sum() == e_min
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -225,11 +215,9 @@ class TestSelectEdges:
         mask = data.draw(st.lists(st.booleans(), min_size=scores.size, max_size=scores.size))
         obs = np.flatnonzero(mask).astype(np.int64)
         e_min = data.draw(st.integers(obs.size, scores.size))
-        for strict in (False, True):
-            np.testing.assert_array_equal(
-                select_edges(scores, obs, e_min, strict),
-                _select_edges_two_branch(scores, obs, e_min, strict),
-            )
+        np.testing.assert_array_equal(
+            select_edges(scores, obs, e_min), _select_edges_two_branch(scores, obs, e_min)
+        )
 
 
 class TestInterpolation:
@@ -422,6 +410,14 @@ def _learn_instance(seed, **overrides):
     return truth, signals, hp
 
 
+@pytest.mark.parametrize("name", ["alpha1", "alpha2", "beta1", "beta2", "gamma", "eta"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")], ids=["neg", "nan", "inf"])
+def test_weights_must_be_finite_and_nonnegative(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+        HyperParams(**{name: value})
+    assert getattr(HyperParams(**{name: 0.0}), name) == 0.0
+
+
 class TestRunGreedyScl:
     def test_trace_nonincreasing_and_converges(self):
         for seed in range(8):
@@ -433,7 +429,8 @@ class TestRunGreedyScl:
             assert trace.size == state.iterations_run
             assert np.all(np.diff(trace) <= 1e-10), f"seed {seed}: trace increased"
             assert state.converged
-            assert state.closure_violations == 0
+            sel = state.selection
+            assert closure_violations(truth.skeleton, sel.w1, sel.w2).count == 0
 
     def test_converged_state_is_a_fixpoint(self):
         truth, signals, hp = _learn_instance(3)
@@ -484,26 +481,6 @@ class TestRunGreedyScl:
         )
         assert state.iterations_run == 1
         assert not state.converged
-
-    def test_prune_closure_toggle(self):
-        truth, signals, hp = _learn_instance(5)
-        loose = HyperParams(**{**hp.__dict__, "prune_closure": False})
-        state = run_greedy_scl(
-            truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, loose
-        )
-        assert state.pruned_triangles == 0
-        strict = run_greedy_scl(
-            truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp
-        )
-        assert strict.closure_violations == 0
-
-    def test_strict_mode_exact_edge_budget(self):
-        truth, signals, hp = _learn_instance(2)
-        strict = HyperParams(**{**hp.__dict__, "strict_lemma_mode": True})
-        state = run_greedy_scl(
-            truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, strict
-        )
-        assert int(state.selection.w1.sum()) == hp.e_min
 
     def test_noiseless_fully_observed_recovers_truth(self):
         truth, signals, hp = _learn_instance(

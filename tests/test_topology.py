@@ -30,7 +30,6 @@ from scinfer.topology import (
     complex_to_dict,
     edge_index,
     hodge_decompose,
-    is_closed,
     make_selection,
     node_laplacian,
     read_complex_json,
@@ -291,14 +290,12 @@ class TestClosure:
         assert report.items == (
             (0, (edge_index(sk, 0, 2), edge_index(sk, 1, 2))),
         )
-        assert not is_closed(sk, w1, w2)
 
     def test_closed_selection_reports_zero(self):
         sk = _k3()
         report = closure_violations(sk, np.ones(3), np.ones(1))
         assert report.count == 0
         assert report.items == ()
-        assert is_closed(sk, np.ones(3), np.ones(1))
 
 
 class TestComplexJson:
