@@ -6,23 +6,30 @@ The learner alternates three exact block solves of one objective over
   (A) triangle selection -- each candidate triangle carries a score
       combining its sparsity cost, the curl energy of the current edge
       signals through it, and a penalty per missing supporting edge;
-      the t_min smallest scores win.
+      the t_min smallest scores win, ranked in buckets of width
+      SCORE_QUANTUM times the largest score so that rounding in the
+      solve cannot break an exact tie.
   (B) edge selection -- observed edges are forced; every other
       candidate carries sparsity cost plus node-signal smoothness minus
       a coverage bonus per active triangle leaning on it. Every negative
       score is activated, padded with the smallest nonnegative ones up
       to e_min: the exact block minimizer.
-  (C) interpolation -- the edge-signal matrix minimizing curl energy
-      through the active triangles plus a quadratic data-fit on the
-      observed rows, solved in closed form by a pseudoinverse.
+  (C) interpolation -- the minimum-norm edge-signal matrix minimizing
+      curl energy through the active triangles plus a quadratic data-fit
+      on the observed rows. Only the unobserved edges of active
+      triangles can carry a kernel, so their rows are eliminated through
+      a small pseudoinverse and the coupled observed rows solve the
+      Schur complement, which is positive definite.
 
 Scores are evaluated through squared row norms of the per-edge
 gradients and per-triangle curls of the signals; the candidate-by-
 candidate Gram matrices are never formed. The curl energy is evaluated
 in fixed-size blocks of triangles (``topology._curl_energy``), so each
 block's gathered rows stay in cache. A run computes the node-signal
-smoothness once and the curl energy once per interpolated signal, which
-feeds both the objective of its iteration and the next triangle scores.
+smoothness once and interpolates, with one curl-energy pass, once per
+distinct triangle set: an iteration that keeps the previous w2 reuses
+the previous signals, which feed both the objective of its iteration
+and the next triangle scores.
 
 The result is always a simplicial complex: a final pass deactivates any
 triangle still missing one of its edges.
@@ -63,8 +70,21 @@ __all__ = [
     "run_greedy_scl",
 ]
 
-# Relative eigenvalue cutoff of the interpolation solve.
+# Relative eigenvalue cutoff of the interpolation solve: eigenvalues of
+# the unobserved block A_UU at or below PINV_TOL times its largest are
+# treated as its kernel.
 PINV_TOL = 1e-10
+
+# Width of the score buckets ``select_triangles`` ranks, relative to the
+# largest |score|. It must exceed the rounding error of the scores and
+# stay far below their genuine gaps. The interpolation solve has relative
+# error up to about kappa * m * 2**-53, for m <= 780 edge rows and kappa
+# <= 1 + n_nodes * beta2 / eta the condition number of its Schur
+# complement (5 at 40 nodes and the default weights): about 4e-13.
+# 1e-9 clears that by more than three orders of magnitude. On the shipped
+# sweeps, scores from two different solves of the same system differ by
+# at most 4e-14 of the largest.
+SCORE_QUANTUM = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,9 +134,7 @@ def _check_inputs(skeleton: ComplexSkeleton, x0, x1_obs, observed_edges, params)
     """The input check every method runs first; returns the observed indices as int64."""
     obs = check_observed_edges(skeleton.n_edges, observed_edges)
     _check_rows(("x0", x0, skeleton.n_nodes), ("x1_obs", x1_obs, obs.size))
-    for name, arr in (("x0", x0), ("x1_obs", x1_obs)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} has non-finite entries")
+    _check_finite(("x0", x0), ("x1_obs", x1_obs))
     if params.e_min is None or params.t_min is None:
         raise ValueError("params.e_min and params.t_min must be set")
     if not 0 <= params.e_min <= skeleton.n_edges:
@@ -133,6 +151,13 @@ def _check_rows(*checks) -> None:
             raise ValueError(f"{name} must be 2-d with {rows} rows, got shape {np.shape(arr)}")
 
 
+def _check_finite(*checks) -> None:
+    """Each ``(name, arr)`` must hold only finite values."""
+    for name, arr in checks:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has non-finite entries")
+
+
 def triangle_scores(
     skeleton: ComplexSkeleton, x1_est: np.ndarray, w1, params: HyperParams
 ) -> np.ndarray:
@@ -143,6 +168,7 @@ def triangle_scores(
     """
     w1a = _as_indicator(w1, skeleton.n_edges, "w1")
     _check_rows(("x1_est", x1_est, skeleton.n_edges))
+    _check_finite(("x1_est", x1_est))
     x1 = np.asarray(x1_est, dtype=np.float64)
     return _triangle_scores(skeleton, _curl_energy(skeleton, x1), w1a, params)
 
@@ -153,12 +179,23 @@ def _triangle_scores(skeleton: ComplexSkeleton, curl_energy, w1, params) -> np.n
 
 
 def select_triangles(scores: np.ndarray, t_min: int) -> np.ndarray:
-    """Activate the ``t_min`` smallest-score triangles (stable ties)."""
+    """Activate the ``t_min`` smallest-score triangles.
+
+    The ranking key is ``np.round(scores / q)`` with ``q = SCORE_QUANTUM
+    * max|score|``, and equal keys go to the lowest candidate index.
+    Scores that agree to within rounding error therefore tie exactly, and
+    the index decides, not the last bits of the solve. Scores further
+    apart than ``q`` keep their order, so the objective is within
+    ``t_min * q`` of the block minimum. All-zero scores rank by index.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     if not 0 <= t_min <= scores.size:
         raise ValueError(f"t_min must be in [0, {scores.size}], got {t_min}")
+    _check_finite(("scores", scores))
+    q = SCORE_QUANTUM * np.abs(scores).max(initial=0.0)
+    key = np.round(scores / q) if q > 0.0 else scores
     w2 = np.zeros(scores.size, dtype=np.int8)
-    w2[np.argsort(scores, kind="stable")[:t_min]] = 1
+    w2[np.argsort(key, kind="stable")[:t_min]] = 1
     return w2
 
 
@@ -216,43 +253,61 @@ def interpolate_edge_signals(
     x1_obs: np.ndarray,
     params: HyperParams,
 ) -> np.ndarray:
-    """Closed-form minimizer of the interpolation block.
+    """Closed-form minimum-norm minimizer of the interpolation block.
 
-    Solves (beta2 * B2 diag(w2) B2^T + eta * Theta^T Theta) X =
-    eta * Theta^T X1_obs for a binary ``w2`` by eigendecomposition with
-    relative eigenvalue cutoff ``PINV_TOL``, restricted to the rows that
-    can be nonzero: observed edges and edges incident to an active
-    triangle. All other rows of the result are structurally zero.
+    Solves A X = eta * Theta^T X1_obs with A = beta2 * B2 diag(w2) B2^T
+    + eta * Theta^T Theta for a binary ``w2``. The edges fall into four
+    classes:
+
+    - neither observed nor on an active triangle: structurally zero;
+    - observed and on no active triangle: their block is ``eta * I``, so
+      they equal ``x1_obs`` exactly;
+    - observed and on an active triangle: the coupled rows O;
+    - unobserved and on an active triangle: the rows U.
+
+    The kernel of A is {v : v_O = 0, beta2 * B2[U]^T v_U = 0}, so only
+    U can carry one. Its rows are x_U = -A_UU^+ A_UO x_O, with A_UU^+ taken
+    from an eigendecomposition of the |U| x |U| block that drops every
+    eigenvalue at or below ``PINV_TOL`` times its largest. x_O solves the
+    Schur complement A_OO - A_OU A_UU^+ A_UO, which is at least
+    ``eta * I``. With ``eta = 0`` the right-hand side vanishes and the
+    result is all zero; with no active triangle on an observed edge no
+    solve runs.
     """
     w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
     obs = check_observed_edges(skeleton.n_edges, observed_edges)
     if obs.size == 0:
         raise ValueError("interpolation requires at least one observed edge")
     _check_rows(("x1_obs", x1_obs, obs.size))
+    _check_finite(("x1_obs", x1_obs))
     x1o = np.asarray(x1_obs, dtype=np.float64)
 
-    obs_mask = np.zeros(skeleton.n_edges, dtype=bool)
-    obs_mask[obs] = True
-    incident = edge_coverage(skeleton, w2a) > 0.0
-    support = np.flatnonzero(obs_mask | incident)
-
-    b2s = b2_block(skeleton, support, np.flatnonzero(w2a))
-    sys_mat = params.beta2 * (b2s @ b2s.T)
-    obs_in_support = obs_mask[support]
-    sys_mat[np.diag_indices_from(sys_mat)] += params.eta * obs_in_support
-
-    rhs = np.zeros((support.size, x1o.shape[1]))
-    rhs[obs_in_support] = params.eta * x1o
-
-    eigvals, eigvecs = np.linalg.eigh(sys_mat)
-    cutoff = PINV_TOL * eigvals.max()
-    inv = np.zeros_like(eigvals)
-    keep = eigvals > cutoff
-    inv[keep] = 1.0 / eigvals[keep]
-    x_support = eigvecs @ (inv[:, None] * (eigvecs.T @ rhs))
-
     x1_est = np.zeros((skeleton.n_edges, x1o.shape[1]))
-    x1_est[support] = x_support
+    if params.eta == 0.0:
+        return x1_est
+    x1_est[obs] = x1o
+    incident = edge_coverage(skeleton, w2a) > 0.0
+    coupled = incident[obs]
+    if not coupled.any():
+        return x1_est
+    incident[obs] = False
+    o_rows, u_rows = obs[coupled], np.flatnonzero(incident)
+
+    active = np.flatnonzero(w2a)
+    b2o = b2_block(skeleton, o_rows, active)
+    b2u = b2_block(skeleton, u_rows, active)
+    eigvals, eigvecs = np.linalg.eigh(params.beta2 * (b2u @ b2u.T))
+    keep = eigvals > PINV_TOL * eigvals.max(initial=0.0)
+    root_inv = np.zeros_like(eigvals)
+    root_inv[keep] = 1.0 / np.sqrt(eigvals[keep])
+    # h^T h = A_OU A_UU^+ A_UO, so the Schur complement is symmetric.
+    h = root_inv[:, None] * (eigvecs.T @ (params.beta2 * (b2u @ b2o.T)))
+    schur = params.beta2 * (b2o @ b2o.T) - h.T @ h
+    schur[np.diag_indices_from(schur)] += params.eta
+    x_o = np.linalg.solve(schur, params.eta * x1o[coupled])
+
+    x1_est[o_rows] = x_o
+    x1_est[u_rows] = -eigvecs @ (root_inv[:, None] * (h @ x_o))
     return x1_est
 
 
@@ -304,7 +359,9 @@ def run_greedy_scl(
 
     Starts from (observed edges only, no triangles, interpolated
     signals). Each iteration runs triangle selection, edge selection,
-    then interpolation, and records the objective. Stops at the first
+    then interpolation, and records the objective. The interpolation
+    depends on w2 alone, so an iteration that keeps the previous w2
+    keeps the previous signals without solving again. Stops at the first
     iteration that leaves (w1, w2) unchanged, or after ``max_iters``.
     A final feasibility pass then deactivates any triangle still missing
     a supporting edge, so the result is downward closed; if it removed
@@ -343,7 +400,8 @@ def run_greedy_scl(
         w2 = select_triangles(s2, t_min)
         s1 = timed("edge_select", _edge_scores, skeleton, smoothness, w2, obs, params)
         w1 = select_edges(s1, obs, e_min)
-        x1_est, curl_energy = timed("interpolate", interpolate, w2)
+        if not np.array_equal(w2, prev_w2):
+            x1_est, curl_energy = timed("interpolate", interpolate, w2)
         args = (skeleton, smoothness, curl_energy, x1_est, w1, w2, obs, x1_obs, params)
         trace.append(timed("objective", _objective, *args))
         iterations += 1

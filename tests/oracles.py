@@ -3,11 +3,11 @@
 Everything here recomputes target quantities from first principles:
 dense incidence matrices enumerated from the orientation rule,
 exhaustive subset enumeration for the cardinality-constrained selection
-subproblems, fixed-step gradient descent for the interpolation solve,
-and literal matrix-product objective formulas (no row-norm shortcuts).
-The implementations under test must agree with these to tight
-tolerances; the oracles deliberately share no code with the package
-and import nothing from it.
+subproblems, fixed-step gradient descent and a full-system pseudoinverse
+for the interpolation solve, and literal matrix-product objective
+formulas (no row-norm shortcuts). The implementations under test must
+agree with these to tight tolerances; the oracles deliberately share no
+code with the package and import nothing from it.
 """
 
 from __future__ import annotations
@@ -144,6 +144,29 @@ def gradient_descent_interpolation(
             break
         x -= step * grad
     return x
+
+
+def pinv_interpolation(b2, w2, observed, x1_obs, beta2, eta, pinv_tol=1e-10):
+    """Minimum-norm interpolation by a pseudoinverse of the full system.
+
+    Eigendecomposes the dense edges-by-edges system matrix
+    ``beta2 * B2 diag(w2) B2^T + eta * Theta^T Theta`` and inverts every
+    eigenvalue above ``pinv_tol`` times the largest; the rest span the
+    kernel, which the solution avoids.
+    """
+    observed = np.asarray(observed, dtype=int)
+    lu = b2 @ np.diag(np.asarray(w2, dtype=float)) @ b2.T
+    theta_diag = np.zeros(b2.shape[0])
+    theta_diag[observed] = 1.0
+    sys_mat = beta2 * lu + eta * np.diag(theta_diag)
+    rhs = np.zeros((b2.shape[0], x1_obs.shape[1]))
+    rhs[observed] = eta * x1_obs
+
+    eigvals, eigvecs = np.linalg.eigh(sys_mat)
+    inv = np.zeros_like(eigvals)
+    keep = eigvals > pinv_tol * eigvals.max()
+    inv[keep] = 1.0 / eigvals[keep]
+    return eigvecs @ (inv[:, None] * (eigvecs.T @ rhs))
 
 
 def full_objective(

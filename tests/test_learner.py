@@ -13,6 +13,7 @@ from oracles import (
     full_objective,
     gradient_descent_interpolation,
     incidence,
+    pinv_interpolation,
     triangle_subproblem_value,
 )
 from scinfer import learner
@@ -27,7 +28,7 @@ from scinfer.learner import (
     triangle_scores,
 )
 from scinfer.synth import InstanceParams, generate_instance
-from scinfer.topology import build_skeleton, closure_violations
+from scinfer.topology import build_skeleton, closure_violations, edge_coverage, triangle_index
 
 
 def _random_subset_instance(seed, n=5):
@@ -55,6 +56,13 @@ class TestTriangleScores:
         x1 = np.array([[1.0], [-1.0], [1.0]])
         w1 = np.array([1.0, 0.0, 0.0])
         np.testing.assert_allclose(triangle_scores(sk, x1, w1, params), [20.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_signals(self, bad):
+        sk, _, x1, w1, _, _, _ = _random_subset_instance(0)
+        x1[3, 1] = bad
+        with pytest.raises(ValueError, match="x1_est has non-finite entries"):
+            triangle_scores(sk, x1, w1, HyperParams())
 
     def test_matches_gram_diagonal(self):
         sk, _, x1, w1, _, _, _ = _random_subset_instance(0, n=6)
@@ -93,6 +101,23 @@ class TestSelectTriangles:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             select_triangles(np.zeros(4), 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ValueError, match="scores has non-finite entries"):
+            select_triangles(np.array([1.0, bad, 0.5]), 1)
+
+    def test_scores_within_a_bucket_tie_to_the_lowest_index(self):
+        # 0.08 and 0.08 * (1 + 1e-14) round to one bucket of width
+        # 1e-9 * 30, so the lower index wins although its score is larger.
+        scores = np.array([30.0, 0.08 * (1 + 1e-14), 0.08, 1.0])
+        assert np.argmin(scores) == 2
+        np.testing.assert_array_equal(select_triangles(scores, 1), [0, 1, 0, 0])
+        scores[1] = 0.08 * (1 + 1e-6)
+        np.testing.assert_array_equal(select_triangles(scores, 1), [0, 0, 1, 0])
+
+    def test_all_zero_scores_rank_by_index(self):
+        np.testing.assert_array_equal(select_triangles(np.zeros(4), 2), [1, 1, 0, 0])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -266,6 +291,64 @@ class TestInterpolation:
         rhs[obs] = params.eta * x1o
         resid = (params.beta2 * lu + params.eta * theta) @ x - rhs
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(rhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(4, 9),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 0.6),
+        st.sampled_from([0.1, 1.0, 4.0]),
+        st.sampled_from([0.5, 10.0, 100.0]),
+    )
+    def test_matches_pinv_oracle(self, n, seed, density, beta2, eta):
+        rng = np.random.default_rng(seed)
+        sk = build_skeleton(n)
+        w2 = (rng.random(sk.n_triangles) < density).astype(np.int8)
+        n_obs = int(rng.integers(1, sk.n_edges + 1))
+        obs = np.sort(rng.choice(sk.n_edges, size=n_obs, replace=False)).astype(np.int64)
+        x1o = rng.standard_normal((n_obs, 3))
+        params = HyperParams(beta2=beta2, eta=eta)
+        got = interpolate_edge_signals(sk, w2, obs, x1o, params)
+        want = pinv_interpolation(incidence(n)[1], w2, obs, x1o, beta2, eta)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+    def test_zero_curl_weight_matches_pinv_oracle(self):
+        sk, _, _, _, w2, obs, rng = _random_subset_instance(6, n=6)
+        x1o = rng.standard_normal((obs.size, 3))
+        got = interpolate_edge_signals(sk, w2, obs, x1o, HyperParams(beta2=0.0))
+        want = pinv_interpolation(incidence(sk.n_nodes)[1], w2, obs, x1o, 0.0, 10.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["eta-0", "no-triangles", "no-observed-triangle"])
+    def test_decoupled_cases_run_no_solve(self, case, monkeypatch):
+        """eta = 0 gives zeros; no active triangle on an observed edge
+        gives x1_obs on the observed rows and zeros elsewhere."""
+        sk = build_skeleton(6)
+        obs = np.array([0, 1, 2], dtype=np.int64)  # edges (0,1), (0,2), (0,3)
+        w2 = np.zeros(sk.n_triangles, dtype=np.int8)
+        if case == "no-observed-triangle":
+            w2[[triangle_index(sk, 1, 2, 3), triangle_index(sk, 3, 4, 5)]] = 1
+        x1o = np.random.default_rng(8).standard_normal((obs.size, 4))
+        params = HyperParams(eta=0.0) if case == "eta-0" else HyperParams()
+        want = pinv_interpolation(
+            incidence(sk.n_nodes)[1], w2, obs, x1o, params.beta2, params.eta
+        )
+        for name in ("eigh", "solve"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name: pytest.fail(f"{_n} called"))
+        got = interpolate_edge_signals(sk, w2, obs, x1o, params)
+        expected = np.zeros_like(got)
+        if case != "eta-0":
+            expected[obs] = x1o
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_observations(self, bad):
+        sk, _, _, _, w2, obs, rng = _random_subset_instance(2)
+        x1o = rng.standard_normal((obs.size, 3))
+        x1o[1, 2] = bad
+        with pytest.raises(ValueError, match="x1_obs has non-finite entries"):
+            interpolate_edge_signals(sk, w2, obs, x1o, HyperParams())
 
     def test_requires_observations(self):
         sk = build_skeleton(4)
@@ -459,9 +542,11 @@ class TestRunGreedyScl:
         )
 
     def test_one_energy_pass_per_interpolation(self, monkeypatch):
-        """k iterations take k + 1 curl-energy passes and one smoothness pass."""
+        """One interpolation and one curl-energy pass per distinct w2, and
+        one smoothness pass: a run that converges after k iterations
+        sees the start w2 = 0 and k distinct triangle sets after it."""
         truth, signals, hp = _learn_instance(3)
-        calls = {"_curl_energy": 0, "edge_gradient": 0}
+        calls = {"_curl_energy": 0, "edge_gradient": 0, "interpolate_edge_signals": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(learner, name)):
                 calls[_name] += 1
@@ -471,7 +556,59 @@ class TestRunGreedyScl:
         state = run_greedy_scl(
             truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp
         )
-        assert calls == {"_curl_energy": state.iterations_run + 1, "edge_gradient": 1}
+        assert state.converged and state.pruned_triangles == 0 and state.iterations_run > 1
+        k = state.iterations_run
+        assert calls == {"_curl_energy": k, "edge_gradient": 1, "interpolate_edge_signals": k}
+
+    def test_eigh_only_on_the_unobserved_block(self, monkeypatch):
+        """Every eigendecomposition is |U| x |U|, U the unobserved edges
+        of the active triangles, and none runs at w2 = 0."""
+        truth, signals, hp = _learn_instance(5, n_nodes=10)
+        sk, obs = truth.skeleton, signals.observed_edges
+        seen = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            seen[-1][1].append(a.shape)
+            return eigh(a)
+
+        def recording_interpolate(skeleton, w2, *args):
+            touched = edge_coverage(skeleton, w2) > 0
+            touched[obs] = False
+            seen.append((int(np.sum(w2)), [], int(touched.sum())))
+            return interpolate_edge_signals(skeleton, w2, *args)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(learner, "interpolate_edge_signals", recording_interpolate)
+        run_greedy_scl(sk, signals.x0, signals.x1_obs, obs, hp)
+        assert seen[0] == (0, [], 0)
+        assert any(shapes for _, shapes, _ in seen)
+        for active, shapes, n_unobserved in seen:
+            assert shapes == ([(n_unobserved, n_unobserved)] if active else [])
+
+    @pytest.mark.parametrize(
+        "noise, seed", [(0.0, 1017), (0.0, 1019), (0.05, 1019), (0.1, 1013)]
+    )
+    def test_selection_immune_to_rounding(self, noise, seed, monkeypatch):
+        """Scaling every interpolated signal by (1 + 1e-12 N(0, 1)) leaves
+        the selection unchanged on noise-sweep cells whose exact score
+        ties rounding used to break."""
+        truth, signals, hp = _learn_instance(
+            seed, n_nodes=20, edge_prob=0.4, n_node_signals=100, n_edge_signals=100,
+            node_noise_std=noise, edge_noise_std=0.0, observed_fraction=0.8,
+        )
+        args = (truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp)
+        reference = run_greedy_scl(*args).selection
+        rng = np.random.default_rng(seed)
+
+        def perturbed(*a):
+            out = interpolate_edge_signals(*a)
+            return out * (1.0 + 1e-12 * rng.standard_normal(out.shape))
+
+        monkeypatch.setattr(learner, "interpolate_edge_signals", perturbed)
+        selection = run_greedy_scl(*args).selection
+        np.testing.assert_array_equal(selection.w1, reference.w1)
+        np.testing.assert_array_equal(selection.w2, reference.w2)
 
     def test_single_iteration_cap(self):
         truth, signals, hp = _learn_instance(1)
