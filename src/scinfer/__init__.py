@@ -20,6 +20,7 @@ from .evaluation import EvalReport, evaluate, nerr
 from .learner import (
     HyperParams,
     LearnState,
+    bucket_width,
     edge_scores,
     interpolate_edge_signals,
     objective_value,
@@ -75,6 +76,7 @@ __all__ = [
     "Selection",
     "SignalSet",
     "SweepSpec",
+    "bucket_width",
     "build_skeleton",
     "closure_violations",
     "complex_from_dict",

@@ -27,6 +27,7 @@ from .learner import (
     _edge_scores,
     _objective,
     _triangle_scores,
+    bucket_width,
     run_greedy_scl,
     select_edges,
     select_triangles,
@@ -73,8 +74,8 @@ def run_sep_scl(
     x1_filled[obs] = x1_obs
 
     curl_energy = _curl_energy(skeleton, x1_filled)
-    s2 = _triangle_scores(skeleton, curl_energy, w1, decoupled)
-    w2 = select_triangles(s2, int(params.t_min))
+    s2 = _triangle_scores(curl_energy, missing_edges(skeleton, w1), decoupled)
+    w2 = select_triangles(s2, int(params.t_min), bucket_width(x1_filled, decoupled))
 
     w2, pruned = prune_open_triangles(skeleton, w1, w2)
 

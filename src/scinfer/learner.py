@@ -6,9 +6,9 @@ The learner alternates three exact block solves of one objective over
   (A) triangle selection -- each candidate triangle carries a score
       combining its sparsity cost, the curl energy of the current edge
       signals through it, and a penalty per missing supporting edge;
-      the t_min smallest scores win, ranked in buckets of width
-      SCORE_QUANTUM times the largest score so that rounding in the
-      solve cannot break an exact tie.
+      the t_min smallest scores win, ranked in buckets whose width
+      (``bucket_width``) bounds the first two terms of every score, so
+      that rounding in the solve cannot break an exact tie.
   (B) edge selection -- observed edges are forced; every other
       candidate carries sparsity cost plus node-signal smoothness minus
       a coverage bonus per active triangle leaning on it. Every negative
@@ -19,17 +19,22 @@ The learner alternates three exact block solves of one objective over
       on the observed rows. Only the unobserved edges of active
       triangles can carry a kernel, so their rows are eliminated through
       a small pseudoinverse and the coupled observed rows solve the
-      Schur complement, which is positive definite.
+      Schur complement, which is positive definite. B2 diag(w2) B2^T is
+      a sum of one 3 x 3 sign block per active triangle, so its blocks
+      on the support are scattered from the active triangles' edges.
 
 Scores are evaluated through squared row norms of the per-edge
 gradients and per-triangle curls of the signals; the candidate-by-
 candidate Gram matrices are never formed. The curl energy is evaluated
 in fixed-size blocks of triangles (``topology._curl_energy``), so each
 block's gathered rows stay in cache. A run computes the node-signal
-smoothness once and interpolates, with one curl-energy pass, once per
-distinct triangle set: an iteration that keeps the previous w2 reuses
-the previous signals, which feed both the objective of its iteration
-and the next triangle scores.
+smoothness once and interpolates once per distinct triangle set: an
+iteration that keeps the previous w2 reuses the previous signals. A
+triangle with m missing edges scores at least alpha2 + m * gamma, so
+GreedySCL computes curl energies tier by tier in m and stops once no
+later tier can reach the cut; each energy is computed at most once per
+interpolation, and the objective needs those of the active triangles
+only.
 
 The result is always a simplicial complex: a final pass deactivates any
 triangle still missing one of its edges.
@@ -46,10 +51,10 @@ import numpy as np
 from .topology import (
     ComplexSkeleton,
     Selection,
+    _TRI_SIGNS,
     _as_indicator,
     _curl_energy,
     _row_energy,
-    b2_block,
     check_observed_edges,
     edge_coverage,
     edge_gradient,
@@ -62,6 +67,7 @@ __all__ = [
     "HyperParams",
     "LearnState",
     "triangle_scores",
+    "bucket_width",
     "select_triangles",
     "edge_scores",
     "select_edges",
@@ -75,16 +81,26 @@ __all__ = [
 # treated as its kernel.
 PINV_TOL = 1e-10
 
-# Width of the score buckets ``select_triangles`` ranks, relative to the
-# largest |score|. It must exceed the rounding error of the scores and
-# stay far below their genuine gaps. The interpolation solve has relative
-# error up to about kappa * m * 2**-53, for m <= 780 edge rows and kappa
-# <= 1 + n_nodes * beta2 / eta the condition number of its Schur
-# complement (5 at 40 nodes and the default weights): about 4e-13.
-# 1e-9 clears that by more than three orders of magnitude. On the shipped
-# sweeps, scores from two different solves of the same system differ by
-# at most 4e-14 of the largest.
+# Width of the score buckets ``select_triangles`` ranks, relative to
+# alpha2 + 9 * beta2 * M, M = max_e ||x1_e||^2, which bounds the sparsity
+# and curl terms of every candidate's score (``bucket_width``). It must
+# exceed the rounding error of those terms and stay far below their
+# genuine gaps. The interpolation solve has relative error up to about
+# delta = kappa * m * 2**-53, for m <= 780 edge rows and kappa <= 1 +
+# n_nodes * beta2 / eta the condition number of its Schur complement (5
+# at 40 nodes and the default weights): delta is about 4e-13. A curl sums
+# three edge rows, each off by at most delta * sqrt(M), and has norm at
+# most 3 * sqrt(M), so its energy is off by at most about 18 * delta * M:
+# 7e-12 * M, which the bucket width of at least 9e-9 * beta2 * M clears by
+# three orders of magnitude. On the shipped sweeps, scores from two
+# different solves of the same system differ by at most 4e-14 of the
+# largest.
 SCORE_QUANTUM = 1e-9
+
+# Sign products s_a * s_b of a triangle's boundary on its edge pairs
+# (a, b), row-major over its ``tri_edges`` columns: its 3 x 3 block of
+# B2 B2^T.
+_SIGN_PAIRS = np.outer(_TRI_SIGNS, _TRI_SIGNS).ravel()
 
 
 @dataclass(frozen=True)
@@ -170,32 +186,95 @@ def triangle_scores(
     _check_rows(("x1_est", x1_est, skeleton.n_edges))
     _check_finite(("x1_est", x1_est))
     x1 = np.asarray(x1_est, dtype=np.float64)
-    return _triangle_scores(skeleton, _curl_energy(skeleton, x1), w1a, params)
+    missing = missing_edges(skeleton, w1a)
+    return _triangle_scores(_curl_energy(skeleton, x1), missing, params)
 
 
-def _triangle_scores(skeleton: ComplexSkeleton, curl_energy, w1, params) -> np.ndarray:
-    missing = missing_edges(skeleton, w1)
+def _triangle_scores(curl_energy, missing, params):
     return params.alpha2 + params.beta2 * curl_energy + params.gamma * missing
 
 
-def select_triangles(scores: np.ndarray, t_min: int) -> np.ndarray:
+def bucket_width(x1_est: np.ndarray, params: HyperParams) -> float:
+    """Width ``q`` of the triangle-score buckets for the edge signals
+    ``x1_est``: ``SCORE_QUANTUM * (alpha2 + 9 * beta2 * max_e ||x1_e||^2)``.
+
+    A triangle's curl is a signed sum of three edge rows, so its energy
+    is at most 9 times the largest squared row norm: ``q /
+    SCORE_QUANTUM`` bounds ``alpha2 + beta2 * curl energy`` for every
+    candidate, scored or not.
+    """
+    energy = _row_energy(np.asarray(x1_est, dtype=np.float64))
+    return SCORE_QUANTUM * (params.alpha2 + 9.0 * params.beta2 * energy.max(initial=0.0))
+
+
+def _bucket(scores, q):
+    """Ranking key of ``select_triangles``: the bucket index at width
+    ``q > 0``, the score itself at ``q = 0``."""
+    return np.round(scores / q) if q > 0.0 else scores
+
+
+def select_triangles(scores: np.ndarray, t_min: int, q: float) -> np.ndarray:
     """Activate the ``t_min`` smallest-score triangles.
 
-    The ranking key is ``np.round(scores / q)`` with ``q = SCORE_QUANTUM
-    * max|score|``, and equal keys go to the lowest candidate index.
-    Scores that agree to within rounding error therefore tie exactly, and
-    the index decides, not the last bits of the solve. Scores further
-    apart than ``q`` keep their order, so the objective is within
-    ``t_min * q`` of the block minimum. All-zero scores rank by index.
+    The ranking key is ``np.round(scores / q)`` for the bucket width
+    ``q`` that ``bucket_width`` gives for the signals the scores came
+    from, and equal keys go to the lowest candidate index. Scores that
+    agree to within rounding error therefore tie exactly, and the index
+    decides, not the last bits of the solve. Scores further apart than
+    ``q`` keep their order, so the objective is within ``t_min * q`` of
+    the block minimum. ``q = 0`` ranks the scores themselves.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not 0 <= t_min <= scores.size:
         raise ValueError(f"t_min must be in [0, {scores.size}], got {t_min}")
-    _check_finite(("scores", scores))
-    q = SCORE_QUANTUM * np.abs(scores).max(initial=0.0)
-    key = np.round(scores / q) if q > 0.0 else scores
+    _check_finite(("scores", scores), ("q", q))
+    if q < 0.0:
+        raise ValueError(f"q must be >= 0, got {q}")
     w2 = np.zeros(scores.size, dtype=np.int8)
-    w2[np.argsort(key, kind="stable")[:t_min]] = 1
+    w2[np.argsort(_bucket(scores, q), kind="stable")[:t_min]] = 1
+    return w2
+
+
+class _CurlMemo:
+    """Curl energies of one signal matrix ``x1``, computed on demand;
+    ``energy`` is valid where ``known`` is True and 0 elsewhere."""
+
+    def __init__(self, skeleton: ComplexSkeleton, x1: np.ndarray):
+        self.skeleton, self.x1 = skeleton, x1
+        self.energy = np.zeros(skeleton.n_triangles)
+        self.known = np.zeros(skeleton.n_triangles, dtype=bool)
+
+    def fill(self, triangles: np.ndarray) -> None:
+        todo = triangles[~self.known[triangles]]
+        self.energy[todo] = _curl_energy(self.skeleton, self.x1, todo)
+        self.known[todo] = True
+
+
+def _select_by_tier(memo: _CurlMemo, w1, params, q: float, t_min: int) -> np.ndarray:
+    """``select_triangles`` of the full triangle scores for the edge set
+    ``w1``, computing only the curl energies that can decide the cut.
+
+    Tier m holds the candidates with m missing edges, and none of them
+    scores below its floor ``alpha2 + m * gamma``. The tiers are filled
+    into ``memo`` in order of m until the ``t_min``-th smallest key of
+    the filled tiers is strictly below the key of the next tier's floor:
+    no candidate of a later tier can then reach the cut or tie into it,
+    so ranking the filled tiers alone selects what the full pass selects.
+    With ``gamma = 0`` every floor is ``alpha2``, no key falls below it,
+    and every tier is filled.
+    """
+    missing = missing_edges(memo.skeleton, w1)
+    for m in range(5):
+        filled = np.flatnonzero(missing < m)
+        scores = _triangle_scores(memo.energy[filled], missing[filled], params)
+        if m == 4 or t_min == 0:
+            break
+        floor = _bucket(_triangle_scores(0.0, float(m), params), q)
+        if t_min <= filled.size and np.partition(_bucket(scores, q), t_min - 1)[t_min - 1] < floor:
+            break
+        memo.fill(np.flatnonzero(missing == m))
+    w2 = np.zeros(missing.size, dtype=np.int8)
+    w2[filled] = select_triangles(scores, t_min, q)
     return w2
 
 
@@ -209,6 +288,7 @@ def edge_scores(
     """
     w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
     _check_rows(("x0", x0, skeleton.n_nodes))
+    _check_finite(("x0", x0))
     x0a = np.asarray(x0, dtype=np.float64)
     obs = check_observed_edges(skeleton.n_edges, observed_edges)
     return _edge_scores(skeleton, _row_energy(edge_gradient(skeleton, x0a)), w2a, obs, params)
@@ -270,9 +350,10 @@ def interpolate_edge_signals(
     from an eigendecomposition of the |U| x |U| block that drops every
     eigenvalue at or below ``PINV_TOL`` times its largest. x_O solves the
     Schur complement A_OO - A_OU A_UU^+ A_UO, which is at least
-    ``eta * I``. With ``eta = 0`` the right-hand side vanishes and the
-    result is all zero; with no active triangle on an observed edge no
-    solve runs.
+    ``eta * I``. The blocks A_UU, A_UO and A_OO are scattered from the
+    active triangles (``_gram_blocks``). With ``eta = 0`` the right-hand
+    side vanishes and the result is all zero; with no active triangle on
+    an observed edge no solve runs.
     """
     w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
     obs = check_observed_edges(skeleton.n_edges, observed_edges)
@@ -293,22 +374,41 @@ def interpolate_edge_signals(
     incident[obs] = False
     o_rows, u_rows = obs[coupled], np.flatnonzero(incident)
 
-    active = np.flatnonzero(w2a)
-    b2o = b2_block(skeleton, o_rows, active)
-    b2u = b2_block(skeleton, u_rows, active)
-    eigvals, eigvecs = np.linalg.eigh(params.beta2 * (b2u @ b2u.T))
+    g_uu, g_uo, g_oo = _gram_blocks(skeleton, np.flatnonzero(w2a), u_rows, o_rows)
+    eigvals, eigvecs = np.linalg.eigh(params.beta2 * g_uu)
     keep = eigvals > PINV_TOL * eigvals.max(initial=0.0)
     root_inv = np.zeros_like(eigvals)
     root_inv[keep] = 1.0 / np.sqrt(eigvals[keep])
     # h^T h = A_OU A_UU^+ A_UO, so the Schur complement is symmetric.
-    h = root_inv[:, None] * (eigvecs.T @ (params.beta2 * (b2u @ b2o.T)))
-    schur = params.beta2 * (b2o @ b2o.T) - h.T @ h
+    h = root_inv[:, None] * (eigvecs.T @ (params.beta2 * g_uo))
+    schur = params.beta2 * g_oo - h.T @ h
     schur[np.diag_indices_from(schur)] += params.eta
     x_o = np.linalg.solve(schur, params.eta * x1o[coupled])
 
     x1_est[o_rows] = x_o
     x1_est[u_rows] = -eigvecs @ (root_inv[:, None] * (h @ x_o))
     return x1_est
+
+
+def _gram_blocks(skeleton: ComplexSkeleton, active, u_rows, o_rows):
+    """Blocks ``(UU, UO, OO)`` of ``B2[:, active] B2[:, active]^T`` on the
+    support ``[u_rows; o_rows]``, which must hold every edge of the
+    ``active`` triangles.
+
+    One ``np.bincount`` adds each triangle's 3 x 3 sign block at its
+    edges' support positions. The entries are small integers, so the
+    sums are exact and equal the dense products.
+    """
+    size = u_rows.size + o_rows.size
+    pos = np.full(skeleton.n_edges, -1, dtype=np.intp)
+    pos[u_rows] = np.arange(u_rows.size)
+    pos[o_rows] = np.arange(u_rows.size, size)
+    at = pos[skeleton.tri_edges[active]]
+    flat = (at[:, :, None] * size + at[:, None, :]).ravel()
+    weights = np.tile(_SIGN_PAIRS, len(active))
+    gram = np.bincount(flat, weights, minlength=size * size).reshape(size, size)
+    nu = u_rows.size
+    return gram[:nu, :nu], gram[:nu, nu:], gram[nu:, nu:]
 
 
 def objective_value(
@@ -325,6 +425,7 @@ def objective_value(
     obs = check_observed_edges(skeleton.n_edges, observed_edges)
     rows = (("x0", x0, skeleton.n_nodes), ("x1_est", x1_est, skeleton.n_edges))
     _check_rows(*rows, ("x1_obs", x1_obs, obs.size))
+    _check_finite(("x0", x0), ("x1_est", x1_est), ("x1_obs", x1_obs))
     w1 = _as_indicator(w1, skeleton.n_edges, "w1")
     w2 = _as_indicator(w2, skeleton.n_triangles, "w2")
     smoothness = _row_energy(edge_gradient(skeleton, x0))
@@ -361,7 +462,13 @@ def run_greedy_scl(
     signals). Each iteration runs triangle selection, edge selection,
     then interpolation, and records the objective. The interpolation
     depends on w2 alone, so an iteration that keeps the previous w2
-    keeps the previous signals without solving again. Stops at the first
+    keeps the previous signals without solving again. Each interpolation
+    starts a memo of curl energies and fixes the bucket width
+    (``bucket_width``) of the scores taken from its signals. The
+    objective reads the energies of the active triangles; the triangle
+    step fills the memo tier by tier of missing edges and stops once no
+    later tier can reach the ``t_min`` cut (``_select_by_tier``), so it
+    selects what ranking every score would. Stops at the first
     iteration that leaves (w1, w2) unchanged, or after ``max_iters``.
     A final feasibility pass then deactivates any triangle still missing
     a supporting edge, so the result is downward closed; if it removed
@@ -383,26 +490,27 @@ def run_greedy_scl(
 
     def interpolate(w2):
         x1 = interpolate_edge_signals(skeleton, w2, obs, x1_obs, params)
-        return x1, _curl_energy(skeleton, x1)
+        memo = _CurlMemo(skeleton, x1)
+        memo.fill(np.flatnonzero(w2))
+        return x1, memo, bucket_width(x1, params)
 
     smoothness = _row_energy(edge_gradient(skeleton, np.asarray(x0, dtype=np.float64)))
     w1 = np.zeros(skeleton.n_edges, dtype=np.int8)
     w1[obs] = 1
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
-    x1_est, curl_energy = timed("interpolate", interpolate, w2)
+    x1_est, memo, q = timed("interpolate", interpolate, w2)
 
     trace: list[float] = []
     converged = False
     iterations = 0
     for _ in range(params.max_iters):
         prev_w1, prev_w2 = w1, w2
-        s2 = timed("triangle_select", _triangle_scores, skeleton, curl_energy, w1, params)
-        w2 = select_triangles(s2, t_min)
+        w2 = timed("triangle_select", _select_by_tier, memo, w1, params, q, t_min)
         s1 = timed("edge_select", _edge_scores, skeleton, smoothness, w2, obs, params)
         w1 = select_edges(s1, obs, e_min)
         if not np.array_equal(w2, prev_w2):
-            x1_est, curl_energy = timed("interpolate", interpolate, w2)
-        args = (skeleton, smoothness, curl_energy, x1_est, w1, w2, obs, x1_obs, params)
+            x1_est, memo, q = timed("interpolate", interpolate, w2)
+        args = (skeleton, smoothness, memo.energy, x1_est, w1, w2, obs, x1_obs, params)
         trace.append(timed("objective", _objective, *args))
         iterations += 1
         if np.array_equal(w1, prev_w1) and np.array_equal(w2, prev_w2):

@@ -245,16 +245,19 @@ def _row_energy(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
-def _curl_energy(skeleton: ComplexSkeleton, x1) -> np.ndarray:
-    """Curl energy ``||row_t(B2^T x1)||^2`` of every candidate triangle
-    for a 2-d ``x1``; bitwise ``_row_energy(triangle_curl(skeleton, x1))``.
+def _curl_energy(skeleton: ComplexSkeleton, x1, triangles=None) -> np.ndarray:
+    """Curl energy ``||row_t(B2^T x1)||^2`` of the candidate triangles
+    ``triangles`` (an index array; every candidate when omitted) for a
+    2-d ``x1``; bitwise ``_row_energy(triangle_curl(skeleton, x1))[triangles]``.
 
     Works through ``_CURL_BLOCK`` triangles at a time, so the gathered
-    rows are still in cache when their energy is taken. The range covers
-    at least one block, which is empty when there are no triangles.
+    rows are still in cache when their energy is taken. Each row's energy
+    takes the same operations whichever block holds it, so a subset gets
+    the full pass's values bit for bit. The range covers at least one
+    block, which is empty when there are no triangles.
     """
     x1 = np.asarray(x1)
-    tri = skeleton.tri_edges
+    tri = skeleton.tri_edges if triangles is None else skeleton.tri_edges[triangles]
     return np.concatenate([
         _row_energy(_curl(tri[start : start + _CURL_BLOCK], x1))
         for start in range(0, max(len(tri), 1), _CURL_BLOCK)
@@ -271,8 +274,9 @@ def edge_coverage(skeleton: ComplexSkeleton, w2) -> np.ndarray:
 def missing_edges(skeleton: ComplexSkeleton, w1) -> np.ndarray:
     """Number of inactive edges of each candidate triangle, as floats;
     ``|B2|^T (1 - w1)`` for a binary ``w1``."""
-    inactive = np.asarray(w1) == 0
-    return inactive[skeleton.tri_edges].sum(axis=1).astype(np.float64)
+    inactive = (np.asarray(w1) == 0).astype(np.float64)
+    ij, ik, jk = skeleton.tri_edges.T
+    return inactive[ij] + inactive[ik] + inactive[jk]
 
 
 def node_degrees(skeleton: ComplexSkeleton, w1) -> np.ndarray:

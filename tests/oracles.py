@@ -40,6 +40,11 @@ def incidence(n):
     return b1, b2
 
 
+def upper_gram(b2, w2):
+    """Dense ``B2 diag(w2) B2^T``, the edges-by-edges curl Gram matrix."""
+    return b2 @ np.diag(np.asarray(w2, dtype=float)) @ b2.T
+
+
 def triangle_subproblem_value(b2, x1_est, w1, w2, alpha2, beta2, gamma):
     """Literal value of the triangle-block partial objective."""
     w2 = np.asarray(w2, dtype=float)

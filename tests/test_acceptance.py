@@ -16,6 +16,7 @@ from scinfer import (
     HyperParams,
     InstanceParams,
     SweepSpec,
+    bucket_width,
     build_skeleton,
     closure_violations,
     edge_scores,
@@ -133,7 +134,8 @@ class TestAcceptance:
             t_min = int(rng.integers(0, skeleton.n_triangles + 1))
             e_min = int(rng.integers(observed.size, skeleton.n_edges + 1))
 
-            got_w2 = select_triangles(triangle_scores(skeleton, x1_est, w1, params), t_min)
+            scores = triangle_scores(skeleton, x1_est, w1, params)
+            got_w2 = select_triangles(scores, t_min, bucket_width(x1_est, params))
             got_val = triangle_subproblem_value(
                 b2, x1_est, w1, got_w2, params.alpha2, params.beta2, params.gamma
             )

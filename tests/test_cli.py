@@ -24,6 +24,7 @@ from scinfer.learner import HyperParams
 from scinfer.sweep import CSV_COLUMNS, run_sweep
 from scinfer.svgplot import line_plot_svg
 from scinfer.synth import InstanceParams
+from scinfer.topology import MAX_NODES
 
 
 def write(path, text):
@@ -552,8 +553,8 @@ class TestSweep:
              "observed_fraction must be in (0, 1]"),
             ("variable = node_noise_std\ngrid = 0\nbase_seed = -5", "n_nodes = 6", "",
              "base_seed must be >= 0"),
-            ("variable = node_noise_std\ngrid = 0", "n_nodes = 41", "",
-             "n_nodes must be in [2, 40]"),
+            ("variable = node_noise_std\ngrid = 0", f"n_nodes = {MAX_NODES + 1}", "",
+             f"n_nodes must be in [2, {MAX_NODES}]"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nedge_prob = 1.5", "",
              "edge_prob must be in [0, 1]"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nfill_fraction = 2", "",

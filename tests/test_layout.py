@@ -1,8 +1,8 @@
 """The skeleton layout boundary: only ``topology`` reads the vertex-tuple
 views, the generate/learn/eval pipeline never builds them, no module
 reaches for a dense incidence matrix, the learning methods take curl
-energies only from the blocked pass, and the test oracles stay
-independent of the package."""
+energies only from the blocked pass, the learner builds no incidence
+block, and the test oracles stay independent of the package."""
 
 import ast
 from pathlib import Path
@@ -41,20 +41,30 @@ def test_no_module_reads_a_dense_incidence_matrix():
     assert not any(hasattr(build_skeleton(4), name) for name in _DENSE)
 
 
-def test_methods_never_call_triangle_curl():
-    """Every curl-energy pass of the methods goes through ``topology._curl_energy``."""
+def _name_refs(files, names):
+    """Every name, attribute or import alias in the package ``files``
+    that is one of ``names``."""
     package = Path(scinfer.__file__).parent
     refs = []
-    for name in ("learner.py", "baselines.py"):
+    for name in files:
         for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
-            names = [
+            used = [
                 getattr(node, "id", None),
                 getattr(node, "attr", None),
                 node.name if isinstance(node, ast.alias) else None,
             ]
-            if "triangle_curl" in names:
-                refs.append(f"{name}:{getattr(node, 'lineno', '?')}")
-    assert refs == []
+            refs += [f"{name}:{getattr(node, 'lineno', '?')} {n}" for n in used if n in names]
+    return refs
+
+
+def test_methods_never_call_triangle_curl():
+    """Every curl-energy pass of the methods goes through ``topology._curl_energy``."""
+    assert _name_refs(("learner.py", "baselines.py"), ("triangle_curl", "_curl")) == []
+
+
+def test_learner_builds_no_b2_block():
+    """The interpolation scatters its Gram blocks from ``tri_edges``."""
+    assert _name_refs(("learner.py",), ("b2_block",)) == []
 
 
 def test_oracles_import_nothing_from_the_package():

@@ -15,10 +15,16 @@ from oracles import (
     incidence,
     pinv_interpolation,
     triangle_subproblem_value,
+    upper_gram,
 )
 from scinfer import learner
 from scinfer.learner import (
     HyperParams,
+    _CurlMemo,
+    _gram_blocks,
+    _select_by_tier,
+    _triangle_scores,
+    bucket_width,
     edge_scores,
     interpolate_edge_signals,
     objective_value,
@@ -28,7 +34,14 @@ from scinfer.learner import (
     triangle_scores,
 )
 from scinfer.synth import InstanceParams, generate_instance
-from scinfer.topology import build_skeleton, closure_violations, edge_coverage, triangle_index
+from scinfer.topology import (
+    _curl_energy,
+    build_skeleton,
+    closure_violations,
+    edge_coverage,
+    missing_edges,
+    triangle_index,
+)
 
 
 def _random_subset_instance(seed, n=5):
@@ -84,7 +97,7 @@ class TestSelectTriangles:
             _, b2 = incidence(sk.n_nodes)
             for t_min in (0, 1, 3):
                 scores = triangle_scores(sk, x1, w1, params)
-                w2 = select_triangles(scores, t_min)
+                w2 = select_triangles(scores, t_min, bucket_width(x1, params))
                 val = triangle_subproblem_value(
                     b2, x1, w1, w2, params.alpha2, params.beta2, params.gamma
                 )
@@ -95,44 +108,122 @@ class TestSelectTriangles:
 
     def test_exact_cardinality_and_stable_ties(self):
         scores = np.array([2.0, 1.0, 1.0, 0.5])
-        np.testing.assert_array_equal(select_triangles(scores, 2), [0, 1, 0, 1])
-        np.testing.assert_array_equal(select_triangles(scores, 3), [0, 1, 1, 1])
+        for q in (0.0, 1e-9):
+            np.testing.assert_array_equal(select_triangles(scores, 2, q), [0, 1, 0, 1])
+            np.testing.assert_array_equal(select_triangles(scores, 3, q), [0, 1, 1, 1])
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
-            select_triangles(np.zeros(4), 5)
+            select_triangles(np.zeros(4), 5, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_scores(self, bad):
         with pytest.raises(ValueError, match="scores has non-finite entries"):
-            select_triangles(np.array([1.0, bad, 0.5]), 1)
+            select_triangles(np.array([1.0, bad, 0.5]), 1, 1e-9)
+
+    @pytest.mark.parametrize(
+        "q, match", [(np.nan, "q has non-finite"), (np.inf, "q has non-finite"), (-1e-9, "q must")]
+    )
+    def test_rejects_bad_bucket_width(self, q, match):
+        with pytest.raises(ValueError, match=match):
+            select_triangles(np.array([1.0, 0.5]), 1, q)
 
     def test_scores_within_a_bucket_tie_to_the_lowest_index(self):
         # 0.08 and 0.08 * (1 + 1e-14) round to one bucket of width
         # 1e-9 * 30, so the lower index wins although its score is larger.
         scores = np.array([30.0, 0.08 * (1 + 1e-14), 0.08, 1.0])
         assert np.argmin(scores) == 2
-        np.testing.assert_array_equal(select_triangles(scores, 1), [0, 1, 0, 0])
+        np.testing.assert_array_equal(select_triangles(scores, 1, 3e-8), [0, 1, 0, 0])
         scores[1] = 0.08 * (1 + 1e-6)
-        np.testing.assert_array_equal(select_triangles(scores, 1), [0, 0, 1, 0])
+        np.testing.assert_array_equal(select_triangles(scores, 1, 3e-8), [0, 0, 1, 0])
 
     def test_all_zero_scores_rank_by_index(self):
-        np.testing.assert_array_equal(select_triangles(np.zeros(4), 2), [1, 1, 0, 0])
+        for q in (0.0, 1e-9):
+            np.testing.assert_array_equal(select_triangles(np.zeros(4), 2, q), [1, 1, 0, 0])
 
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
         st.integers(-100, 100),
         st.integers(0, 12),
+        st.sampled_from([0.0, 0.25, 1.0]),
     )
-    def test_shift_invariance(self, raw_scores, shift, t_min):
-        # Integer-valued floats keep the shift exact; with arbitrary
-        # floats a large shift can absorb tiny score gaps and merge ties.
+    def test_shift_invariance(self, raw_scores, shift, t_min, q):
+        # Integer-valued floats and bucket widths that divide 1 keep the
+        # shift exact; with arbitrary floats a large shift can absorb tiny
+        # score gaps and merge ties.
         scores = np.array(raw_scores, dtype=np.float64)
         t_min = min(t_min, scores.size)
         np.testing.assert_array_equal(
-            select_triangles(scores, t_min), select_triangles(scores + shift, t_min)
+            select_triangles(scores, t_min, q), select_triangles(scores + shift, t_min, q)
         )
+
+    def test_bucket_width_bounds_every_sparsity_and_curl_term(self):
+        params = HyperParams(alpha2=0.3, beta2=2.0)
+        for seed in range(4):
+            sk, _, x1, _, _, _, _ = _random_subset_instance(seed, n=7)
+            bound = bucket_width(x1, params) / learner.SCORE_QUANTUM
+            worst = params.alpha2 + params.beta2 * _curl_energy(sk, x1).max()
+            largest_row = (x1 * x1).sum(axis=1).max()
+            assert worst <= bound
+            assert bound == pytest.approx(params.alpha2 + 9.0 * params.beta2 * largest_row)
+        assert bucket_width(np.zeros((3, 2)), HyperParams(alpha2=0.0)) == 0.0
+
+
+def _tier_instance(data):
+    """Signals whose rows are zero, tiny (1e-6) or of scale ``amp``, so
+    that many scores sit exactly on a tier floor or inside the floor's
+    bucket while others reach past the next floors, with a random edge
+    set, gamma in {0, 10} and any budget."""
+    n = data.draw(st.integers(3, 8), label="n_nodes")
+    sk = build_skeleton(n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    amp = data.draw(st.sampled_from([0.1, 1.0, 4.0]), label="amp")
+    scale = rng.choice([0.0, 1e-6, amp], size=(sk.n_edges, 1), p=[0.4, 0.3, 0.3])
+    x1 = scale * rng.standard_normal((sk.n_edges, 3))
+    w1 = (rng.random(sk.n_edges) < data.draw(st.floats(0.0, 1.0), label="density")).astype(np.int8)
+    params = HyperParams(
+        alpha2=data.draw(st.sampled_from([0.0, 1e-3]), label="alpha2"),
+        gamma=data.draw(st.sampled_from([0.0, 10.0]), label="gamma"),
+    )
+    t_min = data.draw(st.integers(0, sk.n_triangles), label="t_min")
+    return sk, x1, w1, params, t_min
+
+
+class TestTieredSelection:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_selects_what_the_full_pass_selects(self, data):
+        sk, x1, w1, params, t_min = _tier_instance(data)
+        q = bucket_width(x1, params)
+        missing = missing_edges(sk, w1)
+        full = _curl_energy(sk, x1)
+        want = select_triangles(_triangle_scores(full, missing, params), t_min, q)
+        memo = _CurlMemo(sk, x1)
+        # A memo already holding some energies, as after an interpolation.
+        memo.fill(np.flatnonzero(want)[::2])
+        got = _select_by_tier(memo, w1, params, q, t_min)
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(memo.energy[memo.known], full[memo.known])
+        assert memo.known[got != 0].all()
+        assert not memo.energy[~memo.known].any()
+        if params.gamma == 0.0 and t_min > 0:
+            assert memo.known.all()
+
+    def test_stops_at_the_first_tier_that_decides_the_cut(self):
+        """With gamma = 10 and small curls, a budget the complete
+        triangles fill needs only their energies, and t_min = 0 none."""
+        sk = build_skeleton(6)
+        x1 = 0.1 * np.random.default_rng(2).standard_normal((sk.n_edges, 3))
+        w1 = np.ones(sk.n_edges, dtype=np.int8)
+        w1[[0, 5]] = 0
+        missing = missing_edges(sk, w1)
+        params = HyperParams()
+        q = bucket_width(x1, params)
+        for t_min, filled in ((0, 0), (int((missing == 0).sum()), int((missing == 0).sum()))):
+            memo = _CurlMemo(sk, x1)
+            _select_by_tier(memo, w1, params, q, t_min)
+            assert memo.known.sum() == filled
 
 
 class TestEdgeScores:
@@ -142,6 +233,13 @@ class TestEdgeScores:
         x0 = np.array([[0.0], [1.0], [2.0]])
         scores = edge_scores(sk, x0, np.zeros(1), np.array([], dtype=np.int64), params)
         np.testing.assert_allclose(scores, [1.0, 4.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_node_signals(self, bad):
+        sk, x0, _, _, w2, obs, _ = _random_subset_instance(1)
+        x0[2, 1] = bad
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            edge_scores(sk, x0, w2, obs, HyperParams())
 
     def test_observed_edges_score_zero(self):
         sk, x0, _, _, w2, obs, _ = _random_subset_instance(1)
@@ -342,6 +440,29 @@ class TestInterpolation:
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 12), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_gram_blocks_equal_the_dense_products(self, n, seed, density, observed):
+        """The scattered blocks are B2 diag(w2) B2^T on U x U, U x O and
+        O x O exactly, U and O the unobserved and observed edges of the
+        active triangles."""
+        rng = np.random.default_rng(seed)
+        sk = build_skeleton(n)
+        w2 = (rng.random(sk.n_triangles) < density).astype(np.int8)
+        obs = np.flatnonzero(rng.random(sk.n_edges) < observed)
+        incident = edge_coverage(sk, w2) > 0
+        is_obs = np.zeros(sk.n_edges, dtype=bool)
+        is_obs[obs] = True
+        u_rows, o_rows = np.flatnonzero(incident & ~is_obs), np.flatnonzero(incident & is_obs)
+        dense = upper_gram(incidence(n)[1], w2)
+        got = _gram_blocks(sk, np.flatnonzero(w2), u_rows, o_rows)
+        want = (
+            dense[np.ix_(u_rows, u_rows)], dense[np.ix_(u_rows, o_rows)],
+            dense[np.ix_(o_rows, o_rows)],
+        )
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_observations(self, bad):
         sk, _, _, _, w2, obs, rng = _random_subset_instance(2)
@@ -441,6 +562,15 @@ class TestObjective:
         with pytest.raises(ValueError, match=match):
             objective_value(sk, **edit(args), params=HyperParams())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["x0", "x1_est", "x1_obs"])
+    def test_rejects_non_finite_signals(self, name, bad):
+        sk, x0, x1, w1, w2, obs, rng = _random_subset_instance(4)
+        args = dict(x0=x0, x1_est=x1, x1_obs=rng.standard_normal((obs.size, 3)))
+        args[name][0, 1] = bad
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            objective_value(sk, w1=w1, w2=w2, observed_edges=obs, params=HyperParams(), **args)
+
 
 def _indicator_entry_points(sk, x0, x1, w1, w2, obs):
     """Each public block entry with one indicator argument left open."""
@@ -524,7 +654,7 @@ class TestRunGreedyScl:
         sk = truth.skeleton
         w1 = state.selection.w1.astype(float)
         s2 = triangle_scores(sk, state.x1_est, w1, hp)
-        w2_next = select_triangles(s2, hp.t_min)
+        w2_next = select_triangles(s2, hp.t_min, bucket_width(state.x1_est, hp))
         np.testing.assert_array_equal(w2_next, state.selection.w2)
         s1 = edge_scores(sk, signals.x0, w2_next, signals.observed_edges, hp)
         w1_next = select_edges(s1, signals.observed_edges, hp.e_min)
@@ -542,23 +672,37 @@ class TestRunGreedyScl:
         )
 
     def test_one_energy_pass_per_interpolation(self, monkeypatch):
-        """One interpolation and one curl-energy pass per distinct w2, and
-        one smoothness pass: a run that converges after k iterations
-        sees the start w2 = 0 and k distinct triangle sets after it."""
+        """One interpolation per distinct w2 and one smoothness pass: a run
+        that converges after k iterations sees the start w2 = 0 and k - 1
+        distinct triangle sets after it. Under each interpolation's
+        signals every candidate's curl energy is computed at most once,
+        and fewer than all of them are."""
         truth, signals, hp = _learn_instance(3)
-        calls = {"_curl_energy": 0, "edge_gradient": 0, "interpolate_edge_signals": 0}
+        sk = truth.skeleton
+        calls = {"edge_gradient": 0, "interpolate_edge_signals": 0}
+        scored = []
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(learner, name)):
                 calls[_name] += 1
+                if _name == "interpolate_edge_signals":
+                    scored.append([])
                 return _fn(*args)
 
             monkeypatch.setattr(learner, name, counted)
-        state = run_greedy_scl(
-            truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp
-        )
+
+        def recorded(skeleton, x1, triangles=None):
+            scored[-1].append(np.arange(sk.n_triangles) if triangles is None else triangles)
+            return _curl_energy(skeleton, x1, triangles)
+
+        monkeypatch.setattr(learner, "_curl_energy", recorded)
+        state = run_greedy_scl(sk, signals.x0, signals.x1_obs, signals.observed_edges, hp)
         assert state.converged and state.pruned_triangles == 0 and state.iterations_run > 1
         k = state.iterations_run
-        assert calls == {"_curl_energy": k, "edge_gradient": 1, "interpolate_edge_signals": k}
+        assert calls == {"edge_gradient": 1, "interpolate_edge_signals": k}
+        assert len(scored) == k
+        for passes in scored:
+            triangles = np.concatenate(passes)
+            assert np.unique(triangles).size == triangles.size < sk.n_triangles
 
     def test_eigh_only_on_the_unobserved_block(self, monkeypatch):
         """Every eigendecomposition is |U| x |U|, U the unobserved edges

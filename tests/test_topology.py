@@ -194,12 +194,15 @@ def _edge_signals(sk, kind, m, rng):
     return np.asfortranarray(x1) if kind == "fortran" else x1
 
 
-def _assert_curl_energy(sk, x1):
-    """The blocked pass equals the unblocked one bit for bit and the dense
+def _assert_curl_energy(sk, x1, rng):
+    """The blocked pass equals the unblocked one bit for bit, on every
+    candidate and on a random subset in random order, and the dense
     oracle B2 within 1e-12 relative."""
     energy = _curl_energy(sk, x1)
     unblocked = _row_energy(triangle_curl(sk, x1))
     assert energy.dtype == unblocked.dtype and np.array_equal(energy, unblocked)
+    subset = rng.permutation(sk.n_triangles)[: rng.integers(0, sk.n_triangles + 1)]
+    assert np.array_equal(_curl_energy(sk, x1, subset), unblocked[subset])
     curl = incidence(sk.n_nodes)[1].T @ np.asarray(x1, dtype=np.float64)
     np.testing.assert_allclose(energy, (curl * curl).sum(axis=1), rtol=1e-12, atol=0)
 
@@ -217,16 +220,17 @@ class TestCurlEnergy:
         block = data.draw(st.sampled_from(blocks), label="block")
         kind = data.draw(st.sampled_from(["float", "zero_rows", "int", "fortran", "strided"]))
         m = data.draw(st.integers(1, 6), label="signals")
-        x1 = _edge_signals(sk, kind, m, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x1 = _edge_signals(sk, kind, m, rng)
         with mock.patch.object(topology, "_CURL_BLOCK", block):
-            _assert_curl_energy(sk, x1)
+            _assert_curl_energy(sk, x1, rng)
 
     @pytest.mark.parametrize("kind", ["float", "zero_rows", "int"])
     def test_module_block_at_the_size_limits(self, kind):
         rng = np.random.default_rng(11)
         for n in (2, MAX_NODES):
             sk = build_skeleton(n)
-            _assert_curl_energy(sk, _edge_signals(sk, kind, 3, rng))
+            _assert_curl_energy(sk, _edge_signals(sk, kind, 3, rng), rng)
         # MAX_NODES ends on a partial block, so the last-block path runs.
         assert build_skeleton(MAX_NODES).n_triangles % topology._CURL_BLOCK != 0
 
