@@ -25,8 +25,8 @@ arithmetic: ``triangle_curl(edge_gradient(x)) == 0`` for every ``x``.
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,16 +171,38 @@ def build_skeleton(n_nodes: int) -> ComplexSkeleton:
         raise ValueError(f"n_nodes must be in [2, {MAX_NODES}], got {n_nodes}")
     n = int(n_nodes)
 
-    i, j = np.triu_indices(n, 1)
-    # Triangles in order: each edge (i, j) in order, then every k > j.
-    ij, k = np.nonzero(np.arange(n) > j[:, None])
-    tri_edges = np.stack([ij, _edge_rank(n, i[ij], k), _edge_rank(n, j[ij], k)], axis=1)
+    # Edges in order: each i, then every j > i; triangles in order: each
+    # edge (i, j) in order, then every k > j. Edge (i, k) follows (i, j)
+    # by k - j places, and edge (j, k) follows (j, j + 1) by k - j - 1.
+    i, step = _runs(n - 1 - np.arange(n))
+    j = i + step
+    ij, step = _runs(n - 1 - j)
+    jk = _edge_rank(n, j, j + 1)[ij] + (step - 1)
+    tri_edges = np.stack([ij, ij + step, jk], axis=1)
     return ComplexSkeleton(n, _read_only(np.stack([i, j], axis=1)), _read_only(tri_edges))
+
+
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of the given lengths laid end to end: the run of each
+    position and its step ``1, 2, ...`` within that run."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    step = np.arange(1, len(run) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    return run, step
 
 
 def _edge_rank(n: int, i, j):
     """Lexicographic rank of edge ``(i, j)``, ``i < j``; works on arrays."""
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
+def _triangle_rank(n: int, i, j, k):
+    """Lexicographic rank of triangle ``(i, j, k)``, ``i < j < k``; works on arrays."""
+    # The C(n, 3) - C(n - i, 3) triangles with a smaller first vertex,
+    # then the rank of edge (j, k) on the n - i - 1 vertices after i.
+    m = n - i
+    return (n * (n - 1) * (n - 2) - m * (m - 1) * (m - 2)) // 6 + _edge_rank(
+        m - 1, j - i - 1, k - i - 1
+    )
 
 
 def edge_index(skeleton: ComplexSkeleton, i: int, j: int) -> int:
@@ -195,14 +217,7 @@ def triangle_index(skeleton: ComplexSkeleton, i: int, j: int, k: int) -> int:
     n = skeleton.n_nodes
     if not (0 <= i < j < k < n):
         raise ValueError(f"invalid triangle ({i}, {j}, {k}) for {n} nodes")
-    i, j, k = int(i), int(j), int(k)
-    # Triangles with a smaller first vertex, then with first vertex i and
-    # a smaller second vertex, then the offset of k.
-    return (
-        math.comb(n, 3) - math.comb(n - i, 3)
-        + math.comb(n - i - 1, 2) - math.comb(n - j, 2)
-        + (k - j - 1)
-    )
+    return int(_triangle_rank(n, int(i), int(j), int(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +324,13 @@ def _span_basis(b: np.ndarray) -> np.ndarray:
 
 
 def check_observed_edges(n_edges: int, observed_edges) -> np.ndarray:
-    """Observed edge indices as int64; they must be 1-d, strictly
-    increasing and in ``[0, n_edges)``."""
-    obs = np.asarray(observed_edges, dtype=np.int64)
+    """Observed edge indices as int64; they must be integers (float and
+    bool arrays are refused, not truncated), 1-d, strictly increasing and
+    in ``[0, n_edges)``. An empty list reads as no observed edges."""
+    obs = np.asarray(observed_edges)
+    if obs.dtype.kind not in "iu" and obs.size:
+        raise ValueError(f"observed_edges must be integer indices, got dtype {obs.dtype}")
+    obs = obs.astype(np.int64, copy=False)
     if obs.ndim != 1:
         raise ValueError("observed_edges must be a 1-d index array")
     if (obs[1:] <= obs[:-1]).any():
@@ -420,14 +439,55 @@ def complex_to_dict(skeleton: ComplexSkeleton, selection: Selection) -> dict:
     }
 
 
-def _vertices(entry, size: int, kind: str):
-    """The vertices of one serialized simplex, which must be a list of
-    ``size`` integers (bools and floats such as 1.7 are refused)."""
-    if isinstance(entry, (list, tuple)) and len(entry) == size and all(
-        type(v) is int for v in entry
+def _simplex_ranks(entries: list, n: int, size: int, kind: str) -> np.ndarray:
+    """Candidate positions of the serialized simplices ``entries``, each
+    a list of ``size`` vertices, checked in one array pass.
+
+    An entry must be a list of ``size`` integers (bools and floats such
+    as 1.7 are refused), its vertices in range and strictly increasing,
+    and it must come strictly after its predecessor in lexicographic
+    order. The first faulty entry raises, with the message of the first
+    of those faults it has.
+    """
+    # Three passes in C settle the usual document, where every entry is
+    # well formed; only a document that fails them is walked entry by
+    # entry, to find the first entry that is not.
+    ints = {int}
+    if (
+        set(map(type, entries)) <= {list}
+        and set(map(len, entries)) <= {size}
+        and set(map(type, itertools.chain.from_iterable(entries))) <= ints
     ):
-        return entry
-    raise ValueError(f"{kind} entry {entry!r} must be a list of {size} integer vertices")
+        m = len(entries)
+    else:
+        well_formed = [
+            isinstance(e, (list, tuple)) and len(e) == size and set(map(type, e)) <= ints
+            for e in entries
+        ]
+        m = well_formed.index(False) if False in well_formed else len(entries)
+    flat = itertools.chain.from_iterable(entries[:m])
+    try:
+        vertices = np.fromiter(flat, np.int64, m * size)
+    except OverflowError:
+        # Beyond int64 is out of range either way; clamped to -1 or n it stays so.
+        flat = itertools.chain.from_iterable(entries[:m])
+        vertices = np.fromiter((min(max(v, -1), n) for v in flat), np.int64, m * size)
+    vertices = vertices.reshape(m, size)
+    cols = vertices.T
+    valid = (cols[0] >= 0) & (cols[-1] < n) & (cols[1:] > cols[:-1]).all(axis=0)
+    ranks = (_edge_rank if size == 2 else _triangle_rank)(n, *cols)
+    ordered = np.ones(m, dtype=bool)
+    ordered[1:] = ranks[1:] > ranks[:-1]
+    faults = np.flatnonzero(~(valid & ordered))
+    first = int(faults[0]) if faults.size else m
+    if first == len(entries):
+        return ranks
+    entry = entries[first]
+    if first == m:
+        raise ValueError(f"{kind} entry {entry!r} must be a list of {size} integer vertices")
+    if not valid[first]:
+        raise ValueError(f"invalid {kind} ({', '.join(map(str, entry))}) for {n} nodes")
+    raise ValueError(f"{kind}s must be strictly lexicographic; saw {entry!r} out of order")
 
 
 def complex_from_dict(data: dict) -> tuple[ComplexSkeleton, Selection]:
@@ -436,6 +496,7 @@ def complex_from_dict(data: dict) -> tuple[ComplexSkeleton, Selection]:
     Rejects simplex entries that are not lists of integer vertices,
     out-of-range vertices, unsorted simplices, duplicate or
     non-lexicographic listings, and triangles missing a listed edge.
+    The first faulty entry decides the message, edges before triangles.
     """
     if not isinstance(data, dict):
         raise ValueError("complex document must be a JSON object")
@@ -445,35 +506,23 @@ def complex_from_dict(data: dict) -> tuple[ComplexSkeleton, Selection]:
     for key in ("edges", "triangles"):
         if not isinstance(data[key], list):
             raise ValueError(f"complex document key '{key}' must be a list")
-    n_nodes = data["n_nodes"]
-    skeleton = build_skeleton(n_nodes)
+    skeleton = build_skeleton(data["n_nodes"])
+    n = skeleton.n_nodes
 
     w1 = np.zeros(skeleton.n_edges, dtype=np.int8)
-    prev = None
-    for entry in data["edges"]:
-        idx = edge_index(skeleton, *_vertices(entry, 2, "edge"))
-        if prev is not None and idx <= prev:
-            raise ValueError(f"edges must be strictly lexicographic; saw {entry!r} out of order")
-        prev = idx
-        w1[idx] = 1
-
+    w1[_simplex_ranks(data["edges"], n, 2, "edge")] = 1
+    tris = _simplex_ranks(data["triangles"], n, 3, "triangle")
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
-    prev = None
-    for entry in data["triangles"]:
-        idx = triangle_index(skeleton, *_vertices(entry, 3, "triangle"))
-        if prev is not None and idx <= prev:
-            raise ValueError(
-                f"triangles must be strictly lexicographic; saw {entry!r} out of order"
-            )
-        prev = idx
-        w2[idx] = 1
+    w2[tris] = 1
 
-    report = closure_violations(skeleton, w1, w2)
-    if report.count:
-        t_idx, missing = report.items[0]
+    faces = skeleton.tri_edges[tris]
+    open_tris = np.flatnonzero((w1[faces] == 0).any(axis=1))
+    if open_tris.size:
+        first = open_tris[0]
         raise ValueError(
-            f"triangle {skeleton.triangles[t_idx]} lists inactive edge(s) "
-            f"{[skeleton.edges[e] for e in missing]}; complex is not downward closed"
+            f"triangle {tuple(data['triangles'][first])} lists inactive edge(s) "
+            f"{[skeleton.edges[e] for e in faces[first] if w1[e] == 0]}; "
+            "complex is not downward closed"
         )
     return skeleton, make_selection(skeleton, w1, w2)
 

@@ -5,7 +5,8 @@ dense incidence matrices enumerated from the orientation rule,
 exhaustive subset enumeration for the cardinality-constrained selection
 subproblems, fixed-step gradient descent and a full-system pseudoinverse
 for the interpolation solve, and literal matrix-product objective
-formulas (no row-norm shortcuts). The implementations under test must
+formulas (no row-norm shortcuts), and a complex-document reader that
+checks one entry at a time. The implementations under test must
 agree with these to tight tolerances; the oracles deliberately share no
 code with the package and import nothing from it.
 """
@@ -38,6 +39,63 @@ def incidence(n):
         b2[position[(i, k)], col] = -1.0
         b2[position[(j, k)], col] = 1.0
     return b1, b2
+
+
+def parse_complex(data):
+    """Reference reading of a serialized complex, one entry at a time.
+
+    Returns the indicator vectors ``(w1, w2)`` (int8) over the
+    lexicographic vertex combinations, or raises ``ValueError`` for the
+    first fault in document order: edges entry by entry, then triangles,
+    then the first listed triangle (in candidate order) with an unlisted
+    edge. An entry is faulty if it is not a list of integer vertices of
+    the right count, if it is not a candidate simplex (a vertex out of
+    range, or vertices not strictly increasing), or if it does not come
+    strictly after its predecessor.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("complex document must be a JSON object")
+    for key in ("n_nodes", "edges", "triangles"):
+        if key not in data:
+            raise ValueError(f"complex document missing key '{key}'")
+    for key in ("edges", "triangles"):
+        if not isinstance(data[key], list):
+            raise ValueError(f"complex document key '{key}' must be a list")
+    n = data["n_nodes"]
+    edges = list(itertools.combinations(range(n), 2))
+    triangles = list(itertools.combinations(range(n), 3))
+    edge_pos = {edge: pos for pos, edge in enumerate(edges)}
+    tri_pos = {tri: pos for pos, tri in enumerate(triangles)}
+    w1 = np.zeros(len(edges), dtype=np.int8)
+    w2 = np.zeros(len(triangles), dtype=np.int8)
+    for kind, size, position, w in (("edge", 2, edge_pos, w1), ("triangle", 3, tri_pos, w2)):
+        prev = None
+        for entry in data[kind + "s"]:
+            if not (
+                isinstance(entry, (list, tuple))
+                and len(entry) == size
+                and all(type(v) is int for v in entry)
+            ):
+                raise ValueError(
+                    f"{kind} entry {entry!r} must be a list of {size} integer vertices"
+                )
+            simplex = tuple(entry)
+            if simplex not in position:
+                raise ValueError(f"invalid {kind} {simplex} for {n} nodes")
+            if prev is not None and simplex <= prev:
+                raise ValueError(
+                    f"{kind}s must be strictly lexicographic; saw {entry!r} out of order"
+                )
+            prev = simplex
+            w[position[simplex]] = 1
+    for pos, (i, j, k) in enumerate(triangles):
+        missing = [e for e in ((i, j), (i, k), (j, k)) if not w1[edge_pos[e]]]
+        if w2[pos] and missing:
+            raise ValueError(
+                f"triangle {(i, j, k)} lists inactive edge(s) {missing}; "
+                "complex is not downward closed"
+            )
+    return w1, w2
 
 
 def upper_gram(b2, w2):

@@ -2,7 +2,8 @@
 views, the generate/learn/eval pipeline never builds them, no module
 reaches for a dense incidence matrix, the learning methods take curl
 energies only from the blocked pass, the learner builds no incidence
-block, and the test oracles stay independent of the package."""
+block, the complex reader ranks no simplex on its own, and the test
+oracles stay independent of the package."""
 
 import ast
 from pathlib import Path
@@ -65,6 +66,38 @@ def test_methods_never_call_triangle_curl():
 def test_learner_builds_no_b2_block():
     """The interpolation scatters its Gram blocks from ``tri_edges``."""
     assert _name_refs(("learner.py",), ("b2_block",)) == []
+
+
+def _reachable_refs(name, root, names):
+    """Every reference to one of ``names`` in the module-level function
+    ``root`` of the package file ``name`` or in the module-level
+    functions it reaches by name, with the set of functions reached."""
+    tree = ast.parse((Path(scinfer.__file__).parent / name).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, refs = set(), [root], []
+    while todo:
+        func = todo.pop()
+        if func in reached:
+            continue
+        reached.add(func)
+        for node in ast.walk(defs[func]):
+            ref = getattr(node, "id", None) or getattr(node, "attr", None)
+            if ref in names:
+                refs.append(f"{name}:{node.lineno} {func} -> {ref}")
+            if isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+    return refs, reached
+
+
+def test_complex_reader_ranks_no_entry_alone():
+    """``complex_from_dict`` ranks each simplex list in one array pass;
+    neither it nor anything it calls goes through the per-simplex
+    ``edge_index``/``triangle_index``."""
+    refs, reached = _reachable_refs(
+        "topology.py", "complex_from_dict", ("edge_index", "triangle_index")
+    )
+    assert refs == []
+    assert {"_simplex_ranks", "_edge_rank", "_triangle_rank", "build_skeleton"} <= reached
 
 
 def test_oracles_import_nothing_from_the_package():

@@ -5,6 +5,7 @@ convention: edge (i,j) runs i -> j, triangle (i,j,k) traverses
 i -> j -> k -> i.
 """
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -17,14 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import incidence
+from oracles import incidence, parse_complex
 from scinfer import topology
 from scinfer.topology import (
     MAX_NODES,
     ComplexSkeleton,
     _curl_energy,
+    _edge_rank,
     _row_energy,
+    _triangle_rank,
     build_skeleton,
+    check_observed_edges,
     closure_violations,
     complex_from_dict,
     complex_to_dict,
@@ -75,6 +79,8 @@ class TestBuildSkeleton:
             sk = build_skeleton(n)
             triangles = tuple(itertools.combinations(range(n), 3))
             assert sk.edges == tuple(itertools.combinations(range(n), 2))
+            for arr in (sk.edge_nodes, sk.tri_edges):
+                assert arr.dtype == np.int64 and not arr.flags.writeable
             assert sk.triangles == triangles
             faces = [
                 [edge_index(sk, i, j), edge_index(sk, i, k), edge_index(sk, j, k)]
@@ -143,6 +149,21 @@ class TestIndices:
                 assert edge_index(sk, i, j) == pos
             for pos, (i, j, k) in enumerate(sk.triangles):
                 assert triangle_index(sk, i, j, k) == pos
+
+    def test_rank_formulas_map_every_simplex_to_its_position(self):
+        for n in range(2, MAX_NODES + 1):
+            edges = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
+            np.testing.assert_array_equal(_edge_rank(n, *edges.T), np.arange(len(edges)))
+            tris = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
+            tris = tris.reshape(-1, 3)
+            np.testing.assert_array_equal(_triangle_rank(n, *tris.T), np.arange(len(tris)))
+
+    @pytest.mark.parametrize(
+        "vertices", [(0, 2, 1), (1, 1, 2), (0, 2, 2), (-1, 0, 1), (4, 5, 6)]
+    )
+    def test_triangle_index_rejects_invalid_triangles(self, vertices):
+        with pytest.raises(ValueError, match=r"invalid triangle .* for 4 nodes"):
+            triangle_index(build_skeleton(4), *vertices)
 
     def test_rejects_unsorted_and_out_of_range(self):
         sk = build_skeleton(4)
@@ -302,6 +323,87 @@ class TestClosure:
         assert report.items == ()
 
 
+def _corrupted_document(data):
+    """A closed complex on 2..12 nodes, serialized, then put through zero
+    to two of the corruptions a hand-edited document can carry."""
+    n = data.draw(st.integers(2, 12), label="n_nodes")
+    candidates = list(itertools.combinations(range(n), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    edges = [e for e, k in zip(candidates, keep) if k]
+    closed = [
+        t for t in itertools.combinations(range(n), 3)
+        if set(itertools.combinations(t, 2)) <= set(edges)
+    ]
+    tris = sorted(data.draw(st.sets(st.sampled_from(closed))) if closed else ())
+    doc = {"n_nodes": n, "edges": [list(e) for e in edges], "triangles": [list(t) for t in tris]}
+    for _ in range(data.draw(st.integers(1, 2), label="corruptions")):
+        _corrupt(data, doc)
+    return doc
+
+
+def _corrupt(data, doc):
+    n = doc["n_nodes"]
+    kind = data.draw(st.sampled_from([
+        "bool-or-float", "arity", "non-list", "out-of-range", "unsorted", "degenerate",
+        "duplicate", "swap", "drop-edge", "add-triangle", "none",
+    ]), label="corruption")
+    if kind == "add-triangle":
+        # Past n - 1 when n < 3, which makes the triangle out of range.
+        vertex = st.integers(0, max(n, 3) - 1)
+        tri = sorted(data.draw(st.sets(vertex, min_size=3, max_size=3)))
+        tris = doc["triangles"]
+        at = sum(1 for t in tris if isinstance(t, list) and t < tri)
+        tris.insert(at, tri)
+        return
+    keys = [key for key in ("edges", "triangles") if doc[key]]
+    if kind == "none" or not keys:
+        return
+    entries = doc[data.draw(st.sampled_from(keys))]
+    pos = data.draw(st.integers(0, len(entries) - 1))
+    entry = entries[pos]
+    verts = list(entry) if isinstance(entry, list) and entry else [0, 1]
+    at = data.draw(st.integers(0, len(verts) - 1))
+    if kind == "bool-or-float":
+        verts[at] = data.draw(st.sampled_from([True, False, float(n - 1), 0.5]))
+    elif kind == "arity":
+        verts = verts[:-1] if data.draw(st.booleans()) else verts + [n - 1]
+    elif kind == "non-list":
+        verts = data.draw(st.sampled_from([0, None, "0, 1", {"0": 1}, tuple(verts)]))
+    elif kind == "out-of-range":
+        verts[at] = data.draw(st.sampled_from([-1, n, n + 3, 2**63, -(2**70), 10**30]))
+    elif kind == "unsorted":
+        verts = verts[::-1]
+    elif kind == "degenerate":
+        verts[at] = verts[at - 1]
+    elif kind == "duplicate":
+        entries.insert(pos, copy.deepcopy(entry))
+    elif kind == "swap" and pos + 1 < len(entries):
+        entries[pos], entries[pos + 1] = entries[pos + 1], entries[pos]
+    elif kind == "drop-edge" and doc["edges"]:
+        del doc["edges"][pos % len(doc["edges"])]
+    if kind not in ("duplicate", "swap", "drop-edge"):
+        entries[pos] = verts
+
+
+class TestObservedEdges:
+    @pytest.mark.parametrize(
+        "observed, dtype",
+        [([0.5, 1.7, 2.9], "float64"), ([0.0, 1.0], "float64"), ([True, False], "bool")],
+    )
+    def test_refuses_float_and_bool_indices(self, observed, dtype):
+        with pytest.raises(ValueError, match=f"integer indices, got dtype {dtype}"):
+            check_observed_edges(10, observed)
+
+    def test_integer_indices(self):
+        obs = np.array([0, 4, 9], dtype=np.int64)
+        assert check_observed_edges(10, obs) is obs
+        got = check_observed_edges(10, obs.astype(np.int32))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, obs)
+        empty = check_observed_edges(10, [])
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
 class TestComplexJson:
     def _sample(self):
         sk = build_skeleton(4)
@@ -354,6 +456,74 @@ class TestComplexJson:
         doc = {"n_nodes": 4, "edges": edges, "triangles": triangles}
         with pytest.raises(ValueError, match="entry|must be a list"):
             complex_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edges, triangles, message",
+        [
+            ([[0, True]], [], "edge entry [0, True] must be a list of 2 integer vertices"),
+            ([[0, 7]], [], "invalid edge (0, 7) for 4 nodes"),
+            (
+                [[0, 1], [1, 2]],
+                [[0, 1, 1]],
+                "invalid triangle (0, 1, 1) for 4 nodes",
+            ),
+            (
+                [[0, 1], [0, 1]],
+                [],
+                "edges must be strictly lexicographic; saw [0, 1] out of order",
+            ),
+            (
+                [[0, 1], [0, 2]],
+                [[0, 1, 2]],
+                "triangle (0, 1, 2) lists inactive edge(s) [(1, 2)]; "
+                "complex is not downward closed",
+            ),
+            # Two faults: the earlier entry decides, whatever the later one is.
+            (
+                [[0, 2], [0, 1], [0, 9]],
+                [],
+                "edges must be strictly lexicographic; saw [0, 1] out of order",
+            ),
+            ([[0, 9], [1.5, 2]], [], "invalid edge (0, 9) for 4 nodes"),
+            (
+                [[0, 1], [0, 1.5]],
+                [[2, 1, 0]],
+                "edge entry [0, 1.5] must be a list of 2 integer vertices",
+            ),
+            (
+                [[0, 1], [0, 2], [1, 2]],
+                [[0, 1, 3], [0, 1, 2]],
+                "triangles must be strictly lexicographic; saw [0, 1, 2] out of order",
+            ),
+            ([[0, 10**30]], [], f"invalid edge (0, {10**30}) for 4 nodes"),
+        ],
+        ids=[
+            "bool-vertex", "out-of-range", "degenerate-triangle", "duplicate-edge",
+            "open-triangle", "order-before-range", "range-before-type",
+            "edges-before-triangles", "order-before-closure", "beyond-int64",
+        ],
+    )
+    def test_rejection_messages(self, edges, triangles, message):
+        doc = {"n_nodes": 4, "edges": edges, "triangles": triangles}
+        with pytest.raises(ValueError) as exc:
+            complex_from_dict(doc)
+        assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_parser(self, data):
+        doc = _corrupted_document(data)
+        try:
+            w1, w2 = parse_complex(copy.deepcopy(doc))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                complex_from_dict(doc)
+            assert str(got.value) == str(exc)
+        else:
+            _, selection = complex_from_dict(doc)
+            for got_w, want_w in ((selection.w1, w1), (selection.w2, w2)):
+                assert got_w.dtype == np.int8 and not got_w.flags.writeable
+                np.testing.assert_array_equal(got_w, want_w)
 
     def test_rejects_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):
