@@ -8,6 +8,17 @@ observed flows), unobserved edge signals stay zero, and triangles are
 scored against that zero-filled matrix. The correlation baseline
 thresholds pairwise node correlations and fills every 3-clique.
 
+The separate baseline scores only a prefix of the candidates. A triangle
+with no observed edge has a zero-filled curl of exactly 0 and, with the
+closure weight zeroed, the score ``alpha2``: no candidate scores less,
+so no candidate's bucket key is smaller, and ``select_triangles`` gives
+equal keys to the lowest index. Once the prefix holds ``t_min`` such
+zero-curl triangles, no candidate past it can make the cut, and ranking
+the prefix selects exactly what ranking every candidate would. Within
+the prefix only the triangles touching an observed edge need a curl
+energy; every other energy stays 0. With fewer than ``t_min`` zero-curl
+triangles the prefix is every candidate.
+
 All three methods take ``(skeleton, x0, x1_obs, observed_edges, params)``,
 run the learner's one input check and return a LearnState. ``METHODS``
 maps each name to its function; the command line and the sweep use it.
@@ -59,8 +70,15 @@ def run_sep_scl(
 
     Runs the learner's edge and triangle blocks once each with the
     closure weight zeroed. Unobserved edge signals are zero-filled, not
-    interpolated. Triangles are pruned against the method's own edge set
-    before returning, so the output is always downward closed.
+    interpolated. The triangle block ranks only the candidates up to the
+    ``t_min``-th one with no observed edge (every candidate when there
+    are fewer) and computes curl energies only for those touching an
+    observed edge: a triangle with no observed edge has zero curl and
+    scores ``alpha2``, the least any candidate can, and equal keys go to
+    the lowest index, so no later candidate can make the cut. Every
+    selected triangle's energy is thus computed or exactly 0, as the
+    objective needs. Triangles are pruned against the method's own edge
+    set before returning, so the output is always downward closed.
     """
     t_start = time.perf_counter()
     obs = _check_inputs(skeleton, x0, x1_obs, observed_edges, params)
@@ -73,9 +91,19 @@ def run_sep_scl(
     x1_filled = np.zeros((skeleton.n_edges, x1_obs.shape[1]))
     x1_filled[obs] = x1_obs
 
-    curl_energy = _curl_energy(skeleton, x1_filled)
-    s2 = _triangle_scores(curl_energy, missing_edges(skeleton, w1), decoupled)
-    w2 = select_triangles(s2, int(params.t_min), bucket_width(x1_filled, decoupled))
+    # Rank only the candidates up to the t_min-th zero-curl one; see the
+    # module docstring for why none past it can be selected.
+    t_min = int(params.t_min)
+    observed = np.zeros(skeleton.n_edges, dtype=np.int8)
+    observed[obs] = 1
+    zero_curl = missing_edges(skeleton, observed) == 3.0
+    cut = min(int(np.searchsorted(np.cumsum(zero_curl), t_min)) + 1, skeleton.n_triangles)
+    scored = np.flatnonzero(~zero_curl[:cut])
+    curl_energy = np.zeros(skeleton.n_triangles)
+    curl_energy[scored] = _curl_energy(skeleton, x1_filled, scored)
+    s2 = _triangle_scores(curl_energy[:cut], missing_edges(skeleton, w1)[:cut], decoupled)
+    w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
+    w2[:cut] = select_triangles(s2, t_min, bucket_width(x1_filled, decoupled))
 
     w2, pruned = prune_open_triangles(skeleton, w1, w2)
 

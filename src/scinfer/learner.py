@@ -111,7 +111,9 @@ class HyperParams:
     counts; they have no sensible universal default and must be set
     (reproduction runs derive them from the ground truth). The six
     weights must be finite and nonnegative, so that every block solve
-    minimizes the objective; zero is allowed.
+    minimizes the objective; zero is allowed. The budgets, when set, and
+    ``max_iters`` must be Python or numpy integers; a bool or a float is
+    refused rather than truncated.
     """
 
     alpha1: float = 1e-3
@@ -129,6 +131,12 @@ class HyperParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for name, unset_ok in (("e_min", True), ("t_min", True), ("max_iters", False)):
+            value = getattr(self, name)
+            if unset_ok and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

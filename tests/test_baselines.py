@@ -11,9 +11,22 @@ from hypothesis import strategies as st
 
 from oracles import incidence
 from scinfer.baselines import METHODS, _node_correlations, run_rc, run_sep_scl
-from scinfer.learner import HyperParams, objective_value
+from scinfer.learner import (
+    HyperParams,
+    bucket_width,
+    objective_value,
+    select_triangles,
+    triangle_scores,
+)
 from scinfer.synth import InstanceParams, generate_instance
-from scinfer.topology import build_skeleton, closure_violations, edge_index, triangle_index
+from scinfer.topology import (
+    build_skeleton,
+    closure_violations,
+    edge_index,
+    missing_edges,
+    prune_open_triangles,
+    triangle_index,
+)
 
 
 def _instance(seed, **overrides):
@@ -96,6 +109,45 @@ class TestSepScl:
             sk, signals.x0, state.x1_est, sel.w1, sel.w2, obs, signals.x1_obs,
             replace(hp, gamma=0.0),
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_selection_matches_full_ranking(self, data):
+        """The triangles and the pruned count equal those of ranking every
+        candidate's public score, whether the ranked prefix ends at the
+        t_min-th triangle with no observed edge or, with fewer such
+        triangles, runs over every candidate."""
+        n = data.draw(st.integers(4, 12), label="n")
+        truth, signals, _ = _instance(
+            data.draw(st.integers(0, 2**16), label="seed"),
+            n_nodes=n,
+            edge_prob=data.draw(st.sampled_from([0.3, 0.6, 1.0]), label="edge_prob"),
+            n_node_signals=5,
+            n_edge_signals=5,
+            observed_fraction=data.draw(st.sampled_from([0.2, 0.6, 1.0]), label="observed"),
+        )
+        sk, obs = truth.skeleton, signals.observed_edges
+        hp = HyperParams(
+            alpha2=data.draw(st.sampled_from([0.0, 1e-3, 1.0]), label="alpha2"),
+            beta2=data.draw(st.sampled_from([0.0, 1.0]), label="beta2"),
+            # Often every edge, so that no prune hides a wrong pick.
+            e_min=data.draw(
+                st.one_of(st.just(sk.n_edges), st.integers(0, sk.n_edges)), label="e_min"
+            ),
+            t_min=data.draw(st.integers(0, sk.n_triangles), label="t_min"),
+        )
+        state = run_sep_scl(sk, signals.x0, signals.x1_obs, obs, hp)
+        decoupled = replace(hp, gamma=0.0)
+        x1, w1 = state.x1_est, state.selection.w1
+        scores = triangle_scores(sk, x1, w1, decoupled)
+        w2 = select_triangles(scores, hp.t_min, bucket_width(x1, decoupled))
+        w2, pruned = prune_open_triangles(sk, w1, w2)
+        np.testing.assert_array_equal(state.selection.w2, w2)
+        assert state.pruned_triangles == pruned
+        observed = np.zeros(sk.n_edges)
+        observed[obs] = 1
+        zero_curl = int(np.sum(missing_edges(sk, observed) == 3))
+        event("full pass" if zero_curl < hp.t_min else "prefix")
 
     def test_requires_budgets(self):
         truth, signals, _ = _instance(0)

@@ -1,9 +1,9 @@
 """The skeleton layout boundary: only ``topology`` reads the vertex-tuple
 views, the generate/learn/eval pipeline never builds them, no module
 reaches for a dense incidence matrix, the learning methods take curl
-energies only from the blocked pass, the learner builds no incidence
-block, the complex reader ranks no simplex on its own, and the test
-oracles stay independent of the package."""
+energies only from the blocked pass and only for triangle subsets, the
+learner builds no incidence block, the complex reader ranks no simplex
+on its own, and the test oracles stay independent of the package."""
 
 import ast
 from pathlib import Path
@@ -61,6 +61,36 @@ def _name_refs(files, names):
 def test_methods_never_call_triangle_curl():
     """Every curl-energy pass of the methods goes through ``topology._curl_energy``."""
     assert _name_refs(("learner.py", "baselines.py"), ("triangle_curl", "_curl")) == []
+
+
+def _calls(name, callee):
+    """``(function, argument count)`` for each call of ``callee`` by name in
+    the package file ``name``, ``function`` the dotted path of the
+    innermost class and def around it."""
+    tree = ast.parse((Path(scinfer.__file__).parent / name).read_text(encoding="utf-8"))
+    calls, todo = [], [(tree, "")]
+    while todo:
+        node, scope = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == callee:
+            calls.append((f"{name} {scope}", len(node.args) + len(node.keywords)))
+        todo += [(child, scope) for child in ast.iter_child_nodes(node)]
+    return calls
+
+
+def test_methods_take_curl_energies_of_subsets_only():
+    """GreedySCL and SepSCL pass ``_curl_energy`` a triangle subset at
+    every call; only the public full-pass ``triangle_scores`` and
+    ``objective_value`` score every candidate, and the name is used for
+    nothing but these calls and its import."""
+    files = ("learner.py", "baselines.py")
+    calls = [call for name in files for call in _calls(name, "_curl_energy")]
+    subset = {"baselines.py run_sep_scl", "learner.py _CurlMemo.fill"}
+    full = {"learner.py triangle_scores", "learner.py objective_value"}
+    assert {scope for scope, _ in calls} == subset | full
+    assert [call for call in calls if call[0] in subset and call[1] != 3] == []
+    assert len(_name_refs(files, ("_curl_energy",))) == len(calls) + len(files)
 
 
 def test_learner_builds_no_b2_block():

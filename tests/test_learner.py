@@ -631,6 +631,19 @@ def test_weights_must_be_finite_and_nonnegative(name, value):
     assert getattr(HyperParams(**{name: 0.0}), name) == 0.0
 
 
+@pytest.mark.parametrize("name", ["e_min", "t_min", "max_iters"])
+@pytest.mark.parametrize(
+    "value, kind", [(313.7, "float"), (True, "bool"), (np.float64(3.0), "float64")],
+    ids=["float", "bool", "np-float"],
+)
+def test_counts_must_be_integers(name, value, kind):
+    """A fractional or boolean budget is refused, not truncated by one
+    method and rejected by another; numpy integers are accepted."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {kind}$"):
+        HyperParams(**{name: value})
+    assert getattr(HyperParams(**{name: np.int64(3)}), name) == 3
+
+
 class TestRunGreedyScl:
     def test_trace_nonincreasing_and_converges(self):
         for seed in range(8):
