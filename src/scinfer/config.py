@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 from .baselines import METHODS
 from .learner import HyperParams
 from .synth import InstanceParams
-from .topology import Selection
+from .topology import Selection, _require_int
 
 __all__ = [
     "SweepSpec",
@@ -63,6 +63,8 @@ class SweepSpec:
             raise ValueError("sweep grid must be strictly increasing")
         for value in self.grid:  # each grid point must make a valid InstanceParams
             replace(self.instance, **{self.variable: value})
+        _require_int("trials", self.n_trials)
+        _require_int("base_seed", self.base_seed)
         if self.n_trials < 1:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
@@ -174,16 +176,10 @@ def parse_sweep(parser: configparser.ConfigParser) -> SweepSpec:
     base_seed = _typed("base_seed", section["base_seed"], int) if "base_seed" in section else 0
 
     if "methods" in section:
+        # Names go to their canonical spelling; SweepSpec refuses the rest.
         canon = {name.lower(): name for name in METHOD_NAMES}
-        methods = []
-        for tok in section["methods"].split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            if tok.lower() not in canon:
-                raise ValueError(f"unknown method {tok!r}, expected one of {METHOD_NAMES}")
-            methods.append(canon[tok.lower()])
-        methods = tuple(methods)
+        tokens = (tok.strip() for tok in section["methods"].split(","))
+        methods = tuple(canon.get(tok.lower(), tok) for tok in tokens if tok)
     else:
         methods = METHOD_NAMES
 

@@ -168,7 +168,7 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
 
     os.makedirs(out_dir, exist_ok=True)
     write_results_csv(os.path.join(out_dir, "results.csv"), rows)
-    x_label = _AXIS_LABEL.get(spec.variable, spec.variable)
+    x_label = _AXIS_LABEL[spec.variable]
     for metric, fname, title in (
         ("nerr_l0", "nerr_l0.svg", "Node Laplacian error"),
         ("nerr_lu", "nerr_lu.svg", "Upper Laplacian error"),

@@ -21,6 +21,7 @@ from .topology import (
     MAX_NODES,
     ComplexSkeleton,
     Selection,
+    _require_int,
     _span_basis,
     b2_block,
     build_skeleton,
@@ -83,7 +84,8 @@ class SignalSet:
 
 @dataclass(frozen=True)
 class InstanceParams:
-    """Knobs of the generation protocol."""
+    """Knobs of the generation protocol. The counts must be integers (a
+    bool or a float is refused, not truncated) and every float finite."""
 
     n_nodes: int = 20
     edge_prob: float = 0.4
@@ -96,6 +98,8 @@ class InstanceParams:
     observed_fraction: float = 0.8
 
     def __post_init__(self):
+        for name in ("n_nodes", "n_node_signals", "n_edge_signals"):
+            _require_int(name, getattr(self, name))
         if not 2 <= self.n_nodes <= MAX_NODES:
             raise ValueError(f"n_nodes must be in [2, {MAX_NODES}], got {self.n_nodes}")
         for name in ("edge_prob", "fill_fraction"):
@@ -105,8 +109,9 @@ class InstanceParams:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("curl_atten", "node_noise_std", "edge_noise_std"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
         if not 0.0 < self.observed_fraction <= 1.0:
             raise ValueError(
                 f"observed_fraction must be in (0, 1], got {self.observed_fraction}"
@@ -284,7 +289,8 @@ def _normalize_columns(x: np.ndarray) -> np.ndarray:
 def generate_instance(
     params: InstanceParams, seed: int
 ) -> tuple[GroundTruth, SignalSet]:
-    """Run the full generation protocol for one seed."""
+    """Run the full generation protocol for one seed, a nonnegative integer."""
+    _require_int("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     skeleton = build_skeleton(params.n_nodes)

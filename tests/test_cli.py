@@ -15,6 +15,7 @@ import pytest
 from scinfer.cli import build_parser, main
 from scinfer.config import (
     METHOD_NAMES,
+    SweepSpec,
     load_config,
     parse_hyperparams,
     parse_instance,
@@ -59,7 +60,7 @@ n_node_signals = 25
 n_edge_signals = 25
 
 [params]
-max_iters = 20
+t_min = auto
 """
 
 
@@ -104,7 +105,7 @@ class TestConfig:
         assert params.e_min is None
         assert params.t_min == 4
 
-    @pytest.mark.parametrize("key", ["strict_lemma_mode", "prune_closure"])
+    @pytest.mark.parametrize("key", ["strict_lemma_mode", "prune_closure", "max_iters"])
     def test_removed_switches_are_not_keys(self, tmp_path, key):
         cfg = write(tmp_path / "a.ini", f"[params]\n{key} = true\n")
         with pytest.raises(ValueError, match=rf"unknown key '{key}' in \[params\]"):
@@ -112,7 +113,7 @@ class TestConfig:
 
     def test_params_bool(self, tmp_path):
         """No key takes a bool: a bool literal is refused, not read as 1."""
-        for key, kind in (("max_iters", "int"), ("gamma", "float")):
+        for key, kind in (("e_min", "int"), ("gamma", "float")):
             cfg = write(tmp_path / "a.ini", f"[params]\n{key} = true\n")
             with pytest.raises(ValueError, match=f"'{key}': cannot parse 'true' as {kind}"):
                 parse_hyperparams(load_config(cfg))
@@ -126,7 +127,7 @@ class TestConfig:
         assert spec.base_seed == 5
         assert spec.methods == ("GreedySCL", "RC")
         assert spec.instance.n_nodes == 7
-        assert spec.params.max_iters == 20
+        assert spec.params.t_min is None
 
     def test_sweep_method_names_canonicalized(self, tmp_path):
         cfg = write(
@@ -141,8 +142,24 @@ class TestConfig:
             tmp_path / "a.ini",
             "[sweep]\nvariable = observed_fraction\ngrid = 0.5\nmethods = Magic\n",
         )
-        with pytest.raises(ValueError, match="unknown method 'Magic'"):
+        message = f"unknown method 'Magic', expected one of {METHOD_NAMES}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_sweep(load_config(cfg))
+
+    @pytest.mark.parametrize("field, name", [("n_trials", "trials"), ("base_seed", "base_seed")])
+    @pytest.mark.parametrize(
+        "value, kind", [(2.0, "float"), (0.5, "float"), (True, "bool"), (np.float64(1.0), "float64")],
+        ids=["float", "fraction", "bool", "np-float"],
+    )
+    def test_sweep_counts_must_be_integers(self, field, name, value, kind):
+        """A float trial count or seed is refused, not run or turned into error rows."""
+        spec = dict(
+            variable="node_noise_std", grid=(0.0,), n_trials=1, base_seed=0, methods=("RC",),
+            instance=InstanceParams(n_nodes=5), params=HyperParams(),
+        )
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {kind}$"):
+            SweepSpec(**{**spec, field: value})
+        assert getattr(SweepSpec(**{**spec, field: np.int64(2)}), field) == 2
 
     def test_sweep_bad_variable(self, tmp_path):
         cfg = write(tmp_path / "a.ini", "[sweep]\nvariable = fill_fraction\ngrid = 0.5\n")
@@ -343,7 +360,7 @@ class TestLearn:
         assert not out.exists()
 
     def test_max_iters_rejected_at_parse(self, bundle_dir, tmp_path, capsys):
-        # RC never iterates, so only the parse-time check can catch this.
+        # The iteration cap is learner.MAX_ITERS, not a config key.
         cfg = write(tmp_path / "p.ini", "[params]\nmax_iters = 0\n")
         out = tmp_path / "run"
         code = main(
@@ -351,7 +368,7 @@ class TestLearn:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid-argument: max_iters must be at least 1")
+        assert err.startswith("error: invalid-argument: unknown key 'max_iters' in [params]")
         assert not out.exists()
 
     def test_negative_weight_rejected_at_parse(self, bundle_dir, tmp_path, capsys):
@@ -568,7 +585,7 @@ class TestSweep:
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "t_min = 21",
              "t_min must be in [0, 20], got 21"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "max_iters = 0",
-             "max_iters must be at least 1"),
+             "unknown key 'max_iters' in [params]"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "beta2 = -5",
              "beta2 must be finite and >= 0, got -5.0"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nseed = 12345", "",
@@ -707,14 +724,34 @@ class TestSvgPlot:
 
 
 
+def _readme() -> str:
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_readme_matches_cli_and_config():
     """Every flag of README's ``scinfer learn`` examples parses, and every
     InstanceParams and HyperParams field is named in README."""
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
-        readme = fh.read()
+    readme = _readme()
     examples = [line for line in readme.splitlines() if line.startswith("scinfer learn ")]
     assert examples
     for line in examples:
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
     names = [f.name for cls in (InstanceParams, HyperParams) for f in dataclasses.fields(cls)]
     assert [name for name in names if not re.search(rf"\b{name}\b", readme)] == []
+
+
+def test_readme_instance_block_is_the_defaults(tmp_path):
+    """README's ``[instance]`` block parses to the defaults it claims to show."""
+    block = re.search(r"```ini\n(\[instance\]\n.*?)```", _readme(), re.S)
+    cfg = write(tmp_path / "readme.ini", block.group(1))
+    assert parse_instance(load_config(cfg)) == (InstanceParams(), 0)
+
+
+def test_readme_params_list_is_the_fields():
+    """README's ``[params]`` list names exactly the HyperParams fields: a
+    removed key leaves no stale entry, a new one is not left out."""
+    paragraph = re.search(r"^`\[params\]` \(all optional\):.*?\n\n", _readme(), re.S | re.M)
+    groups = re.findall(r"`([a-z0-9_]+(?:, [a-z0-9_]+)*)`\s\(", paragraph.group(0))
+    listed = [name for group in groups for name in group.split(", ")]
+    assert listed == [f.name for f in dataclasses.fields(HyperParams)]

@@ -146,7 +146,7 @@ def test_pipeline_builds_no_tuple_view(tmp_path):
     truth, signals = generate_instance(params, seed=3)
     write_dataset(tmp_path, truth, signals, params)
     ds = read_dataset(tmp_path)
-    hp = resolve_budgets(HyperParams(max_iters=10), ds.truth)
+    hp = resolve_budgets(HyperParams(), ds.truth)
     for run in METHODS.values():
         state = run(ds.skeleton, ds.x0, ds.x1_obs, ds.observed_edges, hp)
         evaluate(ds.skeleton, state.selection, ds.truth)

@@ -1,6 +1,8 @@
 """Learner tests: hand examples, exhaustive-search oracles, and the
 block-coordinate loop contracts."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -631,7 +633,7 @@ def test_weights_must_be_finite_and_nonnegative(name, value):
     assert getattr(HyperParams(**{name: 0.0}), name) == 0.0
 
 
-@pytest.mark.parametrize("name", ["e_min", "t_min", "max_iters"])
+@pytest.mark.parametrize("name", ["e_min", "t_min"])
 @pytest.mark.parametrize(
     "value, kind", [(313.7, "float"), (True, "bool"), (np.float64(3.0), "float64")],
     ids=["float", "bool", "np-float"],
@@ -767,13 +769,14 @@ class TestRunGreedyScl:
         np.testing.assert_array_equal(selection.w1, reference.w1)
         np.testing.assert_array_equal(selection.w2, reference.w2)
 
-    def test_single_iteration_cap(self):
+    def test_single_iteration_cap(self, monkeypatch):
         truth, signals, hp = _learn_instance(1)
-        hp = HyperParams(**{**hp.__dict__, "max_iters": 1})
+        monkeypatch.setattr(learner, "MAX_ITERS", 1)
         state = run_greedy_scl(
             truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp
         )
         assert state.iterations_run == 1
+        assert state.iterations_run == len(state.objective_trace)
         assert not state.converged
 
     def test_noiseless_fully_observed_recovers_truth(self):
@@ -806,3 +809,17 @@ class TestRunGreedyScl:
         for key in ("triangle_select", "edge_select", "interpolate", "objective", "total"):
             assert state.phase_seconds[key] >= 0.0
         assert state.phase_seconds["total"] > 0.0
+
+    def test_edge_phase_times_the_edge_selection(self, monkeypatch):
+        """``edge_select`` covers the selection as well as the scores."""
+        truth, signals, hp = _learn_instance(4)
+
+        def slow_select_edges(*args):
+            time.sleep(0.01)
+            return select_edges(*args)
+
+        monkeypatch.setattr(learner, "select_edges", slow_select_edges)
+        state = run_greedy_scl(
+            truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp
+        )
+        assert state.phase_seconds["edge_select"] >= 0.01 * state.iterations_run

@@ -357,6 +357,36 @@ class TestObservedEdges:
             sample_observed_edges(np.ones(10), 1.5, rng)
 
 
+class TestInstanceChecks:
+    @pytest.mark.parametrize("name", ["n_nodes", "n_node_signals", "n_edge_signals"])
+    @pytest.mark.parametrize(
+        "value, kind", [(8.0, "float"), (3.5, "float"), (True, "bool"), (np.float64(8.0), "float64")],
+        ids=["float", "fraction", "bool", "np-float"],
+    )
+    def test_counts_must_be_integers(self, name, value, kind):
+        """A count is refused where it enters, not truncated or failed on later."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {kind}$"):
+            InstanceParams(**{name: value})
+        assert getattr(InstanceParams(**{name: np.int64(8)}), name) == 8
+
+    @pytest.mark.parametrize("name", ["curl_atten", "node_noise_std", "edge_noise_std"])
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan], ids=["neg", "inf", "nan"])
+    def test_scales_must_be_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            InstanceParams(**{name: value})
+
+    @pytest.mark.parametrize(
+        "seed, kind", [(0.5, "float"), (True, "bool"), (np.float64(3.0), "float64")],
+        ids=["float", "bool", "np-float"],
+    )
+    def test_seed_must_be_an_integer(self, seed, kind):
+        params = InstanceParams(n_nodes=5, n_node_signals=3, n_edge_signals=3)
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {kind}$"):
+            generate_instance(params, seed)
+        truth, _ = generate_instance(params, np.int64(3))
+        assert truth.seed == 3
+
+
 class TestDatasetBundle:
     def _params(self):
         return InstanceParams(
