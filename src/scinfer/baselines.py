@@ -89,24 +89,23 @@ def run_sep_scl(
 
     smoothness = _row_energy(edge_gradient(skeleton, np.asarray(x0, dtype=np.float64)))
     s1 = _edge_scores(skeleton, smoothness, np.zeros(skeleton.n_triangles), _NO_OBS, decoupled)
-    w1 = select_edges(s1, _NO_OBS, int(params.e_min))
+    w1 = select_edges(s1, _NO_OBS, params.e_min)
 
     x1_filled = np.zeros((skeleton.n_edges, x1_obs.shape[1]))
     x1_filled[obs] = x1_obs
 
     # Rank only the candidates up to the t_min-th zero-curl one; see the
     # module docstring for why none past it can be selected.
-    t_min = int(params.t_min)
     observed = np.zeros(skeleton.n_edges, dtype=np.int8)
     observed[obs] = 1
     zero_curl = missing_edges(skeleton, observed) == 3.0
-    cut = min(int(np.searchsorted(np.cumsum(zero_curl), t_min)) + 1, skeleton.n_triangles)
+    cut = min(int(np.searchsorted(np.cumsum(zero_curl), params.t_min)) + 1, skeleton.n_triangles)
     scored = np.flatnonzero(~zero_curl[:cut])
     curl_energy = np.zeros(skeleton.n_triangles)
     curl_energy[scored] = _curl_energy(skeleton, x1_filled, scored)
     s2 = _triangle_scores(curl_energy[:cut], missing_edges(skeleton, w1)[:cut], decoupled)
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
-    w2[:cut] = select_triangles(s2, t_min, bucket_width(x1_filled, decoupled))
+    w2[:cut] = select_triangles(s2, params.t_min, bucket_width(x1_filled, decoupled))
 
     w2, pruned = prune_open_triangles(skeleton, w1, w2)
 

@@ -23,6 +23,7 @@ from .topology import Selection, _require_int
 __all__ = [
     "SweepSpec",
     "METHOD_NAMES",
+    "SWEEP_AXES",
     "SWEEP_VARIABLES",
     "load_config",
     "parse_instance",
@@ -32,7 +33,10 @@ __all__ = [
 ]
 
 METHOD_NAMES = tuple(METHODS)
-SWEEP_VARIABLES = ("node_noise_std", "observed_fraction")
+
+# The instance fields a sweep may vary, each with its chart's x-axis label.
+SWEEP_AXES = {"node_noise_std": "node signal noise std", "observed_fraction": "observed edge fraction"}
+SWEEP_VARIABLES = tuple(SWEEP_AXES)
 
 _SECTIONS = ("instance", "params", "sweep")
 
@@ -63,17 +67,12 @@ class SweepSpec:
             raise ValueError("sweep grid must be strictly increasing")
         for value in self.grid:  # each grid point must make a valid InstanceParams
             replace(self.instance, **{self.variable: value})
-        _require_int("trials", self.n_trials)
-        _require_int("base_seed", self.base_seed)
-        if self.n_trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        _require_int("trials", self.n_trials, 1)
+        _require_int("base_seed", self.base_seed, 0)
         n = self.instance.n_nodes  # a budget that is set must fit every cell's skeleton
         for name, top in (("e_min", math.comb(n, 2)), ("t_min", math.comb(n, 3))):
-            budget = getattr(self.params, name)
-            if budget is not None and not 0 <= budget <= top:
-                raise ValueError(f"{name} must be in [0, {top}], got {budget}")
+            if getattr(self.params, name) is not None:
+                _require_int(name, getattr(self.params, name), 0, top)
         if len(self.methods) == 0:
             raise ValueError("methods must be nonempty")
         for name in self.methods:

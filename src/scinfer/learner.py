@@ -42,7 +42,6 @@ triangle still missing one of its edges.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -55,6 +54,7 @@ from .topology import (
     _as_indicator,
     _curl_energy,
     _require_int,
+    _require_real,
     _row_energy,
     check_observed_edges,
     edge_coverage,
@@ -116,10 +116,10 @@ class HyperParams:
     ``e_min``/``t_min`` are the minimum active-edge and active-triangle
     counts; they have no sensible universal default and must be set
     (reproduction runs derive them from the ground truth). The six
-    weights must be finite and nonnegative, so that every block solve
-    minimizes the objective; zero is allowed. The budgets, when set,
-    must be Python or numpy integers; a bool or a float is refused
-    rather than truncated.
+    weights must be finite, nonnegative real numbers, so that every
+    block solve minimizes the objective; zero is allowed. The budgets,
+    when set, must be Python or numpy integers. A bool is refused
+    everywhere, and a float budget rather than truncated.
     """
 
     alpha1: float = 1e-3
@@ -133,9 +133,7 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "beta1", "beta2", "gamma", "eta"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            _require_real(name, getattr(self, name))
         for name in ("e_min", "t_min"):
             if getattr(self, name) is not None:
                 _require_int(name, getattr(self, name))
@@ -161,10 +159,8 @@ def _check_inputs(skeleton: ComplexSkeleton, x0, x1_obs, observed_edges, params)
     _check_finite(("x0", x0), ("x1_obs", x1_obs))
     if params.e_min is None or params.t_min is None:
         raise ValueError("params.e_min and params.t_min must be set")
-    if not 0 <= params.e_min <= skeleton.n_edges:
-        raise ValueError(f"e_min must be in [0, {skeleton.n_edges}], got {params.e_min}")
-    if not 0 <= params.t_min <= skeleton.n_triangles:
-        raise ValueError(f"t_min must be in [0, {skeleton.n_triangles}], got {params.t_min}")
+    _require_int("e_min", params.e_min, 0, skeleton.n_edges)
+    _require_int("t_min", params.t_min, 0, skeleton.n_triangles)
     return obs
 
 
@@ -233,11 +229,9 @@ def select_triangles(scores: np.ndarray, t_min: int, q: float) -> np.ndarray:
     the block minimum. ``q = 0`` ranks the scores themselves.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if not 0 <= t_min <= scores.size:
-        raise ValueError(f"t_min must be in [0, {scores.size}], got {t_min}")
-    _check_finite(("scores", scores), ("q", q))
-    if q < 0.0:
-        raise ValueError(f"q must be >= 0, got {q}")
+    _require_int("t_min", t_min, 0, scores.size)
+    _require_real("q", q)
+    _check_finite(("scores", scores))
     w2 = np.zeros(scores.size, dtype=np.int8)
     w2[np.argsort(_bucket(scores, q), kind="stable")[:t_min]] = 1
     return w2
@@ -320,8 +314,7 @@ def select_edges(scores: np.ndarray, observed_edges, e_min: int) -> np.ndarray:
     """
     scores = np.asarray(scores, dtype=np.float64)
     obs = check_observed_edges(scores.size, observed_edges)
-    if not 0 <= e_min <= scores.size:
-        raise ValueError(f"e_min must be in [0, {scores.size}], got {e_min}")
+    _require_int("e_min", e_min, 0, scores.size)
     if e_min < obs.size:
         raise ValueError(f"e_min={e_min} is below the {obs.size} observed edges")
 

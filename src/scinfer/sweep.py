@@ -26,10 +26,11 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import METHODS
-from .config import SweepSpec, resolve_budgets
+from .config import SWEEP_AXES, SweepSpec, resolve_budgets
 from .evaluation import evaluate
 from .svgplot import line_plot_svg
 from .synth import generate_instance
+from .topology import _require_int
 
 __all__ = ["CSV_COLUMNS", "run_sweep", "write_results_csv"]
 
@@ -142,9 +143,6 @@ def _series_stats(rows: list[dict], spec: SweepSpec, metric: str):
     return series
 
 
-_AXIS_LABEL = {"node_noise_std": "node signal noise std", "observed_fraction": "observed edge fraction"}
-
-
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     """Run the sweep, write results.csv and the two charts, return rows.
 
@@ -152,8 +150,7 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     processes; the rows come back in the same deterministic (grid,
     trial, method) order either way.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _require_int("jobs", jobs, 1)
     tasks = [
         (spec, grid_index, trial)
         for grid_index in range(len(spec.grid))
@@ -168,7 +165,7 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
 
     os.makedirs(out_dir, exist_ok=True)
     write_results_csv(os.path.join(out_dir, "results.csv"), rows)
-    x_label = _AXIS_LABEL[spec.variable]
+    x_label = SWEEP_AXES[spec.variable]
     for metric, fname, title in (
         ("nerr_l0", "nerr_l0.svg", "Node Laplacian error"),
         ("nerr_lu", "nerr_lu.svg", "Upper Laplacian error"),

@@ -22,6 +22,7 @@ from .topology import (
     ComplexSkeleton,
     Selection,
     _require_int,
+    _require_real,
     _span_basis,
     b2_block,
     build_skeleton,
@@ -85,7 +86,8 @@ class SignalSet:
 @dataclass(frozen=True)
 class InstanceParams:
     """Knobs of the generation protocol. The counts must be integers (a
-    bool or a float is refused, not truncated) and every float finite."""
+    float is refused, not truncated) and the rest finite real numbers;
+    a bool is refused everywhere. Fields are checked in the order below."""
 
     n_nodes: int = 20
     edge_prob: float = 0.4
@@ -98,24 +100,14 @@ class InstanceParams:
     observed_fraction: float = 0.8
 
     def __post_init__(self):
-        for name in ("n_nodes", "n_node_signals", "n_edge_signals"):
-            _require_int(name, getattr(self, name))
-        if not 2 <= self.n_nodes <= MAX_NODES:
-            raise ValueError(f"n_nodes must be in [2, {MAX_NODES}], got {self.n_nodes}")
+        _require_int("n_nodes", self.n_nodes, 2, MAX_NODES)
         for name in ("edge_prob", "fill_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+            _require_real(name, getattr(self, name), 0, 1)
         for name in ("n_node_signals", "n_edge_signals"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            _require_int(name, getattr(self, name), 1)
         for name in ("curl_atten", "node_noise_std", "edge_noise_std"):
-            value = getattr(self, name)
-            if not (value >= 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-        if not 0.0 < self.observed_fraction <= 1.0:
-            raise ValueError(
-                f"observed_fraction must be in (0, 1], got {self.observed_fraction}"
-            )
+            _require_real(name, getattr(self, name))
+        _require_real("observed_fraction", self.observed_fraction, 0, 1, open_lo=True)
 
 
 @dataclass(frozen=True)
@@ -137,8 +129,7 @@ def sample_er_selection(
 
     Raises GenerationError after 1000 failed attempts.
     """
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
+    _require_real("edge_prob", edge_prob, 0, 1)
     for _ in range(_MAX_ER_ATTEMPTS):
         w1 = (rng.random(skeleton.n_edges) < edge_prob).astype(np.int8)
         if _connected(skeleton, w1):
@@ -186,8 +177,7 @@ def fill_triangles(
     draw is returned as is; dense graphs may admit none, and at 40 nodes
     with the default edge density no draw qualifies.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    _require_real("fraction", fraction, 0, 1)
     eligible = np.flatnonzero(missing_edges(skeleton, w1) == 0.0)
     count = math.floor(fraction * eligible.size)
     boundary = b2_block(skeleton, np.flatnonzero(np.asarray(w1) != 0), eligible)
@@ -219,6 +209,8 @@ def gen_smooth_node_signals(
     below), each column is normalized to unit energy, then white noise
     of the given standard deviation is added entrywise.
     """
+    _require_int("n_signals", n_signals, 1)
+    _require_real("noise_std", noise_std)
     l0 = node_laplacian(skeleton, np.asarray(w1, dtype=np.float64))
     lam, basis = np.linalg.eigh(l0)
     filt = np.where(lam > _EIG_CUTOFF, 1.0 / np.maximum(lam, _EIG_CUTOFF), 0.0)
@@ -248,8 +240,9 @@ def gen_low_curl_edge_signals(
 
     Returns ``(noisy, clean)``, both of shape (n_candidate_edges, n_signals).
     """
-    if curl_atten < 0.0:
-        raise ValueError(f"curl_atten must be nonnegative, got {curl_atten}")
+    _require_int("n_signals", n_signals, 1)
+    _require_real("curl_atten", curl_atten)
+    _require_real("noise_std", noise_std)
     w1a = np.asarray(w1, dtype=np.float64)
     active_e = np.flatnonzero(w1a)
 
@@ -270,8 +263,7 @@ def sample_observed_edges(
     w1, fraction: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform subset of the active edges, ``ceil(fraction * |E|)`` of them, sorted."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"observed fraction must be in (0, 1], got {fraction}")
+    _require_real("fraction", fraction, 0, 1, open_lo=True)
     active = np.flatnonzero(np.asarray(w1, dtype=np.float64))
     if active.size == 0:
         raise ValueError("w1 has no active edges to observe")
@@ -290,9 +282,7 @@ def generate_instance(
     params: InstanceParams, seed: int
 ) -> tuple[GroundTruth, SignalSet]:
     """Run the full generation protocol for one seed, a nonnegative integer."""
-    _require_int("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _require_int("seed", seed, 0)
     skeleton = build_skeleton(params.n_nodes)
     rng = np.random.default_rng(seed)
     w1 = sample_er_selection(skeleton, params.edge_prob, rng)

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,11 +120,30 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _require_int(name: str, value) -> None:
-    """The package's one rule for counts and seeds: a Python or numpy
-    integer. A bool or a float is refused rather than truncated."""
+def _require_int(name: str, value, lo=None, hi=None) -> None:
+    """The package's one rule for counts, budgets and seeds: a Python or
+    numpy integer, at least ``lo`` and at most ``hi`` where given (``hi``
+    only with ``lo``). A bool or a float is refused rather than truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+
+
+def _require_real(name: str, value, lo=0, hi=None, open_lo=False) -> None:
+    """The package's one rule for weights, probabilities and scales: a
+    finite Python or numpy number in ``[lo, hi]`` (``(lo, hi]`` with
+    ``open_lo``), or at least ``lo`` when ``hi`` is None. A bool or a
+    string is refused, and NaN and infinities fail every range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
+    above = lo < value if open_lo else lo <= value
+    if hi is None and not (above and value < math.inf):
+        raise ValueError(f"{name} must be {'>' if open_lo else '>='} {lo} and finite, got {value}")
+    if hi is not None and not (above and value <= hi):
+        raise ValueError(f"{name} must be in {'(' if open_lo else '['}{lo}, {hi}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -176,9 +197,7 @@ def build_skeleton(n_nodes: int) -> ComplexSkeleton:
         Immutable skeleton with ``C(n,2)`` candidate edges and
         ``C(n,3)`` candidate triangles in lexicographic order.
     """
-    _require_int("n_nodes", n_nodes)
-    if n_nodes < 2 or n_nodes > MAX_NODES:
-        raise ValueError(f"n_nodes must be in [2, {MAX_NODES}], got {n_nodes}")
+    _require_int("n_nodes", n_nodes, 2, MAX_NODES)
     n = int(n_nodes)
 
     # Edges in order: each i, then every j > i; triangles in order: each

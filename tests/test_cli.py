@@ -587,7 +587,7 @@ class TestSweep:
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "max_iters = 0",
              "unknown key 'max_iters' in [params]"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "beta2 = -5",
-             "beta2 must be finite and >= 0, got -5.0"),
+             "beta2 must be >= 0 and finite, got -5.0"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nseed = 12345", "",
              "key 'seed' in [instance] is unused by a sweep; [sweep] base_seed sets it"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nnode_noise_std = 0.7", "",

@@ -3,7 +3,8 @@ views, the generate/learn/eval pipeline never builds them, no module
 reaches for a dense incidence matrix, the learning methods take curl
 energies only from the blocked pass and only for triangle subsets, the
 learner builds no incidence block, the complex reader ranks no simplex
-on its own, and the test oracles stay independent of the package."""
+on its own, only the two ``topology`` helpers word a numeric range
+check, and the test oracles stay independent of the package."""
 
 import ast
 from pathlib import Path
@@ -128,6 +129,27 @@ def test_complex_reader_ranks_no_entry_alone():
     )
     assert refs == []
     assert {"_simplex_ranks", "_edge_rank", "_triangle_rank", "build_skeleton"} <= reached
+
+
+def test_only_the_two_helpers_word_a_range_check():
+    """Every numeric range refusal goes through ``topology._require_int``
+    or ``topology._require_real``: no other string literal in the package
+    words one."""
+    helpers = {("topology.py", "_require_int"), ("topology.py", "_require_real")}
+    words = ("must be >=", "must be in [", "must be in (")
+    found, todo = [], []
+    for path in sorted(Path(scinfer.__file__).parent.glob("*.py")):
+        todo.append((ast.parse(path.read_text(encoding="utf-8")), path.name, ""))
+    while todo:
+        node, name, func = todo.pop()
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        if (name, func) in helpers:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += [f"{name}:{node.lineno} {w!r}" for w in words if w in node.value]
+        todo += [(child, name, func) for child in ast.iter_child_nodes(node)]
+    assert found == []
 
 
 def test_oracles_import_nothing_from_the_package():

@@ -124,7 +124,8 @@ class TestSelectTriangles:
             select_triangles(np.array([1.0, bad, 0.5]), 1, 1e-9)
 
     @pytest.mark.parametrize(
-        "q, match", [(np.nan, "q has non-finite"), (np.inf, "q has non-finite"), (-1e-9, "q must")]
+        "q, match",
+        [(np.nan, "q must be >= 0 and finite"), (np.inf, "q must be >= 0 and finite"), (-1e-9, "q must")],
     )
     def test_rejects_bad_bucket_width(self, q, match):
         with pytest.raises(ValueError, match=match):
@@ -628,7 +629,7 @@ def _learn_instance(seed, **overrides):
 @pytest.mark.parametrize("name", ["alpha1", "alpha2", "beta1", "beta2", "gamma", "eta"])
 @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")], ids=["neg", "nan", "inf"])
 def test_weights_must_be_finite_and_nonnegative(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0 and finite"):
         HyperParams(**{name: value})
     assert getattr(HyperParams(**{name: 0.0}), name) == 0.0
 
