@@ -1,13 +1,18 @@
-"""Acceptance gate: eight pinned criteria, one PASS/FAIL line each.
+"""Acceptance gate: eight pinned criteria, one PASS/FAIL line each,
+and the golden outputs of the two shipped sweeps.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Criteria 6 and 8 share one noise sweep; criterion 7 runs the
-observed-fraction sweep. Both execute at full scale (N=20, 20 trials)
-and dominate this module's runtime.
+observed-fraction sweep. Both run the shipped configs at full scale
+(N=20, 20 trials), dominate this module's runtime, and are compared
+row by row with ``tests/golden``.
 """
 
+import csv
+import hashlib
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,8 @@ from scinfer import (
     generate_instance,
     hodge_decompose,
     interpolate_edge_signals,
+    load_config,
+    parse_sweep,
     run_greedy_scl,
     run_sweep,
     select_edges,
@@ -78,10 +85,27 @@ NOISE_GRID = (0.0, 0.05, 0.1, 0.2)
 FRACTION_GRID = (0.2, 0.4, 0.6, 0.8, 0.95)
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _shipped_sweep(name, literal, tmp_path_factory):
+    """Run ``configs/<name>.ini`` as shipped, after checking that it
+    still parses to the literal spec the criteria were written for."""
+    spec = parse_sweep(load_config(CONFIGS / f"{name}.ini"))
+    assert spec == literal
+    out = tmp_path_factory.mktemp(name)
+    start = time.perf_counter()
+    rows = run_sweep(spec, out, jobs=1)
+    elapsed = time.perf_counter() - start
+    assert all(r["status"] == "ok" for r in rows)
+    return rows, elapsed, out
+
+
 @pytest.fixture(scope="module")
 def noise_sweep(tmp_path_factory):
     """N=20 noise sweep shared by criteria 6 and 8."""
-    spec = SweepSpec(
+    literal = SweepSpec(
         variable="node_noise_std",
         grid=NOISE_GRID,
         n_trials=20,
@@ -90,17 +114,13 @@ def noise_sweep(tmp_path_factory):
         instance=InstanceParams(),
         params=HyperParams(),
     )
-    start = time.perf_counter()
-    rows = run_sweep(spec, tmp_path_factory.mktemp("noise_sweep"), jobs=1)
-    elapsed = time.perf_counter() - start
-    assert all(r["status"] == "ok" for r in rows)
-    return rows, elapsed
+    return _shipped_sweep("noise_sweep", literal, tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
 def observed_sweep(tmp_path_factory):
     """N=20 observed-fraction sweep for criterion 7."""
-    spec = SweepSpec(
+    literal = SweepSpec(
         variable="observed_fraction",
         grid=FRACTION_GRID,
         n_trials=20,
@@ -109,11 +129,17 @@ def observed_sweep(tmp_path_factory):
         instance=InstanceParams(node_noise_std=0.1),
         params=HyperParams(),
     )
-    start = time.perf_counter()
-    rows = run_sweep(spec, tmp_path_factory.mktemp("observed_sweep"), jobs=1)
-    elapsed = time.perf_counter() - start
-    assert all(r["status"] == "ok" for r in rows)
-    return rows, elapsed
+    return _shipped_sweep("observed_sweep", literal, tmp_path_factory)
+
+
+def _rows_without_seconds(path):
+    """Header and rows of a results.csv without its ``seconds`` column,
+    the rows keyed by (sweep_value, trial, method)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = [{k: v for k, v in row.items() if k != "seconds"} for row in reader]
+    header = [k for k in reader.fieldnames if k != "seconds"]
+    return header, {(r["sweep_value"], r["trial"], r["method"]): r for r in rows}
 
 
 class TestAcceptance:
@@ -338,7 +364,7 @@ class TestAcceptance:
 
     def test_c6_noise_trend(self, noise_sweep):
         """GreedySCL beats SepSCL on L0 everywhere; best LU at zero noise."""
-        rows, elapsed = noise_sweep
+        rows, elapsed, _ = noise_sweep
         greedy_l0 = [_grid_mean(rows, "GreedySCL", "nerr_l0", v) for v in NOISE_GRID]
         sep_l0 = [_grid_mean(rows, "SepSCL", "nerr_l0", v) for v in NOISE_GRID]
         l0_ok = all(g < s for g, s in zip(greedy_l0, sep_l0))
@@ -357,7 +383,7 @@ class TestAcceptance:
 
     def test_c7_observed_fraction_trend(self, observed_sweep):
         """GreedySCL improves with more observations; SepSCL L0 is flat."""
-        rows, elapsed = observed_sweep
+        rows, elapsed, _ = observed_sweep
         monotone_ok = True
         for metric in ("nerr_l0", "nerr_lu"):
             for lo, hi in zip(FRACTION_GRID, FRACTION_GRID[1:]):
@@ -383,9 +409,42 @@ class TestAcceptance:
 
     def test_c8_upper_error_exceeds_node_error(self, noise_sweep):
         """Triangle-level error dominates edge-level error for GreedySCL."""
-        rows, _ = noise_sweep
+        rows, _, _ = noise_sweep
         greedy_l0 = [_grid_mean(rows, "GreedySCL", "nerr_l0", v) for v in NOISE_GRID]
         greedy_lu = [_grid_mean(rows, "GreedySCL", "nerr_lu", v) for v in NOISE_GRID]
         ok = all(u > l for u, l in zip(greedy_lu, greedy_l0))
         pairs = ", ".join(f"{u:.3f}>{l:.3f}" for u, l in zip(greedy_lu, greedy_l0))
         _report("C8", ok, f"mean NErr(LU) > NErr(L0) at every noise level: {pairs}")
+
+
+class TestGoldenOutputs:
+    """Both shipped sweeps reproduce the committed rows and charts
+    exactly. A change that moves a row on purpose regenerates
+    ``tests/golden`` (``scinfer sweep --config configs/<name>.ini``, then
+    ``cut -d, -f1-8,10 results.csv | tr -d '\\r'`` and ``sha256sum`` of
+    the two SVGs) and says which rows moved and why."""
+
+    @pytest.mark.parametrize("name", ["noise_sweep", "observed_sweep"])
+    def test_rows_match_golden(self, name, request):
+        _, _, out = request.getfixturevalue(name)
+        header, got = _rows_without_seconds(out / "results.csv")
+        want_header, want = _rows_without_seconds(GOLDEN / f"{name}.csv")
+        assert header == want_header
+        changed = []
+        for key in sorted(want.keys() | got.keys()):
+            old, new = want.get(key), got.get(key)
+            if old is None or new is None:
+                changed.append(f"{key}: {'new row' if old is None else 'row missing'}")
+            elif old != new:
+                cols = [c for c in header if old[c] != new[c]]
+                changed.append(f"{key}: " + ", ".join(f"{c} {old[c]} -> {new[c]}" for c in cols))
+        assert not changed, f"{len(changed)} {name} rows differ:\n" + "\n".join(changed)
+        assert list(got) == list(want)
+
+    def test_charts_match_golden(self, noise_sweep, observed_sweep):
+        outs = {"noise_sweep": noise_sweep[2], "observed_sweep": observed_sweep[2]}
+        for line in (GOLDEN / "svg.sha256").read_text().splitlines():
+            digest, path = line.split()
+            sweep, fname = path.split("/")
+            got = hashlib.sha256((outs[sweep] / fname).read_bytes()).hexdigest()
+            assert got == digest, f"{path} changed"
