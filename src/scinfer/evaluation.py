@@ -5,7 +5,9 @@ Laplacian errors always compare the full candidate-axis embeddings
 for the upper one), so estimates with different active sets stay
 directly comparable. Both errors are computed exactly from integer
 counts: a diagonal of node degrees (per-edge triangle counts) plus two
-(six) off-diagonal unit entries per active edge (triangle).
+(six) off-diagonal unit entries per active edge (triangle). Every count
+is taken over the active simplices alone, so an indicator is read once,
+for its nonzero positions, and never copied to floats.
 """
 
 from __future__ import annotations
@@ -15,14 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .topology import (
-    ComplexSkeleton,
-    Selection,
-    _as_indicator,
-    _violation_count,
-    edge_coverage,
-    node_degrees,
-)
+from .topology import ComplexSkeleton, Selection
 
 __all__ = ["EvalReport", "nerr", "evaluate"]
 
@@ -59,25 +54,39 @@ def nerr(l_est: np.ndarray, l_true: np.ndarray) -> float:
     return float(np.sum((b - a) ** 2) / denom)
 
 
-def _count_nerr(diag_est, diag_true, w_est, w_true, off_diag: int) -> float:
-    """``nerr`` of two combinatorial Laplacians given their diagonals and
-    simplex indicators, with ``off_diag`` unit entries per simplex.
+def _active(vec, size: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A binary indicator of any dtype as itself and its sorted active
+    indices; refuses a wrong shape or any entry other than 0 and 1."""
+    arr = np.asarray(vec)
+    if arr.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {arr.shape}")
+    active = np.flatnonzero(arr)
+    if not (arr[active] == 1).all():
+        raise ValueError(f"{name} must be binary (entries in {{0, 1}})")
+    return arr, active
 
-    An empty truth scores 0 against an empty estimate and inf otherwise.
+
+def _count_nerr(faces, size: int, est_idx, true_idx, tp: int, off_diag: int) -> float:
+    """``nerr`` of the combinatorial Laplacians of two sets of active
+    simplices, given as rows of ``faces`` (an edge's two nodes, or a
+    triangle's three edges) that share ``tp`` simplices.
+
+    The diagonal counts the active simplices on each of ``size`` faces
+    and each active simplex adds ``off_diag`` unit entries off it, so
+    every sum is an exact integer. An empty truth scores 0 against an
+    empty estimate and inf otherwise.
     """
-    num = np.sum((diag_true - diag_est) ** 2) + off_diag * np.count_nonzero(w_est != w_true)
-    den = np.sum(diag_true * diag_true) + off_diag * np.count_nonzero(w_true)
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return float(num / den)
+    diag_est = np.bincount(faces[est_idx].ravel(), minlength=size)
+    diag_true = np.bincount(faces[true_idx].ravel(), minlength=size)
+    diff = diag_true - diag_est
+    num = int(np.dot(diff, diff)) + off_diag * (est_idx.size + true_idx.size - 2 * tp)
+    den = int(np.dot(diag_true, diag_true)) + off_diag * true_idx.size
+    if den == 0:
+        return 0.0 if num == 0 else math.inf
+    return num / den
 
 
-def _support_metrics(est: np.ndarray, true: np.ndarray) -> tuple[float, float, float]:
-    est_b = est.astype(bool)
-    true_b = true.astype(bool)
-    tp = int(np.sum(est_b & true_b))
-    pred = int(est_b.sum())
-    actual = int(true_b.sum())
+def _support_metrics(tp: int, pred: int, actual: int) -> tuple[float, float, float]:
     if pred == 0:
         precision = 1.0 if actual == 0 else 0.0
     else:
@@ -92,13 +101,17 @@ def _support_metrics(est: np.ndarray, true: np.ndarray) -> tuple[float, float, f
 
 def evaluate(skeleton: ComplexSkeleton, est: Selection, truth: Selection) -> EvalReport:
     """Compare an estimated selection against the ground truth; both
-    must be binary indicators over this skeleton's candidates."""
-    e1, t1 = (_as_indicator(sel.w1, skeleton.n_edges, "w1") for sel in (est, truth))
-    e2, t2 = (_as_indicator(sel.w2, skeleton.n_triangles, "w2") for sel in (est, truth))
-    nerr_l0 = _count_nerr(node_degrees(skeleton, e1), node_degrees(skeleton, t1), e1, t1, 2)
-    nerr_lu = _count_nerr(edge_coverage(skeleton, e2), edge_coverage(skeleton, t2), e2, t2, 6)
-    e_p, e_r, e_f1 = _support_metrics(e1, t1)
-    t_p, t_r, t_f1 = _support_metrics(e2, t2)
+    must be binary indicators over this skeleton's candidates, of any
+    dtype. Only the active simplices are read."""
+    (e1, e1_idx), (t1, t1_idx) = (_active(sel.w1, skeleton.n_edges, "w1") for sel in (est, truth))
+    (_, e2_idx), (t2, t2_idx) = (_active(sel.w2, skeleton.n_triangles, "w2") for sel in (est, truth))
+    edges_tp = int(np.count_nonzero(t1[e1_idx]))
+    tris_tp = int(np.count_nonzero(t2[e2_idx]))
+    nerr_l0 = _count_nerr(skeleton.edge_nodes, skeleton.n_nodes, e1_idx, t1_idx, edges_tp, 2)
+    nerr_lu = _count_nerr(skeleton.tri_edges, skeleton.n_edges, e2_idx, t2_idx, tris_tp, 6)
+    e_p, e_r, e_f1 = _support_metrics(edges_tp, e1_idx.size, t1_idx.size)
+    t_p, t_r, t_f1 = _support_metrics(tris_tp, e2_idx.size, t2_idx.size)
+    est_faces = skeleton.tri_edges[e2_idx]
     return EvalReport(
         nerr_l0=nerr_l0,
         nerr_lu=nerr_lu,
@@ -108,5 +121,5 @@ def evaluate(skeleton: ComplexSkeleton, est: Selection, truth: Selection) -> Eva
         triangle_precision=t_p,
         triangle_recall=t_r,
         triangle_f1=t_f1,
-        closure_violations=_violation_count(skeleton, e1, e2),
+        closure_violations=est_faces.size - int(np.count_nonzero(e1[est_faces])),
     )

@@ -5,8 +5,9 @@ dense incidence matrices enumerated from the orientation rule,
 exhaustive subset enumeration for the cardinality-constrained selection
 subproblems, fixed-step gradient descent and a full-system pseudoinverse
 for the interpolation solve, and literal matrix-product objective
-formulas (no row-norm shortcuts), and a complex-document reader that
-checks one entry at a time. The implementations under test must
+formulas (no row-norm shortcuts), a complex-document reader that
+checks one entry at a time, and set-based recovery metrics with the
+Laplacians built entry by entry. The implementations under test must
 agree with these to tight tolerances; the oracles deliberately share no
 code with the package and import nothing from it.
 """
@@ -249,3 +250,81 @@ def full_objective(
         + params.eta * np.sum(resid * resid)
         + params.gamma * ((1.0 - w1) @ np.abs(skeleton_b2) @ w2)
     )
+
+
+def evaluation_report(n, est, truth):
+    """Reference values of every ``EvalReport`` field, from sets.
+
+    ``est`` and ``truth`` are ``(w1, w2)`` pairs of 0/1 sequences over
+    the lexicographic vertex pairs and triples of ``n`` vertices. Each
+    side becomes a set of edge and a set of triangle vertex tuples; the
+    two Laplacians are built entry by entry as sparse dicts with the
+    orientation signs of ``incidence`` (``L0 = B1 B1^T`` over the active
+    edges, ``LU = B2 B2^T`` over the active triangles) and compared over
+    the union of their entries, in exact integer arithmetic. NErr of an
+    empty truth is 0 against an empty estimate and inf otherwise.
+    """
+    edges = list(itertools.combinations(range(n), 2))
+    triangles = list(itertools.combinations(range(n), 3))
+
+    def active(candidates, w):
+        return {c for c, flag in zip(candidates, w) if flag}
+
+    def laplacian(boundaries):
+        entries = {}
+        for boundary in boundaries:
+            for a, sign_a in boundary:
+                for b, sign_b in boundary:
+                    entries[a, b] = entries.get((a, b), 0) + sign_a * sign_b
+        return entries
+
+    def node_boundary(edge):
+        i, j = edge
+        return ((i, -1), (j, 1))
+
+    def edge_boundary(tri):
+        i, j, k = tri
+        return (((i, j), 1), ((i, k), -1), ((j, k), 1))
+
+    def nerr(l_est, l_true):
+        keys = set(l_est) | set(l_true)
+        num = sum((l_true.get(key, 0) - l_est.get(key, 0)) ** 2 for key in keys)
+        den = sum(v * v for v in l_true.values())
+        if den == 0:
+            return 0.0 if num == 0 else float("inf")
+        return num / den
+
+    def scores(pred, actual):
+        tp = len(pred & actual)
+        if pred:
+            precision = tp / len(pred)
+        else:
+            precision = 1.0 if not actual else 0.0
+        if actual:
+            recall = tp / len(actual)
+        else:
+            recall = 1.0 if not pred else 0.0
+        f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
+        return precision, recall, f1
+
+    e_est, e_true = active(edges, est[0]), active(edges, truth[0])
+    t_est, t_true = active(triangles, est[1]), active(triangles, truth[1])
+    edge_p, edge_r, edge_f1 = scores(e_est, e_true)
+    tri_p, tri_r, tri_f1 = scores(t_est, t_true)
+    return {
+        "nerr_l0": nerr(
+            laplacian(map(node_boundary, e_est)), laplacian(map(node_boundary, e_true))
+        ),
+        "nerr_lu": nerr(
+            laplacian(map(edge_boundary, t_est)), laplacian(map(edge_boundary, t_true))
+        ),
+        "edge_precision": edge_p,
+        "edge_recall": edge_r,
+        "edge_f1": edge_f1,
+        "triangle_precision": tri_p,
+        "triangle_recall": tri_r,
+        "triangle_f1": tri_f1,
+        "closure_violations": sum(
+            face not in e_est for tri in t_est for face, _ in edge_boundary(tri)
+        ),
+    }

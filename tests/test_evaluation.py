@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import incidence
+from oracles import evaluation_report, incidence
 from scinfer.evaluation import evaluate, nerr
 from scinfer.synth import InstanceParams, generate_instance
 from scinfer.topology import (
+    Selection,
     build_skeleton,
     edge_index,
     make_selection,
@@ -201,6 +202,33 @@ class TestEvaluate:
         )
         assert report.nerr_l0 == nerr(l0_e, l0_t)
         assert report.nerr_lu == nerr(lu_e, lu_t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(3, 12),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), min_size=4, max_size=4),
+    )
+    def test_every_field_matches_set_oracle(self, n, seed, densities):
+        """Every field equals the set-based oracle exactly, on pairs that
+        need not be closed and may be empty, and an int8, bool, float or
+        list indicator gives the same report."""
+        sk = build_skeleton(n)
+        rng = np.random.default_rng(seed)
+        sizes = (sk.n_edges, sk.n_triangles) * 2
+        est_w1, est_w2, true_w1, true_w2 = (
+            rng.random(size) < p for size, p in zip(sizes, densities)
+        )
+        want = evaluation_report(n, (est_w1, est_w2), (true_w1, true_w2))
+        for form in (
+            lambda w: w.astype(np.int8),
+            lambda w: w,
+            lambda w: w.astype(float),
+            lambda w: w.astype(int).tolist(),
+        ):
+            est = Selection(form(est_w1), form(est_w2))
+            truth = Selection(form(true_w1), form(true_w2))
+            assert evaluate(sk, est, truth).to_dict() == want
 
     def test_report_serializes(self):
         sk, sel = _random_selection(15)

@@ -32,7 +32,7 @@ def _er_instance(seed, n=10, p=0.5):
     sk = build_skeleton(n)
     rng = np.random.default_rng(seed)
     w1 = sample_er_selection(sk, p, rng)
-    w2 = fill_triangles(sk, w1, 0.5, rng)
+    w2 = fill_triangles(sk, w1, 0.5, rng).w2
     return sk, w1, w2, rng
 
 
@@ -97,13 +97,14 @@ class TestErSelection:
 def _fill_triangles_per_draw(skeleton, w1, fraction, rng):
     """The fill rule with its identifiability test rebuilt from fresh
     ``b2_block`` calls and an SVD on every draw, and a zero fill
-    returned before any draw; also returns the number of draws."""
+    returned before any draw; also returns the number of draws and
+    whether the kept draw passed."""
     unsigned = np.abs(incidence(skeleton.n_nodes)[1])
     eligible = np.flatnonzero(unsigned.T @ (np.asarray(w1) != 0) == 3)
     count = math.floor(fraction * eligible.size)
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
     if count == 0:
-        return w2, 0
+        return w2, 0, True
     active = np.flatnonzero(w1)
     for draws in range(1, 201):
         w2[:] = 0
@@ -116,7 +117,9 @@ def _fill_triangles_per_draw(skeleton, w1, fraction, rng):
         probe = b2_block(skeleton, active, spurious)
         if (np.linalg.norm(probe - u @ (u.T @ probe), axis=0) > 1e-8).all():
             break
-    return w2, draws
+    else:
+        return w2, draws, False
+    return w2, draws, True
 
 
 class TestFillTriangles:
@@ -133,10 +136,26 @@ class TestFillTriangles:
         w1 = (rng.random(sk.n_edges) < edge_prob).astype(np.int8)
         ref_rng = np.random.default_rng(seed + 1)
         new_rng = np.random.default_rng(seed + 1)
-        expected, draws = _fill_triangles_per_draw(sk, w1, fraction, ref_rng)
+        expected, draws, identifiable = _fill_triangles_per_draw(sk, w1, fraction, ref_rng)
         event("no draw" if draws == 0 else "one draw" if draws == 1 else "several draws")
-        np.testing.assert_array_equal(fill_triangles(sk, w1, fraction, new_rng), expected)
+        fill = fill_triangles(sk, w1, fraction, new_rng)
+        np.testing.assert_array_equal(fill.w2, expected)
+        assert (fill.draws, fill.identifiable) == (draws, identifiable)
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_reports_a_fill_no_draw_passes(self):
+        """With nine of K5's ten triangles filled, the tenth and any
+        fourth vertex bound a tetrahedron whose other three faces are
+        filled, so every draw fails and the last is kept, flagged."""
+        sk = build_skeleton(5)
+        w1 = np.ones(sk.n_edges, dtype=np.int8)
+        expected, draws, identifiable = _fill_triangles_per_draw(
+            sk, w1, 0.9, np.random.default_rng(4)
+        )
+        fill = fill_triangles(sk, w1, 0.9, np.random.default_rng(4))
+        assert (fill.draws, fill.identifiable) == (draws, identifiable) == (200, False)
+        np.testing.assert_array_equal(fill.w2, expected)
+        np.testing.assert_array_equal(np.asarray(fill), expected)
 
     def test_closure_and_count(self):
         for seed in range(10):
@@ -151,8 +170,8 @@ class TestFillTriangles:
         sk, w1, _, rng = _er_instance(3)
         unsigned = np.abs(incidence(sk.n_nodes)[1])
         eligible = int(np.sum(unsigned.T @ w1.astype(float) == 3.0))
-        assert fill_triangles(sk, w1, 0.0, rng).sum() == 0
-        assert fill_triangles(sk, w1, 1.0, rng).sum() == eligible
+        assert fill_triangles(sk, w1, 0.0, rng).w2.sum() == 0
+        assert fill_triangles(sk, w1, 1.0, rng).w2.sum() == eligible
 
     def test_rejects_bad_fraction(self):
         sk, w1, _, rng = _er_instance(1)
@@ -413,6 +432,10 @@ class TestDatasetBundle:
         np.testing.assert_array_equal(ds.observed_edges, signals.observed_edges)
         assert ds.meta["seed"] == 21
         assert ds.meta["edge_prob"] == 0.5
+        assert (ds.meta["fill_draws"], ds.meta["fill_identifiable"]) == (
+            truth.fill_draws, truth.fill_identifiable
+        )
+        assert isinstance(truth.fill_identifiable, bool) and truth.fill_draws >= 1
 
     def test_byte_identical_across_runs(self, tmp_path):
         params = self._params()
