@@ -6,8 +6,9 @@ for the upper one), so estimates with different active sets stay
 directly comparable. Both errors are computed exactly from integer
 counts: a diagonal of node degrees (per-edge triangle counts) plus two
 (six) off-diagonal unit entries per active edge (triangle). Every count
-is taken over the active simplices alone, so an indicator is read once,
-for its nonzero positions, and never copied to floats.
+is taken over the active simplices alone, the diagonals by the face
+count behind ``topology.node_degrees`` and ``edge_coverage``, and no
+indicator is copied to floats.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .topology import ComplexSkeleton, Selection
+from .topology import ComplexSkeleton, Selection, _active_indices, _face_counts
 
 __all__ = ["EvalReport", "nerr", "evaluate"]
 
@@ -54,18 +55,6 @@ def nerr(l_est: np.ndarray, l_true: np.ndarray) -> float:
     return float(np.sum((b - a) ** 2) / denom)
 
 
-def _active(vec, size: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """A binary indicator of any dtype as itself and its sorted active
-    indices; refuses a wrong shape or any entry other than 0 and 1."""
-    arr = np.asarray(vec)
-    if arr.shape != (size,):
-        raise ValueError(f"{name} must have shape ({size},), got {arr.shape}")
-    active = np.flatnonzero(arr)
-    if not (arr[active] == 1).all():
-        raise ValueError(f"{name} must be binary (entries in {{0, 1}})")
-    return arr, active
-
-
 def _count_nerr(faces, size: int, est_idx, true_idx, tp: int, off_diag: int) -> float:
     """``nerr`` of the combinatorial Laplacians of two sets of active
     simplices, given as rows of ``faces`` (an edge's two nodes, or a
@@ -76,8 +65,8 @@ def _count_nerr(faces, size: int, est_idx, true_idx, tp: int, off_diag: int) -> 
     every sum is an exact integer. An empty truth scores 0 against an
     empty estimate and inf otherwise.
     """
-    diag_est = np.bincount(faces[est_idx].ravel(), minlength=size)
-    diag_true = np.bincount(faces[true_idx].ravel(), minlength=size)
+    diag_est = _face_counts(faces, est_idx, size)
+    diag_true = _face_counts(faces, true_idx, size)
     diff = diag_true - diag_est
     num = int(np.dot(diff, diff)) + off_diag * (est_idx.size + true_idx.size - 2 * tp)
     den = int(np.dot(diag_true, diag_true)) + off_diag * true_idx.size
@@ -103,8 +92,12 @@ def evaluate(skeleton: ComplexSkeleton, est: Selection, truth: Selection) -> Eva
     """Compare an estimated selection against the ground truth; both
     must be binary indicators over this skeleton's candidates, of any
     dtype. Only the active simplices are read."""
-    (e1, e1_idx), (t1, t1_idx) = (_active(sel.w1, skeleton.n_edges, "w1") for sel in (est, truth))
-    (_, e2_idx), (t2, t2_idx) = (_active(sel.w2, skeleton.n_triangles, "w2") for sel in (est, truth))
+    (e1, e1_idx), (t1, t1_idx) = (
+        _active_indices(sel.w1, skeleton.n_edges, "w1") for sel in (est, truth)
+    )
+    (_, e2_idx), (t2, t2_idx) = (
+        _active_indices(sel.w2, skeleton.n_triangles, "w2") for sel in (est, truth)
+    )
     edges_tp = int(np.count_nonzero(t1[e1_idx]))
     tris_tp = int(np.count_nonzero(t2[e2_idx]))
     nerr_l0 = _count_nerr(skeleton.edge_nodes, skeleton.n_nodes, e1_idx, t1_idx, edges_tp, 2)

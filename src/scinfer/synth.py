@@ -93,7 +93,8 @@ class Fill:
     identifiable: bool
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.w2, dtype=dtype, copy=copy)
+        # NumPy 1.x never passes ``copy`` and refuses ``copy=None``.
+        return np.array(self.w2, dtype=dtype) if copy else np.asarray(self.w2, dtype=dtype)
 
 
 @dataclass(frozen=True)

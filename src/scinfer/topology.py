@@ -308,11 +308,17 @@ def _curl_energy(skeleton: ComplexSkeleton, x1, triangles=None) -> np.ndarray:
     ])
 
 
+def _face_counts(faces: np.ndarray, active, size: int) -> np.ndarray:
+    """Number of the simplices ``active`` (rows of ``faces``, picked by
+    an index list or a mask) on each of ``size`` faces, as integers."""
+    return np.bincount(faces[active].ravel(), minlength=size)
+
+
 def edge_coverage(skeleton: ComplexSkeleton, w2) -> np.ndarray:
     """Number of active triangles on each candidate edge, as floats;
     ``|B2| w2`` for a binary ``w2``."""
-    active = skeleton.tri_edges[np.asarray(w2) != 0]
-    return np.bincount(active.ravel(), minlength=skeleton.n_edges).astype(np.float64)
+    counts = _face_counts(skeleton.tri_edges, np.asarray(w2) != 0, skeleton.n_edges)
+    return counts.astype(np.float64)
 
 
 def missing_edges(skeleton: ComplexSkeleton, w1) -> np.ndarray:
@@ -325,8 +331,8 @@ def missing_edges(skeleton: ComplexSkeleton, w1) -> np.ndarray:
 
 def node_degrees(skeleton: ComplexSkeleton, w1) -> np.ndarray:
     """Number of active edges at each node, as floats."""
-    active = skeleton.edge_nodes[np.asarray(w1) != 0]
-    return np.bincount(active.ravel(), minlength=skeleton.n_nodes).astype(np.float64)
+    counts = _face_counts(skeleton.edge_nodes, np.asarray(w1) != 0, skeleton.n_nodes)
+    return counts.astype(np.float64)
 
 
 def b2_block(skeleton: ComplexSkeleton, rows, cols) -> np.ndarray:
@@ -378,14 +384,20 @@ def prune_open_triangles(skeleton: ComplexSkeleton, w1, w2) -> tuple[np.ndarray,
     return np.where(open_tris, 0, w2).astype(w2.dtype), int(open_tris.sum())
 
 
-def _as_indicator(vec, size: int, name: str) -> np.ndarray:
+def _active_indices(vec, size: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A binary indicator of any dtype as an array and its sorted active
+    indices; refuses a wrong shape or any entry other than 0 and 1."""
     arr = np.asarray(vec)
     if arr.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {arr.shape}")
-    arr = arr.astype(np.float64)
-    if not np.all((arr == 0.0) | (arr == 1.0)):
+    active = np.flatnonzero(arr)
+    if not (arr[active] == 1).all():
         raise ValueError(f"{name} must be binary (entries in {{0, 1}})")
-    return arr
+    return arr, active
+
+
+def _as_indicator(vec, size: int, name: str) -> np.ndarray:
+    return _active_indices(vec, size, name)[0].astype(np.float64)
 
 
 def make_selection(skeleton: ComplexSkeleton, w1, w2) -> Selection:

@@ -422,7 +422,13 @@ class TestGoldenOutputs:
     exactly. A change that moves a row on purpose regenerates
     ``tests/golden`` (``scinfer sweep --config configs/<name>.ini``, then
     ``cut -d, -f1-8,10 results.csv | tr -d '\\r'`` and ``sha256sum`` of
-    the two SVGs) and says which rows moved and why."""
+    the two SVGs) and says which rows moved and why.
+
+    The golden files were made with Python 3.11, NumPy 2.4.6 and its
+    bundled OpenBLAS at ``OPENBLAS_NUM_THREADS=1``. The learners choose
+    from float scores, so another NumPy or BLAS that moves a score in
+    its last bit can flip a selection and a row; a failure that names
+    rows on another NumPy is such a flip until shown otherwise."""
 
     @pytest.mark.parametrize("name", ["noise_sweep", "observed_sweep"])
     def test_rows_match_golden(self, name, request):

@@ -126,6 +126,17 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"{field} must be binary"):
             evaluate(sk, pair["est"], pair["truth"])
 
+    @pytest.mark.parametrize("value", [np.nan, 2, "1"])
+    def test_refuses_what_make_selection_refuses(self, value):
+        """One binary rule, with one message, for every entry point."""
+        sk, sel = _random_selection(8)
+        w1 = sel.w1.tolist()
+        w1[int(np.flatnonzero(sel.w1)[0])] = value
+        with pytest.raises(ValueError, match="w1 must be binary"):
+            make_selection(sk, w1, sel.w2)
+        with pytest.raises(ValueError, match="w1 must be binary"):
+            evaluate(sk, dataclasses.replace(sel, w1=w1), sel)
+
     def test_self_comparison_is_ideal(self):
         sk, sel = _random_selection(8)
         report = evaluate(sk, sel, sel)
