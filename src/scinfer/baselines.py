@@ -88,7 +88,8 @@ def run_sep_scl(
     decoupled = replace(params, gamma=0.0)
 
     smoothness = _row_energy(edge_gradient(skeleton, np.asarray(x0, dtype=np.float64)))
-    s1 = _edge_scores(skeleton, smoothness, np.zeros(skeleton.n_triangles), _NO_OBS, decoupled)
+    no_triangles = np.zeros(skeleton.n_triangles, dtype=np.int8)
+    s1 = _edge_scores(skeleton, smoothness, no_triangles, _NO_OBS, decoupled)
     w1 = select_edges(s1, _NO_OBS, params.e_min)
 
     x1_filled = np.zeros((skeleton.n_edges, x1_obs.shape[1]))
@@ -98,7 +99,7 @@ def run_sep_scl(
     # module docstring for why none past it can be selected.
     observed = np.zeros(skeleton.n_edges, dtype=np.int8)
     observed[obs] = 1
-    zero_curl = missing_edges(skeleton, observed) == 3.0
+    zero_curl = missing_edges(skeleton, observed) == 3
     cut = min(int(np.searchsorted(np.cumsum(zero_curl), params.t_min)) + 1, skeleton.n_triangles)
     scored = np.flatnonzero(~zero_curl[:cut])
     curl_energy = np.zeros(skeleton.n_triangles)
@@ -156,7 +157,7 @@ def run_rc(
     w1 = np.zeros(skeleton.n_edges, dtype=np.int8)
     w1[np.argsort(-strength, kind="stable")[: params.e_min]] = 1
 
-    cliques = np.flatnonzero(missing_edges(skeleton, w1) == 0.0)
+    cliques = np.flatnonzero(missing_edges(skeleton, w1) == 0)
     i, j, k = triangle_nodes(skeleton, cliques).T
     abs_corr = np.abs(corr)
     min_strengths = np.minimum(np.minimum(abs_corr[i, j], abs_corr[i, k]), abs_corr[j, k])

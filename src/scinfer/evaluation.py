@@ -7,8 +7,8 @@ directly comparable. Both errors are computed exactly from integer
 counts: a diagonal of node degrees (per-edge triangle counts) plus two
 (six) off-diagonal unit entries per active edge (triangle). Every count
 is taken over the active simplices alone, the diagonals by the face
-count behind ``topology.node_degrees`` and ``edge_coverage``, and no
-indicator is copied to floats.
+count behind ``topology.edge_coverage``, and no indicator is copied to
+floats.
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ def _support_metrics(tp: int, pred: int, actual: int) -> tuple[float, float, flo
 
 def evaluate(skeleton: ComplexSkeleton, est: Selection, truth: Selection) -> EvalReport:
     """Compare an estimated selection against the ground truth; both
-    must be binary indicators over this skeleton's candidates, of any
-    dtype. Only the active simplices are read."""
+    hold binary indicators over this skeleton's candidates, of any dtype
+    (``topology._active_indices`` checks them). Only the active
+    simplices are read."""
     (e1, e1_idx), (t1, t1_idx) = (
         _active_indices(sel.w1, skeleton.n_edges, "w1") for sel in (est, truth)
     )

@@ -51,7 +51,7 @@ from .topology import (
     ComplexSkeleton,
     Selection,
     _TRI_SIGNS,
-    _as_indicator,
+    _active_indices,
     _curl_energy,
     _require_int,
     _require_real,
@@ -186,7 +186,7 @@ def triangle_scores(
     score_t = alpha2 + beta2 * ||row_t(B2^T X1)||^2
             + gamma * (# inactive supporting edges of t)
     """
-    w1a = _as_indicator(w1, skeleton.n_edges, "w1")
+    w1a, _ = _active_indices(w1, skeleton.n_edges, "w1")
     _check_rows(("x1_est", x1_est, skeleton.n_edges))
     _check_finite(("x1_est", x1_est))
     x1 = np.asarray(x1_est, dtype=np.float64)
@@ -288,7 +288,7 @@ def edge_scores(
     score_l = alpha1 + beta1 * ||row_l(B1^T X0)||^2
             - gamma * (# active triangles supported by l)
     """
-    w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
+    w2a, _ = _active_indices(w2, skeleton.n_triangles, "w2")
     _check_rows(("x0", x0, skeleton.n_nodes))
     _check_finite(("x0", x0))
     x0a = np.asarray(x0, dtype=np.float64)
@@ -356,7 +356,7 @@ def interpolate_edge_signals(
     side vanishes and the result is all zero; with no active triangle on
     an observed edge no solve runs.
     """
-    w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
+    w2a, active_t = _active_indices(w2, skeleton.n_triangles, "w2")
     obs = check_observed_edges(skeleton.n_edges, observed_edges)
     if obs.size == 0:
         raise ValueError("interpolation requires at least one observed edge")
@@ -368,14 +368,14 @@ def interpolate_edge_signals(
     if params.eta == 0.0:
         return x1_est
     x1_est[obs] = x1o
-    incident = edge_coverage(skeleton, w2a) > 0.0
+    incident = edge_coverage(skeleton, w2a) > 0
     coupled = incident[obs]
     if not coupled.any():
         return x1_est
     incident[obs] = False
     o_rows, u_rows = obs[coupled], np.flatnonzero(incident)
 
-    g_uu, g_uo, g_oo = _gram_blocks(skeleton, np.flatnonzero(w2a), u_rows, o_rows)
+    g_uu, g_uo, g_oo = _gram_blocks(skeleton, active_t, u_rows, o_rows)
     eigvals, eigvecs = np.linalg.eigh(params.beta2 * g_uu)
     keep = eigvals > PINV_TOL * eigvals.max(initial=0.0)
     root_inv = np.zeros_like(eigvals)
@@ -427,8 +427,8 @@ def objective_value(
     rows = (("x0", x0, skeleton.n_nodes), ("x1_est", x1_est, skeleton.n_edges))
     _check_rows(*rows, ("x1_obs", x1_obs, obs.size))
     _check_finite(("x0", x0), ("x1_est", x1_est), ("x1_obs", x1_obs))
-    w1 = _as_indicator(w1, skeleton.n_edges, "w1")
-    w2 = _as_indicator(w2, skeleton.n_triangles, "w2")
+    w1, _ = _active_indices(w1, skeleton.n_edges, "w1")
+    w2, _ = _active_indices(w2, skeleton.n_triangles, "w2")
     smoothness = _row_energy(edge_gradient(skeleton, x0))
     curl_energy = _curl_energy(skeleton, x1_est)
     return _objective(skeleton, smoothness, curl_energy, x1_est, w1, w2, obs, x1_obs, params)
@@ -437,16 +437,14 @@ def objective_value(
 def _objective(
     skeleton: ComplexSkeleton, smoothness, curl_energy, x1_est, w1, w2, obs, x1_obs, params
 ) -> float:
-    w1a = np.asarray(w1, dtype=np.float64)
-    w2a = np.asarray(w2, dtype=np.float64)
     resid = x1_est[obs] - x1_obs
     return float(
-        params.alpha1 * w1a.sum()
-        + params.alpha2 * w2a.sum()
-        + params.beta1 * smoothness @ w1a
-        + params.beta2 * curl_energy @ w2a
+        params.alpha1 * w1.sum()
+        + params.alpha2 * w2.sum()
+        + params.beta1 * smoothness @ w1
+        + params.beta2 * curl_energy @ w2
         + params.eta * np.sum(resid * resid)
-        + params.gamma * (1.0 - w1a) @ edge_coverage(skeleton, w2a)
+        + params.gamma * (w1 == 0) @ edge_coverage(skeleton, w2)
     )
 
 

@@ -21,6 +21,8 @@ from .topology import (
     MAX_NODES,
     ComplexSkeleton,
     Selection,
+    _active_indices,
+    _closed_indices,
     _require_int,
     _require_real,
     _span_basis,
@@ -208,12 +210,13 @@ def fill_triangles(
     (seeds 5000-5005).
     """
     _require_real("fraction", fraction, 0, 1)
-    eligible = np.flatnonzero(missing_edges(skeleton, w1) == 0.0)
+    w1, active_e = _active_indices(w1, skeleton.n_edges, "w1")
+    eligible = np.flatnonzero(missing_edges(skeleton, w1) == 0)
     count = math.floor(fraction * eligible.size)
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
     if count == 0:
         return Fill(w2, 0, True)
-    boundary = b2_block(skeleton, np.flatnonzero(np.asarray(w1) != 0), eligible)
+    boundary = b2_block(skeleton, active_e, eligible)
     for draws in range(1, _MAX_FILL_DRAWS + 1):
         chosen = rng.choice(eligible, size=count, replace=False)
         w2[:] = 0
@@ -244,7 +247,7 @@ def gen_smooth_node_signals(
     """
     _require_int("n_signals", n_signals, 1)
     _require_real("noise_std", noise_std)
-    l0 = node_laplacian(skeleton, np.asarray(w1, dtype=np.float64))
+    l0 = node_laplacian(skeleton, w1)
     lam, basis = np.linalg.eigh(l0)
     filt = np.where(lam > _EIG_CUTOFF, 1.0 / np.maximum(lam, _EIG_CUTOFF), 0.0)
     coeff = np.sqrt(filt)[:, None] * rng.standard_normal((skeleton.n_nodes, n_signals))
@@ -276,11 +279,10 @@ def gen_low_curl_edge_signals(
     _require_int("n_signals", n_signals, 1)
     _require_real("curl_atten", curl_atten)
     _require_real("noise_std", noise_std)
-    w1a = np.asarray(w1, dtype=np.float64)
-    active_e = np.flatnonzero(w1a)
+    active_e, active_t = _closed_indices(skeleton, w1, w2)
 
     white = rng.standard_normal((active_e.size, n_signals))
-    basis = _span_basis(b2_block(skeleton, active_e, np.flatnonzero(w2)))
+    basis = _span_basis(b2_block(skeleton, active_e, active_t))
     curl = basis @ (basis.T @ white)
     flows = white - (1.0 - curl_atten) * curl
     flows = _normalize_columns(flows)
@@ -297,7 +299,7 @@ def sample_observed_edges(
 ) -> np.ndarray:
     """Uniform subset of the active edges, ``ceil(fraction * |E|)`` of them, sorted."""
     _require_real("fraction", fraction, 0, 1, open_lo=True)
-    active = np.flatnonzero(np.asarray(w1, dtype=np.float64))
+    _, active = _active_indices(w1, np.size(w1), "w1")
     if active.size == 0:
         raise ValueError("w1 has no active edges to observe")
     count = math.ceil(fraction * active.size)

@@ -315,24 +315,17 @@ def _face_counts(faces: np.ndarray, active, size: int) -> np.ndarray:
 
 
 def edge_coverage(skeleton: ComplexSkeleton, w2) -> np.ndarray:
-    """Number of active triangles on each candidate edge, as floats;
+    """Number of active triangles on each candidate edge, as integers;
     ``|B2| w2`` for a binary ``w2``."""
-    counts = _face_counts(skeleton.tri_edges, np.asarray(w2) != 0, skeleton.n_edges)
-    return counts.astype(np.float64)
+    return _face_counts(skeleton.tri_edges, np.asarray(w2) != 0, skeleton.n_edges)
 
 
 def missing_edges(skeleton: ComplexSkeleton, w1) -> np.ndarray:
-    """Number of inactive edges of each candidate triangle, as floats;
+    """Number of inactive edges of each candidate triangle, as integers;
     ``|B2|^T (1 - w1)`` for a binary ``w1``."""
-    inactive = (np.asarray(w1) == 0).astype(np.float64)
+    inactive = (np.asarray(w1) == 0).astype(np.int8)
     ij, ik, jk = skeleton.tri_edges.T
     return inactive[ij] + inactive[ik] + inactive[jk]
-
-
-def node_degrees(skeleton: ComplexSkeleton, w1) -> np.ndarray:
-    """Number of active edges at each node, as floats."""
-    counts = _face_counts(skeleton.edge_nodes, np.asarray(w1) != 0, skeleton.n_nodes)
-    return counts.astype(np.float64)
 
 
 def b2_block(skeleton: ComplexSkeleton, rows, cols) -> np.ndarray:
@@ -385,8 +378,9 @@ def prune_open_triangles(skeleton: ComplexSkeleton, w1, w2) -> tuple[np.ndarray,
 
 
 def _active_indices(vec, size: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """A binary indicator of any dtype as an array and its sorted active
-    indices; refuses a wrong shape or any entry other than 0 and 1."""
+    """The package's one rule for indicators: a binary indicator of any
+    dtype as an array and its sorted active indices; refuses a wrong
+    shape or any entry other than 0 and 1."""
     arr = np.asarray(vec)
     if arr.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {arr.shape}")
@@ -396,21 +390,27 @@ def _active_indices(vec, size: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     return arr, active
 
 
-def _as_indicator(vec, size: int, name: str) -> np.ndarray:
-    return _active_indices(vec, size, name)[0].astype(np.float64)
+def _closed_indices(skeleton: ComplexSkeleton, w1, w2) -> tuple[np.ndarray, np.ndarray]:
+    """Active edge and triangle indices of a selection, which must be
+    downward closed: every active triangle's edges active."""
+    w1a, active_e = _active_indices(w1, skeleton.n_edges, "w1")
+    _, active_t = _active_indices(w2, skeleton.n_triangles, "w2")
+    if missing_edges(skeleton, w1a)[active_t].any():
+        raise ValueError("selection is not downward closed")
+    return active_e, active_t
 
 
 def make_selection(skeleton: ComplexSkeleton, w1, w2) -> Selection:
     """Validate and freeze a pair of indicator vectors into a Selection."""
-    w1a = _as_indicator(w1, skeleton.n_edges, "w1").astype(np.int8)
-    w2a = _as_indicator(w2, skeleton.n_triangles, "w2").astype(np.int8)
+    w1a = _active_indices(w1, skeleton.n_edges, "w1")[0].astype(np.int8)
+    w2a = _active_indices(w2, skeleton.n_triangles, "w2")[0].astype(np.int8)
     return Selection(_read_only(w1a), _read_only(w2a))
 
 
 def node_laplacian(skeleton: ComplexSkeleton, w1) -> np.ndarray:
     """Graph Laplacian ``B1 diag(w1) B1^T`` of the active edges of a
     binary edge indicator ``w1``."""
-    w = _as_indicator(w1, skeleton.n_edges, "w1")
+    w, _ = _active_indices(w1, skeleton.n_edges, "w1")
     b1t = edge_gradient(skeleton, np.eye(skeleton.n_nodes))
     return (b1t.T * w) @ b1t
 
@@ -431,13 +431,9 @@ def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:
         Parts are mutually orthogonal and sum to ``x``; closure of the
         selection makes the gradient and curl ranges orthogonal.
     """
-    w1a = _as_indicator(w1, skeleton.n_edges, "w1")
-    w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
-    if _violation_count(skeleton, w1a, w2a) != 0:
-        raise ValueError("selection is not downward closed")
-    active_e = np.flatnonzero(w1a)
+    active_e, active_t = _closed_indices(skeleton, w1, w2)
     b1t = edge_gradient(skeleton, np.eye(skeleton.n_nodes))[active_e]
-    b2 = b2_block(skeleton, active_e, np.flatnonzero(w2a))
+    b2 = b2_block(skeleton, active_e, active_t)
     xa = np.asarray(x, dtype=np.float64)
     if xa.shape != (b1t.shape[0],):
         raise ValueError(f"x must have shape ({b1t.shape[0]},), got {xa.shape}")
@@ -450,17 +446,13 @@ def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:
     return HodgeParts(gradient, curl, harmonic, v, t)
 
 
-def _violation_count(skeleton: ComplexSkeleton, w1: np.ndarray, w2: np.ndarray) -> int:
-    return int(missing_edges(skeleton, w1)[w2 != 0].sum())
-
-
 def closure_violations(skeleton: ComplexSkeleton, w1, w2) -> ClosureReport:
     """Report active triangles whose supporting edges are not all active."""
-    w1a = _as_indicator(w1, skeleton.n_edges, "w1")
-    w2a = _as_indicator(w2, skeleton.n_triangles, "w2")
-    open_tris = np.flatnonzero((w2a != 0.0) & (missing_edges(skeleton, w1a) > 0.0))
+    w1a, _ = _active_indices(w1, skeleton.n_edges, "w1")
+    _, active_t = _active_indices(w2, skeleton.n_triangles, "w2")
+    open_tris = active_t[missing_edges(skeleton, w1a)[active_t] > 0]
     items = tuple(
-        (int(t_idx), tuple(int(e) for e in skeleton.tri_edges[t_idx] if w1a[e] == 0.0))
+        (int(t_idx), tuple(int(e) for e in skeleton.tri_edges[t_idx] if w1a[e] == 0))
         for t_idx in open_tris
     )
     count = sum(len(m) for _, m in items)
@@ -469,12 +461,12 @@ def closure_violations(skeleton: ComplexSkeleton, w1, w2) -> ClosureReport:
 
 def complex_to_dict(skeleton: ComplexSkeleton, selection: Selection) -> dict:
     """Serialize the active simplices of a selection."""
-    w1 = _as_indicator(selection.w1, skeleton.n_edges, "w1")
-    w2 = _as_indicator(selection.w2, skeleton.n_triangles, "w2")
+    _, active_e = _active_indices(selection.w1, skeleton.n_edges, "w1")
+    _, active_t = _active_indices(selection.w2, skeleton.n_triangles, "w2")
     return {
         "n_nodes": skeleton.n_nodes,
-        "edges": skeleton.edge_nodes[w1 != 0].tolist(),
-        "triangles": triangle_nodes(skeleton, w2 != 0).tolist(),
+        "edges": skeleton.edge_nodes[active_e].tolist(),
+        "triangles": triangle_nodes(skeleton, active_t).tolist(),
     }
 
 

@@ -38,11 +38,11 @@ from scinfer import (
     triangle_scores,
 )
 from scinfer.topology import (
+    _face_counts,
     b2_block,
     edge_coverage,
     edge_gradient,
     missing_edges,
-    node_degrees,
     triangle_curl,
 )
 
@@ -264,7 +264,9 @@ class TestAcceptance:
         # Entries are {-1, 0, 1} held in float64 and the inputs are
         # integers, so every dot product is exact integer arithmetic: the
         # oracle product must be exactly zero, the package operators must
-        # equal the oracle products exactly, and so must their chain.
+        # equal the oracle products exactly, and so must their chain. The
+        # counts are integer arrays for an int8, bool, float or list
+        # indicator alike.
         chain_ok = True
         rng = np.random.default_rng(4100)
         for n in range(2, 16):
@@ -287,11 +289,16 @@ class TestAcceptance:
                 and np.array_equal(triangle_curl(skeleton, x1), b2.T @ x1)
                 and np.array_equal(b2_block(skeleton, np.arange(n_e), np.arange(n_t)), b2)
                 and np.array_equal(b2_block(skeleton, rows, cols), b2[np.ix_(rows, cols)])
-                and np.array_equal(edge_coverage(skeleton, w2), np.abs(b2) @ w2)
-                and np.array_equal(missing_edges(skeleton, w1), np.abs(b2).T @ (1.0 - w1))
-                and np.array_equal(node_degrees(skeleton, w1), np.abs(b1) @ w1)
+                and np.array_equal(_face_counts(skeleton.edge_nodes, w1 != 0, n), np.abs(b1) @ w1)
                 and not triangle_curl(skeleton, edge_gradient(skeleton, x0)).any()
             )
+            forms = (lambda w: w.astype(np.int8), lambda w: w != 0, lambda w: w, list)
+            for form in forms:
+                for counts, oracle in (
+                    (edge_coverage(skeleton, form(w2)), np.abs(b2) @ w2),
+                    (missing_edges(skeleton, form(w1)), np.abs(b2).T @ (1.0 - w1)),
+                ):
+                    chain_ok &= counts.dtype.kind == "i" and np.array_equal(counts, oracle)
 
         closure_ok = True
         for n_nodes, seed in ((6, 0), (6, 1), (8, 2), (8, 3), (8, 4), (10, 5)):

@@ -4,7 +4,8 @@ reaches for a dense incidence matrix, the learning methods take curl
 energies only from the blocked pass and only for triangle subsets, the
 learner builds no incidence block, the complex reader ranks no simplex
 on its own, only the two ``topology`` helpers word a numeric range
-check, and the test oracles stay independent of the package."""
+check and only ``_active_indices`` the indicator rule, and the test
+oracles stay independent of the package."""
 
 import ast
 from pathlib import Path
@@ -131,12 +132,9 @@ def test_complex_reader_ranks_no_entry_alone():
     assert {"_simplex_ranks", "_edge_rank", "_triangle_rank", "build_skeleton"} <= reached
 
 
-def test_only_the_two_helpers_word_a_range_check():
-    """Every numeric range refusal goes through ``topology._require_int``
-    or ``topology._require_real``: no other string literal in the package
-    words one."""
-    helpers = {("topology.py", "_require_int"), ("topology.py", "_require_real")}
-    words = ("must be >=", "must be in [", "must be in (")
+def _wordings(words):
+    """``(file, function, line)`` of each string literal in the package
+    that holds one of ``words``."""
     found, todo = [], []
     for path in sorted(Path(scinfer.__file__).parent.glob("*.py")):
         todo.append((ast.parse(path.read_text(encoding="utf-8")), path.name, ""))
@@ -144,12 +142,29 @@ def test_only_the_two_helpers_word_a_range_check():
         node, name, func = todo.pop()
         if isinstance(node, ast.FunctionDef):
             func = node.name
-        if (name, func) in helpers:
-            continue
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found += [f"{name}:{node.lineno} {w!r}" for w in words if w in node.value]
+            found += [(name, func, node.lineno) for w in words if w in node.value]
         todo += [(child, name, func) for child in ast.iter_child_nodes(node)]
-    assert found == []
+    return found
+
+
+def test_only_the_two_helpers_word_a_range_check():
+    """Every numeric range refusal goes through ``topology._require_int``
+    or ``topology._require_real``: no other string literal in the package
+    words one."""
+    helpers = {("topology.py", "_require_int"), ("topology.py", "_require_real")}
+    found = _wordings(("must be >=", "must be in [", "must be in ("))
+    assert [f for f in found if f[:2] not in helpers] == []
+
+
+def test_only_active_indices_words_the_indicator_rule():
+    """Every indicator passes ``topology._active_indices``: no other
+    string literal in the package words the binary refusal, and no
+    module names the float-copying ``_as_indicator`` it replaced."""
+    found = _wordings(("must be binary",))
+    assert {f[:2] for f in found} == {("topology.py", "_active_indices")}
+    files = [path.name for path in Path(scinfer.__file__).parent.glob("*.py")]
+    assert _name_refs(files, ("_as_indicator",)) == []
 
 
 def test_oracles_import_nothing_from_the_package():

@@ -25,7 +25,13 @@ from scinfer.synth import (
     write_dataset,
     write_matrix_csv,
 )
-from scinfer.topology import b2_block, build_skeleton, hodge_decompose, node_laplacian
+from scinfer.topology import (
+    b2_block,
+    build_skeleton,
+    hodge_decompose,
+    missing_edges,
+    node_laplacian,
+)
 
 
 def _er_instance(seed, n=10, p=0.5):
@@ -374,6 +380,84 @@ class TestObservedEdges:
             sample_observed_edges(np.ones(10), 0.0, rng)
         with pytest.raises(ValueError):
             sample_observed_edges(np.ones(10), 1.5, rng)
+
+
+_SHAPE, _BINARY, _OPEN = "must have shape", "must be binary", "selection is not downward closed"
+
+# Each fault a stage must refuse in an indicator, with the message it gets.
+_FAULTS = {
+    "three too long": (lambda w: np.append(w, [1, 0, 1]), _SHAPE),
+    "three too short": (lambda w: w[:-3], _SHAPE),
+    "entries of 2": (lambda w: 2 * w, _BINARY),
+    "entries of 0.5": (lambda w: 0.5 * w, _BINARY),
+    "a NaN": (lambda w: np.where(np.arange(w.size) == 0, np.nan, w), _BINARY),
+}
+
+# The same binary indicator as int8, bool, float64 and a Python list.
+_FORMS = (
+    lambda w: w.astype(np.int8),
+    lambda w: w != 0,
+    lambda w: w.astype(np.float64),
+    lambda w: w.tolist(),
+)
+
+
+class TestIndicatorChecks:
+    """Every generator stage takes its indicators through
+    ``topology._active_indices``: a faulty one raises that helper's shape
+    or binary message (or the closure message for a ``w2`` filling a
+    triangle on an inactive edge) instead of a raw IndexError or a silent
+    result, and every binary form gives the same output."""
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_fill_refuses_a_faulty_w1(self, fault):
+        sk, w1, _, rng = _er_instance(0, n=6)
+        corrupt, message = _FAULTS[fault]
+        with pytest.raises(ValueError, match=f"w1 {message}"):
+            fill_triangles(sk, corrupt(w1), 0.5, rng)
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    @pytest.mark.parametrize("name", ["w1", "w2"])
+    def test_flows_refuse_a_faulty_indicator(self, name, fault):
+        sk, w1, w2, rng = _er_instance(3, n=6)
+        assert w2.any()
+        corrupt, message = _FAULTS[fault]
+        args = {"w1": w1, "w2": w2}
+        args[name] = corrupt(args[name])
+        with pytest.raises(ValueError, match=f"{name} {message}"):
+            gen_low_curl_edge_signals(sk, args["w1"], args["w2"], 4, 0.05, 0.0, rng)
+
+    def test_flows_refuse_an_open_w2(self):
+        """A triangle on an inactive edge would be cut to its active rows
+        by ``b2_block``, so the flows would miss its true curl."""
+        sk, w1, w2, rng = _er_instance(2, n=6)
+        w2 = w2.copy()
+        w2[np.flatnonzero(missing_edges(sk, w1) > 0)[0]] = 1
+        with pytest.raises(ValueError, match=_OPEN):
+            gen_low_curl_edge_signals(sk, w1, w2, 4, 0.05, 0.0, rng)
+
+    @pytest.mark.parametrize("fault", sorted(k for k, (_, m) in _FAULTS.items() if m == _BINARY))
+    def test_observed_edges_refuse_a_faulty_w1(self, fault):
+        _, w1, _, rng = _er_instance(3, n=6)
+        with pytest.raises(ValueError, match=f"w1 {_BINARY}"):
+            sample_observed_edges(_FAULTS[fault][0](w1), 0.5, rng)
+        with pytest.raises(ValueError, match=f"w1 {_SHAPE}"):
+            sample_observed_edges(w1[None, :], 0.5, rng)
+
+    def test_every_binary_form_gives_the_same_output(self):
+        sk, w1, w2, _ = _er_instance(3, n=8)
+        assert w2.any()
+        runs = []
+        for form in _FORMS:
+            fill = fill_triangles(sk, form(w1), 0.5, np.random.default_rng(9))
+            flows = gen_low_curl_edge_signals(
+                sk, form(w1), form(w2), 5, 0.05, 0.1, np.random.default_rng(9)
+            )
+            observed = sample_observed_edges(form(w1), 0.5, np.random.default_rng(9))
+            runs.append((fill.w2, fill.draws, fill.identifiable, *flows, observed))
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestInstanceChecks:
