@@ -409,10 +409,13 @@ def make_selection(skeleton: ComplexSkeleton, w1, w2) -> Selection:
 
 def node_laplacian(skeleton: ComplexSkeleton, w1) -> np.ndarray:
     """Graph Laplacian ``B1 diag(w1) B1^T`` of the active edges of a
-    binary edge indicator ``w1``."""
-    w, _ = _active_indices(w1, skeleton.n_edges, "w1")
-    b1t = edge_gradient(skeleton, np.eye(skeleton.n_nodes))
-    return (b1t.T * w) @ b1t
+    binary edge indicator ``w1``: the degrees on the diagonal and -1 at
+    both positions of each active edge, scattered from ``edge_nodes``."""
+    _, active = _active_indices(w1, skeleton.n_edges, "w1")
+    l0 = np.diag(_face_counts(skeleton.edge_nodes, active, skeleton.n_nodes).astype(np.float64))
+    i, j = skeleton.edge_nodes[active].T
+    l0[i, j] = l0[j, i] = -1.0
+    return l0
 
 
 def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:

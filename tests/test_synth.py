@@ -26,8 +26,10 @@ from scinfer.synth import (
     write_matrix_csv,
 )
 from scinfer.topology import (
+    MAX_NODES,
     b2_block,
     build_skeleton,
+    edge_index,
     hodge_decompose,
     missing_edges,
     node_laplacian,
@@ -92,6 +94,22 @@ class TestErSelection:
                     assert _connected(sk, w1) == expected
                     outcomes.add(expected)
         assert outcomes == {True, False}
+
+    def test_connectivity_decided_at_the_smallest_spectral_gap(self):
+        """At n = MAX_NODES the path has the smallest lambda_2 of any
+        connected graph, 2 - 2 cos(pi / n); removing one of its edges or
+        isolating a vertex leaves a second zero eigenvalue."""
+        n = MAX_NODES
+        sk = build_skeleton(n)
+        path = np.zeros(sk.n_edges, dtype=np.int8)
+        path[[edge_index(sk, i, i + 1) for i in range(n - 1)]] = 1
+        assert _connected(sk, path)
+        cut = path.copy()
+        cut[edge_index(sk, n // 2, n // 2 + 1)] = 0
+        assert not _connected(sk, cut)
+        isolated = np.ones(sk.n_edges, dtype=np.int8)
+        isolated[[edge_index(sk, i, n - 1) for i in range(n - 1)]] = 0
+        assert not _connected(sk, isolated)
 
     def test_deterministic_given_seed(self):
         sk = build_skeleton(12)
@@ -361,7 +379,7 @@ class TestObservedEdges:
         for seed in range(100):
             sk, w1, _, rng = _er_instance(seed, n=8)
             frac = 0.6
-            obs = sample_observed_edges(w1, frac, rng)
+            obs = sample_observed_edges(sk, w1, frac, rng)
             active = np.flatnonzero(w1)
             assert obs.size == math.ceil(frac * active.size)
             assert np.all(np.diff(obs) > 0)
@@ -369,17 +387,18 @@ class TestObservedEdges:
 
     def test_full_fraction_observes_everything(self):
         sk, w1, _, rng = _er_instance(13)
-        obs = sample_observed_edges(w1, 1.0, rng)
+        obs = sample_observed_edges(sk, w1, 1.0, rng)
         np.testing.assert_array_equal(obs, np.flatnonzero(w1))
 
     def test_rejects_empty_graph_and_bad_fraction(self):
         rng = np.random.default_rng(0)
+        sk = build_skeleton(5)
         with pytest.raises(ValueError, match="no active edges"):
-            sample_observed_edges(np.zeros(10), 0.5, rng)
+            sample_observed_edges(sk, np.zeros(10), 0.5, rng)
         with pytest.raises(ValueError):
-            sample_observed_edges(np.ones(10), 0.0, rng)
+            sample_observed_edges(sk, np.ones(10), 0.0, rng)
         with pytest.raises(ValueError):
-            sample_observed_edges(np.ones(10), 1.5, rng)
+            sample_observed_edges(sk, np.ones(10), 1.5, rng)
 
 
 _SHAPE, _BINARY, _OPEN = "must have shape", "must be binary", "selection is not downward closed"
@@ -436,13 +455,16 @@ class TestIndicatorChecks:
         with pytest.raises(ValueError, match=_OPEN):
             gen_low_curl_edge_signals(sk, w1, w2, 4, 0.05, 0.0, rng)
 
-    @pytest.mark.parametrize("fault", sorted(k for k, (_, m) in _FAULTS.items() if m == _BINARY))
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
     def test_observed_edges_refuse_a_faulty_w1(self, fault):
-        _, w1, _, rng = _er_instance(3, n=6)
-        with pytest.raises(ValueError, match=f"w1 {_BINARY}"):
-            sample_observed_edges(_FAULTS[fault][0](w1), 0.5, rng)
+        """The length is checked against the skeleton: a ``w1`` three
+        entries too long is refused, not sampled past the candidate list."""
+        sk, w1, _, rng = _er_instance(3, n=6)
+        corrupt, message = _FAULTS[fault]
+        with pytest.raises(ValueError, match=f"w1 {message}"):
+            sample_observed_edges(sk, corrupt(w1), 0.5, rng)
         with pytest.raises(ValueError, match=f"w1 {_SHAPE}"):
-            sample_observed_edges(w1[None, :], 0.5, rng)
+            sample_observed_edges(sk, w1[None, :], 0.5, rng)
 
     def test_every_binary_form_gives_the_same_output(self):
         sk, w1, w2, _ = _er_instance(3, n=8)
@@ -453,7 +475,7 @@ class TestIndicatorChecks:
             flows = gen_low_curl_edge_signals(
                 sk, form(w1), form(w2), 5, 0.05, 0.1, np.random.default_rng(9)
             )
-            observed = sample_observed_edges(form(w1), 0.5, np.random.default_rng(9))
+            observed = sample_observed_edges(sk, form(w1), 0.5, np.random.default_rng(9))
             runs.append((fill.w2, fill.draws, fill.identifiable, *flows, observed))
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):

@@ -195,6 +195,24 @@ class TestLaplacians:
         np.testing.assert_allclose(l0.sum(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(l0, l0.T, atol=0)
 
+    @pytest.mark.parametrize(
+        "form",
+        [lambda w: w, lambda w: w != 0, lambda w: w.astype(np.float64), lambda w: w.tolist()],
+        ids=["int8", "bool", "float", "list"],
+    )
+    def test_node_laplacian_equals_the_dense_oracle_bit_for_bit(self, form):
+        """The scattered Laplacian is the oracle's ``b1 diag(w1) b1^T`` at
+        n = MAX_NODES, signed zeros included, whatever the indicator form."""
+        rng = np.random.default_rng(40)
+        sk = build_skeleton(MAX_NODES)
+        b1 = incidence(MAX_NODES)[0]
+        for p in (0.05, 0.4, 0.9):
+            w1 = (rng.random(sk.n_edges) < p).astype(np.int8)
+            got = node_laplacian(sk, form(w1))
+            want = (b1 * w1.astype(np.float64)) @ b1.T
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("w1", [[1.0, -1.0, 0.0], [1.0, 1.0, np.nan], [0.5, 1.0, 0.0]])
     def test_node_laplacian_rejects_non_binary_weights(self, w1):
         with pytest.raises(ValueError, match="binary"):
