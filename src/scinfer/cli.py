@@ -7,8 +7,11 @@ experiment grid).
 
 Failures exit with status 1 and a single machine-parsable stderr line:
 ``error: generation-failure: ...``, ``error: missing-file: ...`` or
-``error: invalid-argument: ...``. Unknown flags or methods are argparse
-usage errors (exit status 2).
+``error: invalid-argument: ...``. A missing input is ``missing-file``;
+any other path a command cannot read or write (an existing file where
+``--out`` needs a directory, a directory where a file is read or
+written) is ``invalid-argument``, and the message names the path.
+Unknown flags or methods are argparse usage errors (exit status 2).
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ def main(argv=None) -> int:
         missing = exc.filename if exc.filename else exc
         print(f"error: missing-file: {missing}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: invalid-argument: {exc}", file=sys.stderr)
         return 1
 

@@ -31,6 +31,22 @@ def _fmt(v: float) -> str:
     return f"{v:.3g}"
 
 
+def _el(tag: str, body=None, **attrs) -> str:
+    """One SVG element: attributes in the order given, ``_`` in a name
+    written as ``-``, floats to one decimal and anything else as is."""
+    text = " ".join(
+        f'{name.replace("_", "-")}="{f"{v:.1f}" if isinstance(v, float) else v}"'
+        for name, v in attrs.items()
+    )
+    return f"<{tag} {text}/>" if body is None else f"<{tag} {text}>{body}</{tag}>"
+
+
+def _text(body, x, y, size: int, anchor=None, **attrs) -> str:
+    """A sans-serif ``<text>``; ``anchor`` sets ``text-anchor`` when given."""
+    align = {} if anchor is None else {"text_anchor": anchor}
+    return _el("text", body, x=x, y=y, **align, font_family="sans-serif", font_size=size, **attrs)
+
+
 def line_plot_svg(path, x_values, series, title: str, x_label: str, y_label: str) -> None:
     """Write a line chart.
 
@@ -61,6 +77,7 @@ def line_plot_svg(path, x_values, series, title: str, x_label: str, y_label: str
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    bottom, mid_x, mid_y = _MARGIN_T + plot_h, _MARGIN_L + plot_w / 2, _MARGIN_T + plot_h / 2
 
     def sx(v: float) -> float:
         return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -68,56 +85,27 @@ def line_plot_svg(path, x_values, series, title: str, x_label: str, y_label: str
     def sy(v: float) -> float:
         return _MARGIN_T + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
 
+    axis = "#333333"
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" font-weight="bold">{title}</text>',
+        _el("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        _text(title, _WIDTH / 2, 24, 15, "middle", font_weight="bold"),
+        _el("line", x1=_MARGIN_L, y1=bottom, x2=_MARGIN_L + plot_w, y2=bottom, stroke=axis,
+            stroke_width=1),
+        _el("line", x1=_MARGIN_L, y1=_MARGIN_T, x2=_MARGIN_L, y2=bottom, stroke=axis,
+            stroke_width=1),
     ]
-
-    axis_color = "#333333"
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T + plot_h}" x2="{_MARGIN_L + plot_w}" '
-        f'y2="{_MARGIN_T + plot_h}" stroke="{axis_color}" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
-        f'y2="{_MARGIN_T + plot_h}" stroke="{axis_color}" stroke-width="1"/>'
-    )
     for tick in _ticks(x_lo, x_hi):
         px = sx(tick)
-        parts.append(
-            f'<line x1="{px:.1f}" y1="{_MARGIN_T + plot_h}" x2="{px:.1f}" '
-            f'y2="{_MARGIN_T + plot_h + 5}" stroke="{axis_color}"/>'
-        )
-        parts.append(
-            f'<text x="{px:.1f}" y="{_MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
-        )
+        parts.append(_el("line", x1=px, y1=bottom, x2=px, y2=bottom + 5, stroke=axis))
+        parts.append(_text(_fmt(tick), px, bottom + 20, 11, "middle"))
     for tick in _ticks(y_lo, y_hi):
         py = sy(tick)
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{py:.1f}" x2="{_MARGIN_L}" y2="{py:.1f}" '
-            f'stroke="{axis_color}"/>'
-        )
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{py:.1f}" x2="{_MARGIN_L + plot_w}" y2="{py:.1f}" '
-            f'stroke="#dddddd" stroke-width="0.5"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 9}" y="{py + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
-    )
+        parts.append(_el("line", x1=_MARGIN_L - 5, y1=py, x2=_MARGIN_L, y2=py, stroke=axis))
+        parts.append(_el("line", x1=_MARGIN_L, y1=py, x2=_MARGIN_L + plot_w, y2=py,
+                         stroke="#dddddd", stroke_width=0.5))
+        parts.append(_text(_fmt(tick), _MARGIN_L - 9, py + 4, 11, "end"))
+    parts.append(_text(x_label, mid_x, _HEIGHT - 14, 13, "middle"))
+    parts.append(_text(y_label, 20, mid_y, 13, "middle", transform=f"rotate(-90 20 {mid_y:.1f})"))
 
     for s_idx, (label, means, stderrs) in enumerate(series):
         color = _PALETTE[s_idx % len(_PALETTE)]
@@ -128,41 +116,26 @@ def line_plot_svg(path, x_values, series, title: str, x_label: str, y_label: str
         ]
         if points:
             poly = " ".join(f"{px:.1f},{py:.1f}" for px, py, _, _ in points)
-            parts.append(
-                f'<polyline points="{poly}" fill="none" stroke="{color}" stroke-width="2"/>'
-            )
+            parts.append(_el("polyline", points=poly, fill="none", stroke=color, stroke_width=2))
             for px, py, err, m in points:
                 if err > 0:
                     top, bot = sy(m + err), sy(m - err)
-                    parts.append(
-                        f'<line x1="{px:.1f}" y1="{top:.1f}" x2="{px:.1f}" y2="{bot:.1f}" '
-                        f'stroke="{color}" stroke-width="1"/>'
-                    )
+                    parts.append(_el("line", x1=px, y1=top, x2=px, y2=bot, stroke=color,
+                                     stroke_width=1))
                     for wy in (top, bot):
-                        parts.append(
-                            f'<line x1="{px - 4:.1f}" y1="{wy:.1f}" x2="{px + 4:.1f}" '
-                            f'y2="{wy:.1f}" stroke="{color}" stroke-width="1"/>'
-                        )
-                parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" fill="{color}"/>')
+                        parts.append(_el("line", x1=px - 4, y1=wy, x2=px + 4, y2=wy,
+                                         stroke=color, stroke_width=1))
+                parts.append(_el("circle", cx=px, cy=py, r=3, fill=color))
         legend_y = _MARGIN_T + 14 + 18 * s_idx
         legend_x = _MARGIN_L + plot_w - 130
-        parts.append(
-            f'<line x1="{legend_x}" y1="{legend_y - 4}" x2="{legend_x + 22}" '
-            f'y2="{legend_y - 4}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 28}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
+        parts.append(_el("line", x1=legend_x, y1=legend_y - 4, x2=legend_x + 22, y2=legend_y - 4,
+                         stroke=color, stroke_width=2))
+        parts.append(_text(label, legend_x + 28, legend_y, 12))
 
     if not any(_finite(means) for _, means, _ in series):
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_MARGIN_T + plot_h / 2:.1f}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="13" '
-            f'fill="#888888">no data</text>'
-        )
+        parts.append(_text("no data", mid_x, mid_y, 13, "middle", fill="#888888"))
 
-    parts.append("</svg>")
+    svg = _el("svg", "\n" + "\n".join(parts) + "\n", xmlns="http://www.w3.org/2000/svg",
+              width=_WIDTH, height=_HEIGHT, viewBox=f"0 0 {_WIDTH} {_HEIGHT}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+        fh.write(svg + "\n")

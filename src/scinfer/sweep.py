@@ -50,12 +50,10 @@ CSV_COLUMNS = (
 _METRIC_KEYS = ("nerr_l0", "nerr_lu", "edge_f1", "triangle_f1", "closure_violations")
 
 
-def _error_row(value: float, trial: int, method: str, exc: Exception) -> dict:
-    row = {"sweep_value": value, "trial": trial, "method": method, "seconds": float("nan")}
-    for key in _METRIC_KEYS:
-        row[key] = float("nan")
-    row["status"] = f"{type(exc).__name__}: {exc}"
-    return row
+def _row(value, trial: int, method: str, report=None, seconds=math.nan, status="ok") -> dict:
+    """One results row; without a report every metric reads nan."""
+    metrics = [getattr(report, key, math.nan) for key in _METRIC_KEYS]
+    return dict(zip(CSV_COLUMNS, (value, trial, method, *metrics, seconds, status)))
 
 
 def _cell_rows(spec: SweepSpec, grid_index: int, trial: int) -> list[dict]:
@@ -66,7 +64,7 @@ def _cell_rows(spec: SweepSpec, grid_index: int, trial: int) -> list[dict]:
     try:
         truth, signals = generate_instance(instance, seed)
     except Exception as exc:
-        return [_error_row(value, trial, m, exc) for m in spec.methods]
+        return [_row(value, trial, m, status=f"{type(exc).__name__}: {exc}") for m in spec.methods]
 
     params = resolve_budgets(spec.params, truth.selection)
 
@@ -79,22 +77,9 @@ def _cell_rows(spec: SweepSpec, grid_index: int, trial: int) -> list[dict]:
             )
             report = evaluate(truth.skeleton, state.selection, truth.selection)
         except Exception as exc:
-            rows.append(_error_row(value, trial, method, exc))
+            rows.append(_row(value, trial, method, status=f"{type(exc).__name__}: {exc}"))
             continue
-        rows.append(
-            {
-                "sweep_value": value,
-                "trial": trial,
-                "method": method,
-                "nerr_l0": report.nerr_l0,
-                "nerr_lu": report.nerr_lu,
-                "edge_f1": report.edge_f1,
-                "triangle_f1": report.triangle_f1,
-                "closure_violations": report.closure_violations,
-                "seconds": time.perf_counter() - start,
-                "status": "ok",
-            }
-        )
+        rows.append(_row(value, trial, method, report, time.perf_counter() - start))
     return rows
 
 
@@ -120,25 +105,15 @@ def write_results_csv(path, rows: list[dict]) -> None:
 
 def _series_stats(rows: list[dict], spec: SweepSpec, metric: str):
     """Per-method (means, stderrs) over the grid, skipping failed rows."""
+    samples = {}
+    for row in rows:
+        if row["status"] == "ok" and math.isfinite(row[metric]):
+            samples.setdefault((row["method"], row["sweep_value"]), []).append(row[metric])
     series = []
     for method in spec.methods:
-        means, errs = [], []
-        for value in spec.grid:
-            samples = [
-                row[metric]
-                for row in rows
-                if row["method"] == method
-                and row["sweep_value"] == value
-                and row["status"] == "ok"
-                and math.isfinite(row[metric])
-            ]
-            if samples:
-                arr = np.asarray(samples, dtype=float)
-                means.append(float(arr.mean()))
-                errs.append(float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0)
-            else:
-                means.append(float("nan"))
-                errs.append(0.0)
+        arrays = [np.asarray(samples.get((method, v), []), dtype=float) for v in spec.grid]
+        means = [float(a.mean()) if a.size else math.nan for a in arrays]
+        errs = [float(a.std(ddof=1) / math.sqrt(a.size)) if a.size > 1 else 0.0 for a in arrays]
         series.append((method, means, errs))
     return series
 

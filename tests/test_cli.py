@@ -1,6 +1,7 @@
 """Config parsing, CLI subcommands, and the sweep harness."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import scinfer.sweep
 from scinfer.cli import build_parser, main
 from scinfer.config import (
     METHOD_NAMES,
@@ -554,6 +556,35 @@ def test_non_finite_config_floats_rejected(command, text, bundle_dir, tmp_path, 
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["generate", "--config", "{cfg}", "--out", "{file}"], "file"),
+        (["learn", "{bundle}", "--out", "{file}"], "file"),
+        (["eval", "--est", "{bundle}", "--truth", "{bundle}", "--out", "{dir}"], "dir"),
+        (["generate", "--config", "{dir}", "--out", "{out}"], "dir"),
+    ],
+    ids=["generate-out-file", "learn-out-file", "eval-out-dir", "generate-config-dir"],
+)
+def test_unusable_path_is_one_error_line(argv, bad, bundle_dir, tmp_path, capsys):
+    """A path that exists but cannot be used as asked is an argument error
+    naming it, not a traceback."""
+    paths = {
+        "cfg": write(tmp_path / "a.ini", TINY_INSTANCE),
+        "file": write(tmp_path / "a.txt", ""),
+        "dir": str(tmp_path / "adir"),
+        "bundle": str(bundle_dir),
+        "out": str(tmp_path / "out"),
+    }
+    os.mkdir(paths["dir"])
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-argument: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert paths[bad] in err
+    assert "Traceback" not in err
+
+
 def strip_seconds(csv_text):
     lines = csv_text.splitlines()
     idx = lines[0].split(",").index("seconds")
@@ -695,16 +726,46 @@ class TestSweep:
             assert cells[3] == "nan"
             assert "GenerationError" in cells[-1]
 
-    def test_paired_instances_across_grid(self, tmp_path):
+    def test_failed_method_keeps_its_rows(self, tmp_path, monkeypatch):
+        """A method that raises inside a cell fills only its own rows with
+        nan; the other methods of the same cells are scored as usual."""
+        spec = parse_sweep(load_config(write(tmp_path / "s.ini", TINY_SWEEP)))
+        spec = dataclasses.replace(spec, methods=("GreedySCL", "SepSCL", "RC"))
+        normal = run_sweep(spec, tmp_path / "normal")
+
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(scinfer.sweep.METHODS, "SepSCL", boom)
+        rows = run_sweep(spec, tmp_path / "failed")
+        assert len(rows) == len(normal) == 2 * 2 * 3
+        for row, before in zip(rows, normal):
+            assert row["method"] == before["method"]
+            if row["method"] == "SepSCL":
+                assert row["status"] == "ValueError: boom"
+                assert all(math.isnan(row[key]) for key in CSV_COLUMNS[3:-1])
+            else:
+                assert {**row, "seconds": 0} == {**before, "seconds": 0}
+                assert row["status"] == "ok"
+
+    def test_paired_instances_across_grid(self, tmp_path, monkeypatch):
         """Same trial at different noise levels sees the same graph."""
-        cfg = write(tmp_path / "s.ini", TINY_SWEEP)
-        rows = run_sweep(parse_sweep(load_config(cfg)), tmp_path / "out")
-        rc = [row for row in rows if row["method"] == "RC"]
-        by_value = {}
-        for row in rc:
-            by_value.setdefault(row["trial"], {})[row["sweep_value"]] = row["nerr_lu"]
-        for trial_rows in by_value.values():
-            assert len(set(trial_rows.values())) >= 1
+        generate = scinfer.sweep.generate_instance
+        seen = {}
+
+        def recording(instance, seed):
+            truth, signals = generate(instance, seed)
+            digest = hashlib.sha256(truth.selection.w1.tobytes() + truth.selection.w2.tobytes())
+            seen.setdefault(seed, {})[instance.node_noise_std] = digest.hexdigest()
+            return truth, signals
+
+        monkeypatch.setattr(scinfer.sweep, "generate_instance", recording)
+        spec = parse_sweep(load_config(write(tmp_path / "s.ini", TINY_SWEEP)))
+        run_sweep(spec, tmp_path / "out")
+        assert sorted(seen) == [spec.base_seed + t for t in range(spec.n_trials)]
+        for by_value in seen.values():
+            assert list(by_value) == list(spec.grid)
+            assert len(set(by_value.values())) == 1
 
 
 class TestSvgPlot:
@@ -721,6 +782,29 @@ class TestSvgPlot:
         svg = read_bytes(path).decode()
         assert svg.count("<circle") == 2
         assert "<polyline" in svg
+
+    @pytest.mark.parametrize(
+        "x_values, series, digest",
+        [
+            ([0.0, 1.0], [("A", [math.nan, math.nan], [0, 0])],
+             "9a754433c64566d1003c71f594d4a30fbc9969b422d4e361b478fc84ae8163b6"),
+            ([0.3], [("A", [None], [None]), ("B", [0.4], [None])],
+             "545ee045f67dd5aebe7718dbaebf53c74f4e6551a5bb9315a4a61e267946db41"),
+            ([0.0, 0.5, 1.0],
+             [(f"S{i}", [0.1 * i, math.nan, 0.9 - 0.1 * i],
+               [0.0, None, 0.02 * i if i % 2 else None]) for i in range(7)],
+             "9bb479d9ebc36295b25ac96de4343e7963de1cceded0c2e619672431634adf42"),
+        ],
+        ids=["no-data", "single-point", "seven-series"],
+    )
+    def test_chart_bytes_pinned(self, tmp_path, x_values, series, digest):
+        """Chart paths the golden sweeps do not reach: the "no data" label,
+        the widened x range of a single grid point with None means and
+        stderrs, and a palette that wraps past six series with NaN means
+        and zero or None stderrs."""
+        path = tmp_path / "p.svg"
+        line_plot_svg(path, x_values, series, "t", "x", "y")
+        assert hashlib.sha256(read_bytes(path)).hexdigest() == digest
 
 
 
