@@ -40,7 +40,7 @@ from .synth import (
     generate_instance,
     read_dataset,
     write_dataset,
-    write_matrix_csv,
+    write_matrix_npy,
 )
 from .topology import JSON_STYLE, complex_to_dict, read_complex_json, write_json
 
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--e-min", type=int, help="edge budget (default: from ground truth)")
     p_learn.add_argument("--t-min", type=int, help="triangle budget (default: from ground truth)")
     p_learn.add_argument(
-        "--save-x1", action="store_true", help="also write the interpolated flows (x1_est.csv)"
+        "--save-x1", action="store_true", help="also write the interpolated flows (x1_est.npy)"
     )
     p_learn.set_defaults(func=_cmd_learn)
 
@@ -141,7 +141,7 @@ def _cmd_learn(args) -> int:
     result_path = os.path.join(out_dir, "result.json")
     write_json(result_path, result)
     if args.save_x1:
-        write_matrix_csv(os.path.join(out_dir, "x1_est.csv"), state.x1_est)
+        write_matrix_npy(os.path.join(out_dir, "x1_est.npy"), state.x1_est)
     print(
         f"{args.method}: nerr_l0={report.nerr_l0:.6g} nerr_lu={report.nerr_lu:.6g} "
         f"edge_f1={report.edge_f1:.4f} triangle_f1={report.triangle_f1:.4f} "

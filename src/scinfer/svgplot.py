@@ -42,7 +42,9 @@ def _el(tag: str, body=None, **attrs) -> str:
 
 
 def _text(body, x, y, size: int, anchor=None, **attrs) -> str:
-    """A sans-serif ``<text>``; ``anchor`` sets ``text-anchor`` when given."""
+    """A sans-serif ``<text>`` with ``&``, ``<`` and ``>`` in ``body``
+    escaped; ``anchor`` sets ``text-anchor`` when given."""
+    body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     align = {} if anchor is None else {"text_anchor": anchor}
     return _el("text", body, x=x, y=y, **align, font_family="sans-serif", font_size=size, **attrs)
 

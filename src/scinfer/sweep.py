@@ -121,11 +121,15 @@ def _series_stats(rows: list[dict], spec: SweepSpec, metric: str):
 def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     """Run the sweep, write results.csv and the two charts, return rows.
 
+    ``out_dir`` is made before any cell runs, so a path that cannot be
+    a directory fails before the sweep spends any time.
+
     ``jobs > 1`` distributes cells over ``min(jobs, cells)`` worker
     processes; the rows come back in the same deterministic (grid,
     trial, method) order either way.
     """
     _require_int("jobs", jobs, 1)
+    os.makedirs(out_dir, exist_ok=True)
     tasks = [
         (spec, grid_index, trial)
         for grid_index in range(len(spec.grid))
@@ -138,7 +142,6 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
             per_cell = list(pool.map(_cell_worker, tasks))
     rows = [row for cell in per_cell for row in cell]
 
-    os.makedirs(out_dir, exist_ok=True)
     write_results_csv(os.path.join(out_dir, "results.csv"), rows)
     x_label = SWEEP_AXES[spec.variable]
     for metric, fname, title in (

@@ -55,6 +55,8 @@ __all__ = [
     "read_dataset",
     "write_matrix_csv",
     "read_matrix_csv",
+    "write_matrix_npy",
+    "read_matrix_npy",
 ]
 
 _EIG_CUTOFF = 1e-9
@@ -337,13 +339,12 @@ def generate_instance(
 # dataset bundles on disk
 
 
-def write_matrix_csv(path, arr, fmt: str = "%.16e") -> None:
-    """Row-major CSV without header; the default format keeps 17
-    significant digits, so floats round-trip exactly."""
+def write_matrix_csv(path, arr, fmt: str) -> None:
+    """Row-major CSV without header, every entry written with ``fmt``."""
     np.savetxt(path, np.atleast_2d(arr), fmt=fmt, delimiter=",")
 
 
-def read_matrix_csv(path, dtype=np.float64) -> np.ndarray:
+def read_matrix_csv(path, dtype) -> np.ndarray:
     """Read a CSV matrix as a 2-D array; blank lines are skipped and
     every error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -356,15 +357,45 @@ def read_matrix_csv(path, dtype=np.float64) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def write_matrix_npy(path, arr) -> None:
+    """Write a float matrix as a C-ordered ``.npy`` file; it reads back
+    bit-exact."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(arr, dtype=np.float64), allow_pickle=False)
+
+
+def read_matrix_npy(path) -> np.ndarray:
+    """Read a non-empty, finite 2-D float64 matrix from a ``.npy`` file.
+
+    Only the ``.npy`` format is parsed (no ``.npz`` archive, no pickle),
+    and every refusal is a ValueError naming the file. NumPy's parser
+    raises more than ValueError on malformed bytes (a header it cannot
+    tokenize gives ``tokenize.TokenError``), so any of its errors is
+    turned into one.
+    """
+    with open(path, "rb") as fh:
+        try:
+            arr = np.lib.format.read_array(fh, allow_pickle=False)
+        except Exception as exc:
+            raise ValueError(f"{path}: not a readable .npy matrix: {exc}") from exc
+    if arr.ndim != 2 or arr.dtype != np.float64:
+        raise ValueError(f"{path}: expected a 2-D float64 matrix, got {arr.ndim}-D {arr.dtype}")
+    if arr.size == 0:
+        raise ValueError(f"{path}: empty matrix {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: non-finite values (nan or inf)")
+    return np.ascontiguousarray(arr)
+
+
 def write_dataset(
     out_dir, truth: GroundTruth, signals: SignalSet, params: InstanceParams
 ) -> None:
-    """Write the on-disk bundle: complex.json, x0.csv, x1_obs.csv,
+    """Write the on-disk bundle: complex.json, x0.npy, x1_obs.npy,
     observed_edges.csv, meta.json."""
     os.makedirs(out_dir, exist_ok=True)
     write_complex_json(os.path.join(out_dir, "complex.json"), truth.skeleton, truth.selection)
-    write_matrix_csv(os.path.join(out_dir, "x0.csv"), signals.x0)
-    write_matrix_csv(os.path.join(out_dir, "x1_obs.csv"), signals.x1_obs)
+    write_matrix_npy(os.path.join(out_dir, "x0.npy"), signals.x0)
+    write_matrix_npy(os.path.join(out_dir, "x1_obs.npy"), signals.x1_obs)
     write_matrix_csv(
         os.path.join(out_dir, "observed_edges.csv"), signals.observed_edges[:, None], fmt="%d"
     )
@@ -381,17 +412,14 @@ def read_dataset(in_dir) -> Dataset:
     """Read a bundle back; raises FileNotFoundError naming the missing piece."""
     paths = {
         name: os.path.join(in_dir, name)
-        for name in ("complex.json", "x0.csv", "x1_obs.csv", "observed_edges.csv", "meta.json")
+        for name in ("complex.json", "x0.npy", "x1_obs.npy", "observed_edges.csv", "meta.json")
     }
     for name, path in paths.items():
         if not os.path.exists(path):
             raise FileNotFoundError(path)
     skeleton, truth = read_complex_json(paths["complex.json"])
-    x0 = read_matrix_csv(paths["x0.csv"])
-    x1_obs = read_matrix_csv(paths["x1_obs.csv"])
-    for name, arr in (("x0.csv", x0), ("x1_obs.csv", x1_obs)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{paths[name]}: non-finite values (nan or inf)")
+    x0 = read_matrix_npy(paths["x0.npy"])
+    x1_obs = read_matrix_npy(paths["x1_obs.npy"])
     observed = read_matrix_csv(paths["observed_edges.csv"], dtype=np.int64)
     if observed.shape[1] != 1:
         raise ValueError(f"{paths['observed_edges.csv']}: expected one edge index per line")
@@ -401,7 +429,7 @@ def read_dataset(in_dir) -> Dataset:
         raise ValueError(f"{paths['observed_edges.csv']}: {exc}") from exc
     if x1_obs.shape[0] != observed_arr.size:
         raise ValueError(
-            f"{paths['x1_obs.csv']}: {x1_obs.shape[0]} rows but "
+            f"{paths['x1_obs.npy']}: {x1_obs.shape[0]} rows but "
             f"{observed_arr.size} edges are observed"
         )
     return Dataset(skeleton, truth, x0, x1_obs, observed_arr, read_json(paths["meta.json"]))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import re
 import shlex
 import shutil
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -216,12 +218,18 @@ def read_bytes(path):
         return fh.read()
 
 
+def npy_bytes(arr, allow_pickle=False):
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
 class TestGenerate:
     def test_bundle_files_and_determinism(self, tmp_path, capsys):
         cfg = write(tmp_path / "a.ini", TINY_INSTANCE)
         for sub in ("d1", "d2"):
             assert main(["generate", "--config", cfg, "--out", str(tmp_path / sub)]) == 0
-        names = ["complex.json", "meta.json", "observed_edges.csv", "x0.csv", "x1_obs.csv"]
+        names = ["complex.json", "meta.json", "observed_edges.csv", "x0.npy", "x1_obs.npy"]
         assert sorted(os.listdir(tmp_path / "d1")) == names
         for name in names:
             assert read_bytes(tmp_path / "d1" / name) == read_bytes(tmp_path / "d2" / name)
@@ -231,7 +239,7 @@ class TestGenerate:
         cfg = write(tmp_path / "a.ini", TINY_INSTANCE)
         main(["generate", "--config", cfg, "--out", str(tmp_path / "d1")])
         main(["generate", "--config", cfg, "--out", str(tmp_path / "d2"), "--seed", "12"])
-        assert read_bytes(tmp_path / "d1" / "x0.csv") != read_bytes(tmp_path / "d2" / "x0.csv")
+        assert read_bytes(tmp_path / "d1" / "x0.npy") != read_bytes(tmp_path / "d2" / "x0.npy")
 
     def test_impossible_graph_fails_cleanly(self, tmp_path, capsys):
         cfg = write(
@@ -317,10 +325,12 @@ class TestLearn:
     def test_save_x1(self, bundle_dir, tmp_path):
         out = tmp_path / "run"
         main(["learn", str(bundle_dir), "--out", str(out), "--save-x1"])
-        est = np.loadtxt(out / "x1_est.csv", delimiter=",")
+        est = np.load(out / "x1_est.npy", allow_pickle=False)
         meta = json.loads(read_bytes(bundle_dir / "meta.json"))
         skel_edges = meta["n_nodes"] * (meta["n_nodes"] - 1) // 2
         assert est.shape == (skel_edges, meta["n_edge_signals"])
+        assert est.dtype == np.float64 and np.isfinite(est).all()
+        assert sorted(os.listdir(out)) == ["result.json", "x1_est.npy"]
 
     def test_rc_result_shape(self, bundle_dir, tmp_path):
         out = tmp_path / "run"
@@ -417,30 +427,44 @@ class TestLearn:
         ds.mkdir()
         for path in bundle_dir.iterdir():
             (ds / path.name).write_bytes(path.read_bytes())
-        rows = (ds / "x0.csv").read_text().splitlines()
-        rows[0] = "nan," + rows[0].split(",", 1)[1]
-        (ds / "x0.csv").write_text("\n".join(rows) + "\n")
+        x0 = np.load(ds / "x0.npy", allow_pickle=False)
+        x0[0, 0] = np.nan
+        np.save(ds / "x0.npy", x0, allow_pickle=False)
         code = main(["learn", str(ds), "--out", str(tmp_path / "run")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid-argument:")
-        assert "x0.csv" in err
+        assert err == f"error: invalid-argument: {ds / 'x0.npy'}: non-finite values (nan or inf)\n"
         assert not (tmp_path / "run" / "result.json").exists()
 
     @pytest.mark.parametrize(
-        "name, text, message",
+        "name, corrupt, message",
         [
-            ("x0.csv", "", "x0.csv: empty matrix file"),
-            ("meta.json", '{"seed": 11,', "invalid JSON in "),
+            ("x0.npy", lambda good: b"", "x0.npy: not a readable .npy matrix: "),
+            ("meta.json", lambda good: b'{"seed": 11,', "invalid JSON in "),
+            ("x0.npy", lambda good: b"1.0,2.0\n", "x0.npy: not a readable .npy matrix: "),
+            ("x1_obs.npy", lambda good: good[:-8], "x1_obs.npy: not a readable .npy matrix: "),
+            ("x0.npy", lambda good: npy_bytes(np.array([[0.5, None]], dtype=object), True),
+             "x0.npy: not a readable .npy matrix: Object arrays cannot be loaded"),
+            ("x0.npy", lambda good: npy_bytes(np.ones((7, 40), dtype=np.int64)),
+             "x0.npy: expected a 2-D float64 matrix, got 2-D int64"),
+            ("x1_obs.npy", lambda good: npy_bytes(np.ones(40)),
+             "x1_obs.npy: expected a 2-D float64 matrix, got 1-D float64"),
+            ("x0.npy", lambda good: npy_bytes(np.ones((7, 40, 1))),
+             "x0.npy: expected a 2-D float64 matrix, got 3-D float64"),
+            ("x1_obs.npy", lambda good: npy_bytes(np.full((12, 40), np.inf)),
+             "x1_obs.npy: non-finite values (nan or inf)"),
         ],
-        ids=["empty-x0", "malformed-meta"],
+        ids=["empty-x0", "malformed-meta", "text-x0", "truncated-x1-obs", "object-x0",
+             "int-x0", "1d-x1-obs", "3d-x0", "inf-x1-obs"],
     )
-    def test_bad_bundle_file_one_error_line(self, bundle_dir, tmp_path, capsys, name, text, message):
+    def test_bad_bundle_file_one_error_line(
+        self, bundle_dir, tmp_path, capsys, name, corrupt, message
+    ):
         ds = tmp_path / "ds"
         ds.mkdir()
         for path in bundle_dir.iterdir():
             (ds / path.name).write_bytes(path.read_bytes())
-        (ds / name).write_text(text)
+        (ds / name).write_bytes(corrupt((ds / name).read_bytes()))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["learn", str(ds), "--out", str(tmp_path / "run")])
@@ -453,24 +477,37 @@ class TestLearn:
         assert str(ds / name) in err
 
     @pytest.mark.parametrize(
-        "name, text, message",
+        "name, data, message",
         [
-            ("observed_edges.csv", "5\n3\n", "observed_edges must be strictly increasing"),
-            ("x1_obs.csv", "0.5\n", "1 rows but 12 edges are observed"),
+            ("observed_edges.csv", b"5\n3\n", "observed_edges must be strictly increasing"),
+            ("x1_obs.npy", npy_bytes(np.array([[0.5]])), "1 rows but 12 edges are observed"),
         ],
         ids=["unsorted-observed", "x1-obs-row-mismatch"],
     )
     def test_bundle_index_errors_name_the_file(
-        self, bundle_dir, tmp_path, capsys, name, text, message
+        self, bundle_dir, tmp_path, capsys, name, data, message
     ):
         ds = tmp_path / "ds"
         shutil.copytree(bundle_dir, ds)
-        (ds / name).write_text(text)
+        (ds / name).write_bytes(data)
         code = main(["learn", str(ds), "--out", str(tmp_path / "run")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid-argument: {ds / name}: ")
         assert message in err
+
+    def test_csv_bundle_is_missing_file(self, bundle_dir, tmp_path, capsys):
+        """A bundle written with the float matrices as CSV text fails on the
+        first .npy it lacks; nothing reads the CSV files."""
+        ds = tmp_path / "ds"
+        shutil.copytree(bundle_dir, ds)
+        for name in ("x0", "x1_obs"):
+            arr = np.load(ds / f"{name}.npy", allow_pickle=False)
+            np.savetxt(ds / f"{name}.csv", arr, fmt="%.16e", delimiter=",")
+            (ds / f"{name}.npy").unlink()
+        assert main(["learn", str(ds), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: missing-file: {ds / 'x0.npy'}\n"
+        assert not (tmp_path / "run").exists()
 
 
 class TestEval:
@@ -748,6 +785,24 @@ class TestSweep:
                 assert {**row, "seconds": 0} == {**before, "seconds": 0}
                 assert row["status"] == "ok"
 
+    def test_out_file_fails_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        """An ``--out`` that is an existing file is refused before a single
+        instance is generated, as one error line naming the path."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(scinfer.sweep, "generate_instance", counting)
+        cfg = write(tmp_path / "s.ini", TINY_SWEEP)
+        out = write(tmp_path / "afile", "")
+        assert main(["sweep", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-argument: ")
+        assert err.count("\n") == 1 and out in err
+        assert calls == []
+
     def test_paired_instances_across_grid(self, tmp_path, monkeypatch):
         """Same trial at different noise levels sees the same graph."""
         generate = scinfer.sweep.generate_instance
@@ -782,6 +837,12 @@ class TestSvgPlot:
         svg = read_bytes(path).decode()
         assert svg.count("<circle") == 2
         assert "<polyline" in svg
+
+    def test_labels_are_xml_escaped(self, tmp_path):
+        path = tmp_path / "p.svg"
+        line_plot_svg(path, [0.0, 1.0], [("A&B", [0.5, 0.7], [0.1, 0.0])], "t > s", "x <lab>", "y")
+        texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert {"A&B", "x <lab>", "t > s"} <= set(texts)
 
     @pytest.mark.parametrize(
         "x_values, series, digest",

@@ -1,7 +1,10 @@
 """Statistical and structural tests for the instance generator."""
 
+import io
 import itertools
 import math
+import pickle
+import re
 from collections import deque
 
 import numpy as np
@@ -20,10 +23,12 @@ from scinfer.synth import (
     generate_instance,
     read_dataset,
     read_matrix_csv,
+    read_matrix_npy,
     sample_er_selection,
     sample_observed_edges,
     write_dataset,
     write_matrix_csv,
+    write_matrix_npy,
 )
 from scinfer.topology import (
     MAX_NODES,
@@ -512,6 +517,21 @@ class TestInstanceChecks:
         assert truth.seed == 3
 
 
+def npy_bytes(arr, allow_pickle=False):
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def npz_bytes(arr):
+    buf = io.BytesIO()
+    np.savez(buf, a=arr)
+    return buf.getvalue()
+
+
+_UNREADABLE = "not a readable .npy matrix: "
+
+
 class TestDatasetBundle:
     def _params(self):
         return InstanceParams(
@@ -533,8 +553,8 @@ class TestDatasetBundle:
         ds = read_dataset(tmp_path)
         np.testing.assert_array_equal(ds.truth.w1, truth.selection.w1)
         np.testing.assert_array_equal(ds.truth.w2, truth.selection.w2)
-        np.testing.assert_array_equal(ds.x0, signals.x0)
-        np.testing.assert_array_equal(ds.x1_obs, signals.x1_obs)
+        for got, want in ((ds.x0, signals.x0), (ds.x1_obs, signals.x1_obs)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(ds.observed_edges, signals.observed_edges)
         assert ds.meta["seed"] == 21
         assert ds.meta["edge_prob"] == 0.5
@@ -551,23 +571,32 @@ class TestDatasetBundle:
             truth, signals = generate_instance(params, seed=99)
             write_dataset(out, truth, signals, params)
             dirs.append(out)
-        for fname in ("complex.json", "x0.csv", "x1_obs.csv", "observed_edges.csv", "meta.json"):
+        for fname in ("complex.json", "x0.npy", "x1_obs.npy", "observed_edges.csv", "meta.json"):
             assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes(), fname
 
-    def test_matrix_csv_exact_round_trip(self, tmp_path):
+    def test_matrix_npy_exact_round_trip(self, tmp_path):
+        """Every bit survives, -0.0, subnormals and +-1e300 included, and a
+        Fortran-ordered matrix is written and read back C-ordered."""
         rng = np.random.default_rng(31)
         arr = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-8, 8, size=(7, 5))
-        path = tmp_path / "m.csv"
-        write_matrix_csv(path, arr)
-        back = read_matrix_csv(path)
-        np.testing.assert_array_equal(back, arr)
+        arr[0, :4] = [-0.0, 5e-324, -2.5e-310, np.finfo(float).tiny / 3]
+        arr[1, :2] = [1e300, -1e300]
+        files = []
+        for order in ("C", "F"):
+            path = tmp_path / f"{order}.npy"
+            write_matrix_npy(path, np.array(arr, order=order))
+            back = read_matrix_npy(path)
+            assert back.flags.c_contiguous and back.shape == arr.shape
+            assert back.tobytes() == arr.tobytes()
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
 
     def test_read_rejects_corrupt_bundle(self, tmp_path):
         params = self._params()
         truth, signals = generate_instance(params, seed=5)
         write_dataset(tmp_path, truth, signals, params)
-        (tmp_path / "x0.csv").unlink()
-        with pytest.raises(FileNotFoundError, match="x0.csv"):
+        (tmp_path / "x0.npy").unlink()
+        with pytest.raises(FileNotFoundError, match="x0.npy"):
             read_dataset(tmp_path)
 
     def test_read_rejects_row_mismatch(self, tmp_path):
@@ -581,12 +610,15 @@ class TestDatasetBundle:
             read_dataset(tmp_path)
 
     def test_matrix_csv_bytes(self, tmp_path):
+        """The CSV helpers keep only the integer column of observed_edges.csv:
+        the format is the caller's, with no float default to fall back on."""
         path = tmp_path / "m.csv"
-        write_matrix_csv(path, np.array([[1.0, -0.5], [1.0 / 3.0, -0.0]]))
-        assert path.read_bytes() == (
-            b"1.0000000000000000e+00,-5.0000000000000000e-01\n"
-            b"3.3333333333333331e-01,-0.0000000000000000e+00\n"
-        )
+        write_matrix_csv(path, np.array([[3], [12]]), fmt="%d")
+        assert path.read_bytes() == b"3\n12\n"
+        with pytest.raises(TypeError):
+            write_matrix_csv(path, np.array([[1.0, -0.5]]))
+        with pytest.raises(TypeError):
+            read_matrix_csv(path)
 
     def test_observed_edges_bytes(self, tmp_path):
         params = self._params()
@@ -609,7 +641,45 @@ class TestDatasetBundle:
         path = tmp_path / "m.csv"
         path.write_text("\n  \n")
         with pytest.raises(ValueError, match=r"m\.csv: empty matrix file"):
-            read_matrix_csv(path)
+            read_matrix_csv(path, dtype=np.int64)
         path.write_text("1,2\n3\n")
         with pytest.raises(ValueError, match=r"m\.csv: the number of columns changed"):
-            read_matrix_csv(path)
+            read_matrix_csv(path, dtype=np.int64)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda good: b"", _UNREADABLE + "EOF: reading magic string"),
+            (lambda good: b"1.0,2.0\n3.0,4.0\n",
+             _UNREADABLE + "the magic string is not correct"),
+            (lambda good: good[:-8], _UNREADABLE + "Failed to read all data"),
+            (lambda good: good[:20], _UNREADABLE + "EOF: reading array header"),
+            (lambda good: npy_bytes(np.array([[1.0, None]], dtype=object), allow_pickle=True),
+             _UNREADABLE + "Object arrays cannot be loaded when allow_pickle=False"),
+            (lambda good: pickle.dumps(np.ones((2, 2))),
+             _UNREADABLE + "the magic string is not correct"),
+            (lambda good: npz_bytes(np.ones((2, 2))),
+             _UNREADABLE + "the magic string is not correct"),
+            (lambda good: npy_bytes(np.ones((2, 2), dtype=np.int64)),
+             "expected a 2-D float64 matrix, got 2-D int64"),
+            (lambda good: npy_bytes(np.ones((2, 2), dtype=np.float32)),
+             "expected a 2-D float64 matrix, got 2-D float32"),
+            (lambda good: npy_bytes(np.ones(4)), "expected a 2-D float64 matrix, got 1-D float64"),
+            (lambda good: npy_bytes(np.ones((2, 2, 2))),
+             "expected a 2-D float64 matrix, got 3-D float64"),
+            (lambda good: npy_bytes(np.ones((0, 3))), "empty matrix (0, 3)"),
+            (lambda good: npy_bytes(np.array([[1.0, np.nan]])), "non-finite values"),
+            (lambda good: npy_bytes(np.array([[1.0], [-np.inf]])), "non-finite values"),
+        ],
+        ids=["empty", "text", "truncated-data", "truncated-header", "object", "pickled", "npz",
+             "int64", "float32", "1d", "3d", "zero-rows", "nan", "inf"],
+    )
+    def test_matrix_npy_refusals_name_file(self, tmp_path, make, message):
+        """Each malformed .npy is one ValueError that starts with the file
+        and says what is wrong; no pickle, .npz archive or text is parsed."""
+        path = tmp_path / "m.npy"
+        write_matrix_npy(path, np.ones((3, 4)))
+        path.write_bytes(make(path.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_matrix_npy(path)
+
