@@ -42,7 +42,7 @@ from .synth import (
     write_dataset,
     write_matrix_npy,
 )
-from .topology import JSON_STYLE, complex_to_dict, read_complex_json, write_json
+from .topology import JSON_STYLE, complex_from_dict, complex_to_dict, read_json, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -150,16 +150,22 @@ def _cmd_learn(args) -> int:
     return 0
 
 
-def _load_complex(path):
-    """Accept a complex.json, a result.json, or a bundle directory."""
+def _complex_doc(path):
+    """The complex document of a complex.json, a result.json (its
+    ``complex`` member) or a bundle directory (its complex.json)."""
     if os.path.isdir(path):
         path = os.path.join(path, "complex.json")
-    return read_complex_json(path)
+    data = read_json(path)
+    return data["complex"] if isinstance(data, dict) and "complex" in data else data
 
 
 def _cmd_eval(args) -> int:
-    est_skel, est_sel = _load_complex(args.est)
-    truth_skel, truth_sel = _load_complex(args.truth)
+    est_skel, est_sel = complex_from_dict(_complex_doc(args.est))
+    truth_doc = _complex_doc(args.truth)
+    # Both documents share one skeleton; a reference of another size is
+    # read on its own, so that its own faults come before the mismatch.
+    same_size = isinstance(truth_doc, dict) and truth_doc.get("n_nodes") == est_skel.n_nodes
+    truth_skel, truth_sel = complex_from_dict(truth_doc, est_skel if same_size else None)
     if est_skel.n_nodes != truth_skel.n_nodes:
         raise ValueError(
             f"node count mismatch: estimate has {est_skel.n_nodes}, "

@@ -524,13 +524,19 @@ def _simplex_ranks(entries: list, n: int, size: int, kind: str) -> np.ndarray:
     raise ValueError(f"{kind}s must be strictly lexicographic; saw {entry!r} out of order")
 
 
-def complex_from_dict(data: dict) -> tuple[ComplexSkeleton, Selection]:
+def complex_from_dict(
+    data: dict, skeleton: ComplexSkeleton | None = None
+) -> tuple[ComplexSkeleton, Selection]:
     """Parse and validate a serialized complex.
 
     Rejects simplex entries that are not lists of integer vertices,
     out-of-range vertices, unsorted simplices, duplicate or
     non-lexicographic listings, and triangles missing a listed edge.
     The first faulty entry decides the message, edges before triangles.
+
+    The complex is read on ``skeleton`` when one is given, and a document
+    whose ``n_nodes`` differs from it is refused; otherwise a skeleton is
+    built for the document's ``n_nodes``.
     """
     if not isinstance(data, dict):
         raise ValueError("complex document must be a JSON object")
@@ -540,7 +546,15 @@ def complex_from_dict(data: dict) -> tuple[ComplexSkeleton, Selection]:
     for key in ("edges", "triangles"):
         if not isinstance(data[key], list):
             raise ValueError(f"complex document key '{key}' must be a list")
-    skeleton = build_skeleton(data["n_nodes"])
+    if skeleton is None:
+        skeleton = build_skeleton(data["n_nodes"])
+    else:
+        _require_int("n_nodes", data["n_nodes"])
+        if data["n_nodes"] != skeleton.n_nodes:
+            raise ValueError(
+                f"complex document has {data['n_nodes']} nodes, "
+                f"the skeleton has {skeleton.n_nodes}"
+            )
     n = skeleton.n_nodes
 
     w1 = np.zeros(skeleton.n_edges, dtype=np.int8)
@@ -561,12 +575,70 @@ def complex_from_dict(data: dict) -> tuple[ComplexSkeleton, Selection]:
     return skeleton, make_selection(skeleton, w1, w2)
 
 
+def _simplex_list_text(rows, level: int):
+    """The indent-2 JSON text of ``rows``, a non-empty list of equal-length
+    non-empty lists of plain ints, as the value of a key indented by
+    ``2 * level`` spaces; None for any other value.
+
+    It is one ``%d`` template per row, so the whole list is formatted in
+    a single ``%`` operation instead of by json's pure-Python encoder.
+    """
+    if not (isinstance(rows, list) and set(map(type, rows)) == {list}):
+        return None
+    sizes = set(map(len, rows))
+    flat = tuple(itertools.chain.from_iterable(rows))
+    if len(sizes) != 1 or set(map(type, flat)) != {int}:
+        return None
+    outer, row_pad, item_pad = (" " * (2 * k) for k in (level, level + 1, level + 2))
+    row = f"{row_pad}[\n" + ",\n".join([f"{item_pad}%d"] * sizes.pop()) + f"\n{row_pad}]"
+    return "[\n" + ",\n".join([row] * len(rows)) % flat + f"\n{outer}]"
+
+
+def _hold_simplex_lists(doc, stem: str, held: dict, level: int = 1):
+    """A shallow copy of ``doc`` in which the ``edges`` and ``triangles``
+    lists of a complex, at the top level or under ``complex``, are
+    placeholder strings ``stem + i``; ``held`` maps each placeholder's
+    JSON token to the list's text."""
+    if not isinstance(doc, dict):
+        return doc
+    doc = dict(doc)
+    for key in ("edges", "triangles"):
+        text = _simplex_list_text(doc.get(key), level)
+        if text is not None:
+            placeholder = f"{stem}{len(held)}"
+            held[json.dumps(placeholder)] = text
+            doc[key] = placeholder
+    if level == 1 and "complex" in doc:
+        doc["complex"] = _hold_simplex_lists(doc["complex"], stem, held, 2)
+    return doc
+
+
+# Stem of the placeholders ``write_json`` encodes in place of the simplex lists.
+_PLACEHOLDER_STEM = "\x00simplices"
+
+
 def write_json(path, doc) -> None:
     """Write ``doc`` in the one JSON layout of every file the package
-    writes: indent 2, sorted keys, trailing newline."""
+    writes: ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline,
+    in one write.
+
+    The simplex lists of a complex are nearly all of a document's
+    encoding cost, so they are formatted by ``_simplex_list_text`` and
+    spliced in at placeholders. A placeholder is used only when its token
+    occurs exactly once in the encoded text; otherwise a string of the
+    document holds it too, and the stem grows until none does.
+    """
+    stem = _PLACEHOLDER_STEM
+    while True:
+        held = {}
+        text = json.dumps(_hold_simplex_lists(doc, stem, held), **JSON_STYLE)
+        if all(text.count(token) == 1 for token in held):
+            break
+        stem += "\x00"
+    for token, value in held.items():
+        text = text.replace(token, value)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, **JSON_STYLE)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):

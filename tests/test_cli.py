@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import scinfer.sweep
+import scinfer.topology
 from scinfer.cli import build_parser, main
 from scinfer.config import (
     METHOD_NAMES,
@@ -567,6 +568,88 @@ class TestEval:
         code = main(["eval", "--est", est, "--truth", str(bundle_dir)])
         assert code == 1
         assert "node count mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "est, truth, message",
+        [
+            (
+                {"n_nodes": 4, "edges": [[0, 9]], "triangles": []},
+                {"n_nodes": 4, "edges": [[1, 0]], "triangles": []},
+                "invalid edge (0, 9) for 4 nodes",
+            ),
+            (
+                {"n_nodes": 4, "edges": [[0, 9]], "triangles": []},
+                {"n_nodes": 3, "edges": [], "triangles": []},
+                "invalid edge (0, 9) for 4 nodes",
+            ),
+            (
+                {"n_nodes": 4, "edges": [], "triangles": []},
+                {"n_nodes": 5, "edges": [[0, 1]], "triangles": [[0, 1, 2]]},
+                "triangle (0, 1, 2) lists inactive edge(s) [(0, 2), (1, 2)]; "
+                "complex is not downward closed",
+            ),
+            (
+                {"n_nodes": 4, "edges": [], "triangles": []},
+                {"n_nodes": 3, "edges": [[0, 3]], "triangles": []},
+                "invalid edge (0, 3) for 3 nodes",
+            ),
+            (
+                {"n_nodes": 4, "edges": [], "triangles": []},
+                {"n_nodes": 4, "edges": [[0, 1]], "triangles": [[0, 1, 2]]},
+                "triangle (0, 1, 2) lists inactive edge(s) [(0, 2), (1, 2)]; "
+                "complex is not downward closed",
+            ),
+            (
+                {"n_nodes": 4, "edges": [], "triangles": []},
+                {"n_nodes": 4.0, "edges": [], "triangles": []},
+                "n_nodes must be an integer, got float",
+            ),
+            (
+                {"n_nodes": 4, "edges": [], "triangles": []},
+                {"n_nodes": 41, "edges": [], "triangles": []},
+                f"n_nodes must be in [2, {MAX_NODES}], got 41",
+            ),
+            (
+                {"n_nodes": 4, "edges": [], "triangles": []},
+                {"n_nodes": 5, "edges": [[0, 1]], "triangles": []},
+                "node count mismatch: estimate has 4, reference has 5",
+            ),
+        ],
+        ids=[
+            "invalid-estimate-before-invalid-truth",
+            "invalid-estimate-before-mismatch",
+            "invalid-larger-truth-before-mismatch",
+            "invalid-smaller-truth-before-mismatch",
+            "invalid-truth-of-same-size",
+            "float-n-nodes-of-same-value",
+            "out-of-range-truth-before-mismatch",
+            "mismatch",
+        ],
+    )
+    def test_error_precedence(self, tmp_path, capsys, est, truth, message):
+        """One skeleton serves both documents, yet the estimate's faults
+        still come first, then the reference's, then the size mismatch."""
+        est_path = write(tmp_path / "est.json", json.dumps(est))
+        truth_path = write(tmp_path / "truth.json", json.dumps({"complex": truth}))
+        assert main(["eval", "--est", est_path, "--truth", truth_path]) == 1
+        assert capsys.readouterr().err == f"error: invalid-argument: {message}\n"
+
+    def test_invalid_estimate_before_missing_truth(self, tmp_path, capsys):
+        est = write(tmp_path / "est.json", json.dumps({"n_nodes": 1, "edges": [], "triangles": []}))
+        assert main(["eval", "--est", est, "--truth", str(tmp_path / "none.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid-argument: n_nodes must be in [2, {MAX_NODES}], got 1\n"
+        )
+
+    def test_shared_skeleton_builds_once(self, bundle_dir, monkeypatch, capsys):
+        calls = []
+        build = scinfer.topology.build_skeleton
+        monkeypatch.setattr(
+            scinfer.topology, "build_skeleton", lambda n: calls.append(n) or build(n)
+        )
+        complex_json = str(bundle_dir / "complex.json")
+        assert main(["eval", "--est", complex_json, "--truth", str(bundle_dir)]) == 0
+        assert calls == [7]
 
 
 @pytest.mark.parametrize(

@@ -11,16 +11,19 @@ import functools
 import itertools
 import json
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import incidence, parse_complex
 from scinfer import topology
 from scinfer.topology import (
+    JSON_STYLE,
     MAX_NODES,
     ComplexSkeleton,
     _curl_energy,
@@ -563,7 +566,134 @@ class TestComplexJson:
         np.testing.assert_array_equal(sel2.w2, sel.w2)
 
 
+    def test_reads_on_a_given_skeleton(self):
+        sk, sel = self._sample()
+        sk2, sel2 = complex_from_dict(complex_to_dict(sk, sel), sk)
+        assert sk2 is sk
+        np.testing.assert_array_equal(sel2.w1, sel.w1)
+        np.testing.assert_array_equal(sel2.w2, sel.w2)
+
+    @pytest.mark.parametrize(
+        "n_nodes, message",
+        [
+            (5, "complex document has 5 nodes, the skeleton has 4"),
+            (3, "complex document has 3 nodes, the skeleton has 4"),
+            (4.0, "n_nodes must be an integer, got float"),
+            (True, "n_nodes must be an integer, got bool"),
+        ],
+    )
+    def test_given_skeleton_refuses_another_size(self, n_nodes, message):
+        doc = {"n_nodes": n_nodes, "edges": [[0, 1]], "triangles": []}
+        with pytest.raises(ValueError) as exc:
+            complex_from_dict(doc, build_skeleton(4))
+        assert str(exc.value) == message
+
+
+def _closed_complex(n, seed, p_edge, p_tri):
+    """The document of a random downward-closed selection on ``n`` nodes."""
+    sk = build_skeleton(n)
+    rng = np.random.default_rng(seed)
+    w1 = (rng.random(sk.n_edges) < p_edge).astype(np.int8)
+    closed = (w1[sk.tri_edges] == 1).all(axis=1)
+    w2 = (closed & (rng.random(sk.n_triangles) < p_tri)).astype(np.int8)
+    return complex_to_dict(sk, make_selection(sk, w1, w2))
+
+
+# String values that equal, or end in, the placeholders ``write_json``
+# encodes in place of the simplex lists, for the first stems it tries.
+_STEM = topology._PLACEHOLDER_STEM
+_MARKERS = [_STEM] + [
+    prefix + _STEM + "\x00" * k + str(i)
+    for prefix in ("", 'x"')
+    for k in range(3)
+    for i in range(4)
+]
+
+_complexes = st.builds(
+    _closed_complex,
+    st.integers(2, MAX_NODES),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+    st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+_strings = st.text(max_size=6) | st.sampled_from(_MARKERS)
+_leaves = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | _strings
+)
+_values = st.recursive(
+    _leaves,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_strings, kids, max_size=3),
+    max_leaves=10,
+)
+# Lists a simplex slot may hold that are not simplex lists: rows of
+# mixed length, bools, floats or other values, and empty rows.
+_near_simplex_lists = st.lists(
+    st.lists(st.integers(-3, 50) | st.booleans() | st.floats(-1, 50) | _strings, max_size=3),
+    max_size=4,
+)
+_reports = st.fixed_dictionaries(
+    {
+        **{
+            f"{part}_{kind}": st.floats()
+            for part in ("edge", "triangle")
+            for kind in ("precision", "recall", "f1")
+        },
+        "nerr_l0": st.floats(),
+        "nerr_lu": st.floats(),
+        "closure_violations": st.integers(0, 10**6),
+    }
+)
+_results = st.fixed_dictionaries(
+    {
+        "method": st.sampled_from(["GreedySCL", "SepSCL", "RC"]) | _strings,
+        "complex": _complexes,
+        "objective_trace": st.lists(st.floats(), max_size=6),
+        "iterations_run": st.integers(0, 60),
+        "converged": st.booleans(),
+        "closure_violations": st.integers(0, 10),
+        "pruned_triangles": st.integers(0, 10),
+        "phase_seconds": st.dictionaries(_strings, st.floats(0, 1), max_size=4),
+        "eval": _reports,
+    },
+    optional={"extra": _values, _STEM + "0": _values},
+)
+_metas = st.dictionaries(_strings, _leaves, max_size=12)
+_odd_documents = st.builds(
+    lambda doc, slots: {**doc, **slots},
+    st.dictionaries(_strings, _values, max_size=4),
+    st.dictionaries(
+        st.sampled_from(["edges", "triangles", "complex"]),
+        _near_simplex_lists | _complexes | _values,
+        max_size=3,
+    ),
+)
+
+
+def _written(doc) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        write_json(path, doc)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
 class TestJsonLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(_complexes | _results | _reports | _metas | _odd_documents | _values)
+    @example({"n_nodes": 2, "edges": [], "triangles": []})
+    @example({"complex": {"n_nodes": 3, "edges": [[0, 1]], "triangles": []}, "method": "RC"})
+    @example({"n_nodes": 3, "edges": [[0, 1], [0, 2], [1, 2]], "triangles": [[0, 1, 2]]})
+    def test_bytes_are_the_stdlib_indent_dump(self, doc):
+        assert _written(doc) == (json.dumps(doc, **JSON_STYLE) + "\n").encode()
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["complex", "result"])
+    def test_strings_equal_to_placeholders(self, nested):
+        cx = _closed_complex(6, 1, 1.0, 0.5)
+        doc = {f"k{i}": marker for i, marker in enumerate(_MARKERS)}
+        doc.update({"complex": cx} if nested else cx)
+        doc[_STEM + "1"] = [_STEM + "0", {_STEM: _STEM + "\x001"}]
+        assert _written(doc) == (json.dumps(doc, **JSON_STYLE) + "\n").encode()
+
     def test_write_json_bytes(self, tmp_path):
         path = tmp_path / "doc.json"
         write_json(path, {"b": {"z": [1, 2.5], "a": None}, "a": True})
