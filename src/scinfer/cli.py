@@ -42,7 +42,7 @@ from .synth import (
     write_dataset,
     write_matrix_npy,
 )
-from .topology import JSON_STYLE, complex_from_dict, complex_to_dict, read_json, write_json
+from .topology import JSON_STYLE, complex_to_dict, read_complex_json, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.set_defaults(func=_cmd_learn)
 
     p_eval = sub.add_parser("eval", help="score an estimated complex against a reference")
-    p_eval.add_argument("--est", required=True, help="complex.json or result.json")
-    p_eval.add_argument("--truth", required=True, help="complex.json or a bundle directory")
+    p_eval.add_argument("--est", required=True, help="bundle, complex.json or result.json")
+    p_eval.add_argument("--truth", required=True, help="bundle, complex.json or result.json")
     p_eval.add_argument("--out", help="also write the report as JSON")
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -150,31 +150,20 @@ def _cmd_learn(args) -> int:
     return 0
 
 
-def _complex_doc(path):
-    """The complex document of a complex.json, a result.json (its
-    ``complex`` member) or a bundle directory (its complex.json)."""
-    if os.path.isdir(path):
-        path = os.path.join(path, "complex.json")
-    data = read_json(path)
-    return data["complex"] if isinstance(data, dict) and "complex" in data else data
-
-
 def _cmd_eval(args) -> int:
-    est_skel, est_sel = complex_from_dict(_complex_doc(args.est))
-    truth_doc = _complex_doc(args.truth)
-    # Both documents share one skeleton; a reference of another size is
-    # read on its own, so that its own faults come before the mismatch.
-    same_size = isinstance(truth_doc, dict) and truth_doc.get("n_nodes") == est_skel.n_nodes
-    truth_skel, truth_sel = complex_from_dict(truth_doc, est_skel if same_size else None)
+    est_skel, est_sel = read_complex_json(args.est)
+    # A reference of the estimate's size is read on its skeleton; one of
+    # another size is read on its own, so its faults precede the mismatch.
+    truth_skel, truth_sel = read_complex_json(args.truth, est_skel)
     if est_skel.n_nodes != truth_skel.n_nodes:
         raise ValueError(
             f"node count mismatch: estimate has {est_skel.n_nodes}, "
             f"reference has {truth_skel.n_nodes}"
         )
     report = evaluate(truth_skel, est_sel, truth_sel).to_dict()
-    print(json.dumps(report, **JSON_STYLE))
     if args.out is not None:
         write_json(args.out, report)
+    print(json.dumps(report, **JSON_STYLE))
     return 0
 
 

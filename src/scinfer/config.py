@@ -75,9 +75,11 @@ class SweepSpec:
                 _require_int(name, getattr(self.params, name), 0, top)
         if len(self.methods) == 0:
             raise ValueError("methods must be nonempty")
-        for name in self.methods:
+        for i, name in enumerate(self.methods):
             if name not in METHOD_NAMES:
                 raise ValueError(f"unknown method {name!r}, expected one of {METHOD_NAMES}")
+            if name in self.methods[:i]:
+                raise ValueError(f"method {name!r} is listed more than once")
 
 
 def load_config(path) -> configparser.ConfigParser:
@@ -175,7 +177,8 @@ def parse_sweep(parser: configparser.ConfigParser) -> SweepSpec:
     base_seed = _typed("base_seed", section["base_seed"], int) if "base_seed" in section else 0
 
     if "methods" in section:
-        # Names go to their canonical spelling; SweepSpec refuses the rest.
+        # Names go to their canonical spelling, so SweepSpec refuses unknown
+        # names and repeats in any spelling.
         canon = {name.lower(): name for name in METHOD_NAMES}
         tokens = (tok.strip() for tok in section["methods"].split(","))
         methods = tuple(canon.get(tok.lower(), tok) for tok in tokens if tok)

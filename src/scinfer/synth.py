@@ -53,8 +53,6 @@ __all__ = [
     "generate_instance",
     "write_dataset",
     "read_dataset",
-    "write_matrix_csv",
-    "read_matrix_csv",
     "write_matrix_npy",
     "read_matrix_npy",
 ]
@@ -339,33 +337,16 @@ def generate_instance(
 # dataset bundles on disk
 
 
-def write_matrix_csv(path, arr, fmt: str) -> None:
-    """Row-major CSV without header, every entry written with ``fmt``."""
-    np.savetxt(path, np.atleast_2d(arr), fmt=fmt, delimiter=",")
-
-
-def read_matrix_csv(path, dtype) -> np.ndarray:
-    """Read a CSV matrix as a 2-D array; blank lines are skipped and
-    every error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty matrix file")
-    try:
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def write_matrix_npy(path, arr) -> None:
-    """Write a float matrix as a C-ordered ``.npy`` file; it reads back
-    bit-exact."""
+    """Write an array as a C-ordered ``.npy`` file in its own dtype; it
+    reads back bit-exact."""
     with open(path, "wb") as fh:
-        np.save(fh, np.ascontiguousarray(arr, dtype=np.float64), allow_pickle=False)
+        np.save(fh, np.ascontiguousarray(arr), allow_pickle=False)
 
 
-def read_matrix_npy(path) -> np.ndarray:
-    """Read a non-empty, finite 2-D float64 matrix from a ``.npy`` file.
+def read_matrix_npy(path, dtype, ndim: int) -> np.ndarray:
+    """Read a non-empty, finite ``ndim``-D array of ``dtype`` from a
+    ``.npy`` file.
 
     Only the ``.npy`` format is parsed (no ``.npz`` archive, no pickle),
     and every refusal is a ValueError naming the file. NumPy's parser
@@ -378,8 +359,10 @@ def read_matrix_npy(path) -> np.ndarray:
             arr = np.lib.format.read_array(fh, allow_pickle=False)
         except Exception as exc:
             raise ValueError(f"{path}: not a readable .npy matrix: {exc}") from exc
-    if arr.ndim != 2 or arr.dtype != np.float64:
-        raise ValueError(f"{path}: expected a 2-D float64 matrix, got {arr.ndim}-D {arr.dtype}")
+    if arr.ndim != ndim or arr.dtype != dtype:
+        raise ValueError(
+            f"{path}: expected a {ndim}-D {np.dtype(dtype)} matrix, got {arr.ndim}-D {arr.dtype}"
+        )
     if arr.size == 0:
         raise ValueError(f"{path}: empty matrix {arr.shape}")
     if not np.isfinite(arr).all():
@@ -391,14 +374,12 @@ def write_dataset(
     out_dir, truth: GroundTruth, signals: SignalSet, params: InstanceParams
 ) -> None:
     """Write the on-disk bundle: complex.json, x0.npy, x1_obs.npy,
-    observed_edges.csv, meta.json."""
+    observed_edges.npy (1-D int64), meta.json."""
     os.makedirs(out_dir, exist_ok=True)
     write_complex_json(os.path.join(out_dir, "complex.json"), truth.skeleton, truth.selection)
     write_matrix_npy(os.path.join(out_dir, "x0.npy"), signals.x0)
     write_matrix_npy(os.path.join(out_dir, "x1_obs.npy"), signals.x1_obs)
-    write_matrix_csv(
-        os.path.join(out_dir, "observed_edges.csv"), signals.observed_edges[:, None], fmt="%d"
-    )
+    write_matrix_npy(os.path.join(out_dir, "observed_edges.npy"), signals.observed_edges)
     meta = {
         **asdict(params),
         "seed": truth.seed,
@@ -412,24 +393,22 @@ def read_dataset(in_dir) -> Dataset:
     """Read a bundle back; raises FileNotFoundError naming the missing piece."""
     paths = {
         name: os.path.join(in_dir, name)
-        for name in ("complex.json", "x0.npy", "x1_obs.npy", "observed_edges.csv", "meta.json")
+        for name in ("complex.json", "x0.npy", "x1_obs.npy", "observed_edges.npy", "meta.json")
     }
     for name, path in paths.items():
         if not os.path.exists(path):
             raise FileNotFoundError(path)
     skeleton, truth = read_complex_json(paths["complex.json"])
-    x0 = read_matrix_npy(paths["x0.npy"])
-    x1_obs = read_matrix_npy(paths["x1_obs.npy"])
-    observed = read_matrix_csv(paths["observed_edges.csv"], dtype=np.int64)
-    if observed.shape[1] != 1:
-        raise ValueError(f"{paths['observed_edges.csv']}: expected one edge index per line")
+    x0 = read_matrix_npy(paths["x0.npy"], np.float64, 2)
+    x1_obs = read_matrix_npy(paths["x1_obs.npy"], np.float64, 2)
+    observed = read_matrix_npy(paths["observed_edges.npy"], np.int64, 1)
     try:
-        observed_arr = check_observed_edges(skeleton.n_edges, observed[:, 0])
+        observed = check_observed_edges(skeleton.n_edges, observed)
     except ValueError as exc:
-        raise ValueError(f"{paths['observed_edges.csv']}: {exc}") from exc
-    if x1_obs.shape[0] != observed_arr.size:
+        raise ValueError(f"{paths['observed_edges.npy']}: {exc}") from exc
+    if x1_obs.shape[0] != observed.size:
         raise ValueError(
             f"{paths['x1_obs.npy']}: {x1_obs.shape[0]} rows but "
-            f"{observed_arr.size} edges are observed"
+            f"{observed.size} edges are observed"
         )
-    return Dataset(skeleton, truth, x0, x1_obs, observed_arr, read_json(paths["meta.json"]))
+    return Dataset(skeleton, truth, x0, x1_obs, observed, read_json(paths["meta.json"]))

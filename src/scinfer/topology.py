@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -534,9 +535,9 @@ def complex_from_dict(
     non-lexicographic listings, and triangles missing a listed edge.
     The first faulty entry decides the message, edges before triangles.
 
-    The complex is read on ``skeleton`` when one is given, and a document
-    whose ``n_nodes`` differs from it is refused; otherwise a skeleton is
-    built for the document's ``n_nodes``.
+    The complex is read on ``skeleton`` when one is given and the
+    document's ``n_nodes`` is a plain int equal to its size; otherwise a
+    skeleton is built for the document's ``n_nodes``, which checks it.
     """
     if not isinstance(data, dict):
         raise ValueError("complex document must be a JSON object")
@@ -546,15 +547,9 @@ def complex_from_dict(
     for key in ("edges", "triangles"):
         if not isinstance(data[key], list):
             raise ValueError(f"complex document key '{key}' must be a list")
-    if skeleton is None:
-        skeleton = build_skeleton(data["n_nodes"])
-    else:
-        _require_int("n_nodes", data["n_nodes"])
-        if data["n_nodes"] != skeleton.n_nodes:
-            raise ValueError(
-                f"complex document has {data['n_nodes']} nodes, "
-                f"the skeleton has {skeleton.n_nodes}"
-            )
+    size = data["n_nodes"]
+    if skeleton is None or type(size) is not int or size != skeleton.n_nodes:
+        skeleton = build_skeleton(size)
     n = skeleton.n_nodes
 
     w1 = np.zeros(skeleton.n_edges, dtype=np.int8)
@@ -654,9 +649,15 @@ def write_complex_json(path, skeleton: ComplexSkeleton, selection: Selection) ->
     write_json(path, complex_to_dict(skeleton, selection))
 
 
-def read_complex_json(path) -> tuple[ComplexSkeleton, Selection]:
-    """Read a complex.json, or the ``complex`` member of a result.json."""
+def read_complex_json(
+    path, skeleton: ComplexSkeleton | None = None
+) -> tuple[ComplexSkeleton, Selection]:
+    """Read the complex of a bundle directory (its complex.json), a
+    complex.json or a result.json (its ``complex`` member), on
+    ``skeleton`` where ``complex_from_dict`` can."""
+    if os.path.isdir(path):
+        path = os.path.join(path, "complex.json")
     data = read_json(path)
     if isinstance(data, dict) and "complex" in data:
         data = data["complex"]
-    return complex_from_dict(data)
+    return complex_from_dict(data, skeleton)

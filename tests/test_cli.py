@@ -142,6 +142,17 @@ class TestConfig:
         spec = parse_sweep(load_config(cfg))
         assert spec.methods == ("GreedySCL", "SepSCL")
 
+    @pytest.mark.parametrize("methods", ["RC, rc", "GreedySCL, RC, greedyscl", "SepSCL, SepSCL"])
+    def test_sweep_repeated_method(self, tmp_path, methods):
+        """A method listed twice, in any spelling, is refused: run twice,
+        its copies would be pooled into one series with shrunken whiskers."""
+        cfg = write(
+            tmp_path / "a.ini",
+            f"[sweep]\nvariable = observed_fraction\ngrid = 0.5\nmethods = {methods}\n",
+        )
+        with pytest.raises(ValueError, match=r"^method '\w+' is listed more than once$"):
+            parse_sweep(load_config(cfg))
+
     def test_sweep_unknown_method(self, tmp_path):
         cfg = write(
             tmp_path / "a.ini",
@@ -230,7 +241,7 @@ class TestGenerate:
         cfg = write(tmp_path / "a.ini", TINY_INSTANCE)
         for sub in ("d1", "d2"):
             assert main(["generate", "--config", cfg, "--out", str(tmp_path / sub)]) == 0
-        names = ["complex.json", "meta.json", "observed_edges.csv", "x0.npy", "x1_obs.npy"]
+        names = ["complex.json", "meta.json", "observed_edges.npy", "x0.npy", "x1_obs.npy"]
         assert sorted(os.listdir(tmp_path / "d1")) == names
         for name in names:
             assert read_bytes(tmp_path / "d1" / name) == read_bytes(tmp_path / "d2" / name)
@@ -480,7 +491,8 @@ class TestLearn:
     @pytest.mark.parametrize(
         "name, data, message",
         [
-            ("observed_edges.csv", b"5\n3\n", "observed_edges must be strictly increasing"),
+            ("observed_edges.npy", npy_bytes(np.array([5, 3], dtype=np.int64)),
+             "observed_edges must be strictly increasing"),
             ("x1_obs.npy", npy_bytes(np.array([[0.5]])), "1 rows but 12 edges are observed"),
         ],
         ids=["unsorted-observed", "x1-obs-row-mismatch"],
@@ -508,6 +520,18 @@ class TestLearn:
             (ds / f"{name}.npy").unlink()
         assert main(["learn", str(ds), "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == f"error: missing-file: {ds / 'x0.npy'}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_csv_observed_edges_is_missing_file(self, bundle_dir, tmp_path, capsys):
+        """A bundle whose observed edges are still the old one-index-per-line
+        CSV fails on observed_edges.npy; nothing reads the CSV."""
+        ds = tmp_path / "ds"
+        shutil.copytree(bundle_dir, ds)
+        observed = np.load(ds / "observed_edges.npy", allow_pickle=False)
+        np.savetxt(ds / "observed_edges.csv", observed[:, None], fmt="%d", delimiter=",")
+        (ds / "observed_edges.npy").unlink()
+        assert main(["learn", str(ds), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: missing-file: {ds / 'observed_edges.npy'}\n"
         assert not (tmp_path / "run").exists()
 
 
@@ -688,7 +712,7 @@ def test_non_finite_config_floats_rejected(command, text, bundle_dir, tmp_path, 
 )
 def test_unusable_path_is_one_error_line(argv, bad, bundle_dir, tmp_path, capsys):
     """A path that exists but cannot be used as asked is an argument error
-    naming it, not a traceback."""
+    naming it, not a traceback, and nothing is printed before it."""
     paths = {
         "cfg": write(tmp_path / "a.ini", TINY_INSTANCE),
         "file": write(tmp_path / "a.txt", ""),
@@ -698,7 +722,8 @@ def test_unusable_path_is_one_error_line(argv, bad, bundle_dir, tmp_path, capsys
     }
     os.mkdir(paths["dir"])
     assert main([arg.format(**paths) for arg in argv]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: invalid-argument: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert paths[bad] in err

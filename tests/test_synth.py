@@ -22,12 +22,10 @@ from scinfer.synth import (
     gen_smooth_node_signals,
     generate_instance,
     read_dataset,
-    read_matrix_csv,
     read_matrix_npy,
     sample_er_selection,
     sample_observed_edges,
     write_dataset,
-    write_matrix_csv,
     write_matrix_npy,
 )
 from scinfer.topology import (
@@ -571,7 +569,7 @@ class TestDatasetBundle:
             truth, signals = generate_instance(params, seed=99)
             write_dataset(out, truth, signals, params)
             dirs.append(out)
-        for fname in ("complex.json", "x0.npy", "x1_obs.npy", "observed_edges.csv", "meta.json"):
+        for fname in ("complex.json", "x0.npy", "x1_obs.npy", "observed_edges.npy", "meta.json"):
             assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes(), fname
 
     def test_matrix_npy_exact_round_trip(self, tmp_path):
@@ -585,7 +583,7 @@ class TestDatasetBundle:
         for order in ("C", "F"):
             path = tmp_path / f"{order}.npy"
             write_matrix_npy(path, np.array(arr, order=order))
-            back = read_matrix_npy(path)
+            back = read_matrix_npy(path, np.float64, 2)
             assert back.flags.c_contiguous and back.shape == arr.shape
             assert back.tobytes() == arr.tobytes()
             files.append(path.read_bytes())
@@ -603,48 +601,50 @@ class TestDatasetBundle:
         params = self._params()
         truth, signals = generate_instance(params, seed=5)
         write_dataset(tmp_path, truth, signals, params)
-        obs_path = tmp_path / "observed_edges.csv"
-        lines = obs_path.read_text().strip().splitlines()
-        obs_path.write_text("\n".join(lines[:-1]) + "\n")
+        obs_path = tmp_path / "observed_edges.npy"
+        obs_path.write_bytes(npy_bytes(np.load(obs_path, allow_pickle=False)[:-1]))
         with pytest.raises(ValueError, match="rows"):
             read_dataset(tmp_path)
 
-    def test_matrix_csv_bytes(self, tmp_path):
-        """The CSV helpers keep only the integer column of observed_edges.csv:
-        the format is the caller's, with no float default to fall back on."""
-        path = tmp_path / "m.csv"
-        write_matrix_csv(path, np.array([[3], [12]]), fmt="%d")
-        assert path.read_bytes() == b"3\n12\n"
-        with pytest.raises(TypeError):
-            write_matrix_csv(path, np.array([[1.0, -0.5]]))
-        with pytest.raises(TypeError):
-            read_matrix_csv(path)
-
     def test_observed_edges_bytes(self, tmp_path):
+        """observed_edges.npy is the sampled indices as a 1-D int64 array."""
         params = self._params()
         truth, signals = generate_instance(params, seed=21)
         write_dataset(tmp_path, truth, signals, params)
-        expected = "".join(f"{int(i)}\n" for i in signals.observed_edges)
-        assert (tmp_path / "observed_edges.csv").read_text() == expected
+        assert signals.observed_edges.dtype == np.int64
+        assert (tmp_path / "observed_edges.npy").read_bytes() == npy_bytes(signals.observed_edges)
         assert read_dataset(tmp_path).observed_edges.dtype == np.int64
 
-    @pytest.mark.parametrize("text", ["1.5\n", "0\n1.5\n", "0,1\n2\n", "0,1\n", "x\n"])
-    def test_read_rejects_bad_edge_index(self, tmp_path, text):
+    @pytest.mark.parametrize(
+        "observed, message",
+        [
+            # The ids of the first five are the texts of the one-index-per-line
+            # CSV that observed_edges.npy replaced; each case is its .npy form.
+            pytest.param(np.array([1.5]), "expected a 1-D int64 matrix, got 1-D float64",
+                         id="1.5\n"),
+            pytest.param(np.array([0.0, 1.5]), "expected a 1-D int64 matrix, got 1-D float64",
+                         id="0\n1.5\n"),
+            pytest.param(np.array([[0, 1], [2]], dtype=object),
+                         _UNREADABLE + "Object arrays cannot be loaded when allow_pickle=False",
+                         id="0,1\n2\n"),
+            pytest.param(np.array([[0, 1]], dtype=np.int64),
+                         "expected a 1-D int64 matrix, got 2-D int64", id="0,1\n"),
+            pytest.param(np.array(["x"]), "expected a 1-D int64 matrix, got 1-D <U1", id="x\n"),
+            pytest.param(np.array([], dtype=np.int64), "empty matrix (0,)", id="empty"),
+            pytest.param(np.array([5, 3], dtype=np.int64),
+                         "observed_edges must be strictly increasing", id="unsorted"),
+            pytest.param(np.array([0, 10**6], dtype=np.int64),
+                         "observed edge index out of range", id="out-of-range"),
+        ],
+    )
+    def test_read_rejects_bad_edge_index(self, tmp_path, observed, message):
         params = self._params()
         truth, signals = generate_instance(params, seed=5)
         write_dataset(tmp_path, truth, signals, params)
-        (tmp_path / "observed_edges.csv").write_text(text)
-        with pytest.raises(ValueError, match="observed_edges.csv: "):
+        path = tmp_path / "observed_edges.npy"
+        path.write_bytes(npy_bytes(observed, allow_pickle=True))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             read_dataset(tmp_path)
-
-    def test_matrix_csv_errors_name_file(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("\n  \n")
-        with pytest.raises(ValueError, match=r"m\.csv: empty matrix file"):
-            read_matrix_csv(path, dtype=np.int64)
-        path.write_text("1,2\n3\n")
-        with pytest.raises(ValueError, match=r"m\.csv: the number of columns changed"):
-            read_matrix_csv(path, dtype=np.int64)
 
     @pytest.mark.parametrize(
         "make, message",
@@ -681,5 +681,5 @@ class TestDatasetBundle:
         write_matrix_npy(path, np.ones((3, 4)))
         path.write_bytes(make(path.read_bytes()))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-            read_matrix_npy(path)
+            read_matrix_npy(path, np.float64, 2)
 

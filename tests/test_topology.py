@@ -573,11 +573,18 @@ class TestComplexJson:
         np.testing.assert_array_equal(sel2.w1, sel.w1)
         np.testing.assert_array_equal(sel2.w2, sel.w2)
 
+    @pytest.mark.parametrize("n_nodes", [3, 5])
+    def test_given_skeleton_of_another_size_is_not_used(self, n_nodes):
+        """A document of another size is read on a skeleton of its own."""
+        given = build_skeleton(4)
+        doc = {"n_nodes": n_nodes, "edges": [[0, 1]], "triangles": []}
+        sk, sel = complex_from_dict(doc, given)
+        assert sk is not given and sk.n_nodes == n_nodes
+        assert sel.w1.size == sk.n_edges and sel.w1.sum() == 1
+
     @pytest.mark.parametrize(
         "n_nodes, message",
         [
-            (5, "complex document has 5 nodes, the skeleton has 4"),
-            (3, "complex document has 3 nodes, the skeleton has 4"),
             (4.0, "n_nodes must be an integer, got float"),
             (True, "n_nodes must be an integer, got bool"),
         ],
@@ -587,6 +594,53 @@ class TestComplexJson:
         with pytest.raises(ValueError) as exc:
             complex_from_dict(doc, build_skeleton(4))
         assert str(exc.value) == message
+
+    def test_float_size_refused_on_a_skeleton_of_its_value(self, tmp_path):
+        """``n_nodes: 40.0`` is refused even when the given skeleton has 40
+        nodes: only a plain int selects the given skeleton."""
+        path = tmp_path / "c.json"
+        write_json(path, {"n_nodes": 40.0, "edges": [], "triangles": []})
+        with pytest.raises(ValueError, match="^n_nodes must be an integer, got float$"):
+            read_complex_json(path, build_skeleton(40))
+
+
+class TestReadComplexJson:
+    """``read_complex_json`` is the one reader of a complex on disk."""
+
+    @pytest.fixture
+    def documents(self, tmp_path):
+        """A bundle directory, its complex.json and a result.json holding
+        the same complex, and the complex's selection."""
+        doc = _closed_complex(9, seed=3, p_edge=0.6, p_tri=0.5)
+        (tmp_path / "ds").mkdir()
+        write_json(tmp_path / "ds" / "complex.json", doc)
+        write_json(tmp_path / "result.json", {"method": "RC", "complex": doc})
+        _, selection = complex_from_dict(doc)
+        return [tmp_path / "ds", tmp_path / "ds" / "complex.json", tmp_path / "result.json"], selection
+
+    def test_directory_complex_and_result_agree(self, documents):
+        paths, selection = documents
+        for path in paths:
+            sk, sel = read_complex_json(path)
+            assert sk.n_nodes == 9
+            np.testing.assert_array_equal(sel.w1, selection.w1)
+            np.testing.assert_array_equal(sel.w2, selection.w2)
+
+    def test_given_skeleton_is_reused_only_at_its_size(self, documents):
+        paths, selection = documents
+        same, other = build_skeleton(9), build_skeleton(10)
+        for path in paths:
+            sk, sel = read_complex_json(path, same)
+            assert sk is same
+            np.testing.assert_array_equal(sel.w2, selection.w2)
+            sk, sel = read_complex_json(path, other)
+            assert sk is not other and sk.n_nodes == 9
+            np.testing.assert_array_equal(sel.w2, selection.w2)
+
+    def test_directory_without_complex_is_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as exc:
+            read_complex_json(tmp_path)
+        assert exc.value.filename == str(tmp_path / "complex.json")
 
 
 def _closed_complex(n, seed, p_edge, p_tri):
