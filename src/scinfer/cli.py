@@ -10,7 +10,8 @@ Failures exit with status 1 and a single machine-parsable stderr line:
 ``error: invalid-argument: ...``. A missing input is ``missing-file``;
 any other path a command cannot read or write (an existing file where
 ``--out`` needs a directory, a directory where a file is read or
-written) is ``invalid-argument``, and the message names the path.
+written, a file to write in a missing directory) is
+``invalid-argument``, and the message names the path.
 Unknown flags or methods are argparse usage errors (exit status 2).
 """
 
@@ -68,7 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--e-min", type=int, help="edge budget (default: from ground truth)")
     p_learn.add_argument("--t-min", type=int, help="triangle budget (default: from ground truth)")
     p_learn.add_argument(
-        "--save-x1", action="store_true", help="also write the interpolated flows (x1_est.npy)"
+        "--save-x1",
+        action="store_true",
+        help="also write x1_est.npy: GreedySCL's interpolated flows, "
+        "SepSCL's zero-filled observed flows",
     )
     p_learn.set_defaults(func=_cmd_learn)
 
@@ -162,7 +166,11 @@ def _cmd_eval(args) -> int:
         )
     report = evaluate(truth_skel, est_sel, truth_sel).to_dict()
     if args.out is not None:
-        write_json(args.out, report)
+        try:
+            write_json(args.out, report)
+        except FileNotFoundError as exc:
+            # main reads FileNotFoundError as a missing input; this is an output.
+            raise ValueError(str(exc)) from exc
     print(json.dumps(report, **JSON_STYLE))
     return 0
 
@@ -178,9 +186,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# Built once, from the static definitions above: parse_args never changes
+# it and returns a new Namespace per call, so calls share no options.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except GenerationError as exc:

@@ -20,7 +20,6 @@ import csv
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -138,6 +137,10 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
     if jobs == 1:
         per_cell = [_cell_worker(task) for task in tasks]
     else:
+        # Imported here so that a process running no workers does not load
+        # multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             per_cell = list(pool.map(_cell_worker, tasks))
     rows = [row for cell in per_cell for row in cell]

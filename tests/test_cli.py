@@ -9,12 +9,15 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import scinfer.cli
 import scinfer.sweep
 import scinfer.topology
 from scinfer.cli import build_parser, main
@@ -707,18 +710,27 @@ def test_non_finite_config_floats_rejected(command, text, bundle_dir, tmp_path, 
         (["learn", "{bundle}", "--out", "{file}"], "file"),
         (["eval", "--est", "{bundle}", "--truth", "{bundle}", "--out", "{dir}"], "dir"),
         (["generate", "--config", "{dir}", "--out", "{out}"], "dir"),
+        (["eval", "--est", "{bundle}", "--truth", "{bundle}", "--out", "{nodir}"], "nodir"),
     ],
-    ids=["generate-out-file", "learn-out-file", "eval-out-dir", "generate-config-dir"],
+    ids=[
+        "generate-out-file",
+        "learn-out-file",
+        "eval-out-dir",
+        "generate-config-dir",
+        "eval-out-missing-dir",
+    ],
 )
 def test_unusable_path_is_one_error_line(argv, bad, bundle_dir, tmp_path, capsys):
-    """A path that exists but cannot be used as asked is an argument error
-    naming it, not a traceback, and nothing is printed before it."""
+    """A path that cannot be used as asked (it exists as the wrong kind, or
+    an output's directory is missing) is an argument error naming it, not
+    a traceback, and nothing is printed before it."""
     paths = {
         "cfg": write(tmp_path / "a.ini", TINY_INSTANCE),
         "file": write(tmp_path / "a.txt", ""),
         "dir": str(tmp_path / "adir"),
         "bundle": str(bundle_dir),
         "out": str(tmp_path / "out"),
+        "nodir": str(tmp_path / "nodir" / "r.json"),
     }
     os.mkdir(paths["dir"])
     assert main([arg.format(**paths) for arg in argv]) == 1
@@ -728,6 +740,73 @@ def test_unusable_path_is_one_error_line(argv, bad, bundle_dir, tmp_path, capsys
     assert err.count("\n") == 1 and err.endswith("\n")
     assert paths[bad] in err
     assert "Traceback" not in err
+
+
+def run_fresh(*args):
+    """Run ``python args...`` in a new interpreter on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(scinfer.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
+def result_without_seconds(out_dir):
+    result = json.loads(read_bytes(os.path.join(out_dir, "result.json")))
+    del result["phase_seconds"]
+    return result
+
+
+class TestOneParser:
+    """``main`` parses every call with one parser built at import."""
+
+    @pytest.mark.parametrize("command", [None, "generate", "learn", "eval", "sweep"])
+    def test_help_matches_a_fresh_parser(self, command, capsys):
+        argv = ["--help"] if command is None else [command, "--help"]
+        screens = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            screens.append(out)
+        assert screens[0] == screens[1]
+        if command is None:
+            assert screens[0] == build_parser().format_help()
+
+    def test_budgets_do_not_leak_between_calls(self, bundle_dir, tmp_path, capsys):
+        a, b, fresh = (str(tmp_path / name) for name in ("a", "b", "fresh"))
+        assert main(["learn", str(bundle_dir), "--method", "RC", "--e-min", "5", "--out", a]) == 0
+        assert main(["learn", str(bundle_dir), "--method", "RC", "--out", b]) == 0
+        run_fresh("-m", "scinfer.cli", "learn", str(bundle_dir), "--method", "RC", "--out", fresh)
+        assert result_without_seconds(b) == result_without_seconds(fresh)
+        assert result_without_seconds(a)["complex"] != result_without_seconds(b)["complex"]
+
+    def test_save_x1_does_not_leak_between_calls(self, bundle_dir, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["learn", str(bundle_dir), "--out", str(a), "--save-x1"]) == 0
+        assert main(["learn", str(bundle_dir), "--out", str(b)]) == 0
+        assert sorted(os.listdir(a)) == ["result.json", "x1_est.npy"]
+        assert sorted(os.listdir(b)) == ["result.json"]
+
+    def test_main_builds_no_parser(self, bundle_dir, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(scinfer.cli, "build_parser", refuse)
+        assert main(["eval", "--est", str(bundle_dir), "--truth", str(bundle_dir)]) == 0
+        assert json.loads(capsys.readouterr().out)["edge_f1"] == 1.0
+
+
+def test_cli_import_loads_no_process_pool():
+    """The worker pool is imported only by a sweep that starts workers."""
+    proc = run_fresh(
+        "-c",
+        "import sys, scinfer.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))",
+    )
+    assert proc.stdout == "[]\n"
 
 
 def strip_seconds(csv_text):
@@ -813,7 +892,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("scinfer.sweep.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         runs = [run_sweep(spec, tmp_path / f"o{jobs}", jobs=jobs) for jobs in (1, 2, 10**6)]
         assert workers == [2, 2]
         for rows in runs[1:]:
