@@ -380,8 +380,9 @@ def write_dataset(
     write_matrix_npy(os.path.join(out_dir, "x0.npy"), signals.x0)
     write_matrix_npy(os.path.join(out_dir, "x1_obs.npy"), signals.x1_obs)
     write_matrix_npy(os.path.join(out_dir, "observed_edges.npy"), signals.observed_edges)
+    # json cannot encode the numpy scalars the fields accept; .item() can.
     meta = {
-        **asdict(params),
+        **{k: v.item() if isinstance(v, np.generic) else v for k, v in asdict(params).items()},
         "seed": truth.seed,
         "fill_draws": truth.fill_draws,
         "fill_identifiable": truth.fill_identifiable,

@@ -60,8 +60,9 @@ MAX_NODES = 40
 
 _SV_CUTOFF = 1e-10
 
-# Layout of every JSON document the package writes or prints.
-JSON_STYLE = {"indent": 2, "sort_keys": True}
+# Layout of every JSON document the package writes or prints: json's
+# default separators and no indent, so its C encoder writes all of it.
+JSON_STYLE = {"sort_keys": True}
 
 # Boundary signs of a triangle on its edges, in ``tri_edges`` column order.
 _TRI_SIGNS = np.array([1.0, -1.0, 1.0])
@@ -570,70 +571,14 @@ def complex_from_dict(
     return skeleton, make_selection(skeleton, w1, w2)
 
 
-def _simplex_list_text(rows, level: int):
-    """The indent-2 JSON text of ``rows``, a non-empty list of equal-length
-    non-empty lists of plain ints, as the value of a key indented by
-    ``2 * level`` spaces; None for any other value.
-
-    It is one ``%d`` template per row, so the whole list is formatted in
-    a single ``%`` operation instead of by json's pure-Python encoder.
-    """
-    if not (isinstance(rows, list) and set(map(type, rows)) == {list}):
-        return None
-    sizes = set(map(len, rows))
-    flat = tuple(itertools.chain.from_iterable(rows))
-    if len(sizes) != 1 or set(map(type, flat)) != {int}:
-        return None
-    outer, row_pad, item_pad = (" " * (2 * k) for k in (level, level + 1, level + 2))
-    row = f"{row_pad}[\n" + ",\n".join([f"{item_pad}%d"] * sizes.pop()) + f"\n{row_pad}]"
-    return "[\n" + ",\n".join([row] * len(rows)) % flat + f"\n{outer}]"
-
-
-def _hold_simplex_lists(doc, stem: str, held: dict, level: int = 1):
-    """A shallow copy of ``doc`` in which the ``edges`` and ``triangles``
-    lists of a complex, at the top level or under ``complex``, are
-    placeholder strings ``stem + i``; ``held`` maps each placeholder's
-    JSON token to the list's text."""
-    if not isinstance(doc, dict):
-        return doc
-    doc = dict(doc)
-    for key in ("edges", "triangles"):
-        text = _simplex_list_text(doc.get(key), level)
-        if text is not None:
-            placeholder = f"{stem}{len(held)}"
-            held[json.dumps(placeholder)] = text
-            doc[key] = placeholder
-    if level == 1 and "complex" in doc:
-        doc["complex"] = _hold_simplex_lists(doc["complex"], stem, held, 2)
-    return doc
-
-
-# Stem of the placeholders ``write_json`` encodes in place of the simplex lists.
-_PLACEHOLDER_STEM = "\x00simplices"
-
-
 def write_json(path, doc) -> None:
     """Write ``doc`` in the one JSON layout of every file the package
-    writes: ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline,
-    in one write.
-
-    The simplex lists of a complex are nearly all of a document's
-    encoding cost, so they are formatted by ``_simplex_list_text`` and
-    spliced in at placeholders. A placeholder is used only when its token
-    occurs exactly once in the encoded text; otherwise a string of the
-    document holds it too, and the stem grows until none does.
-    """
-    stem = _PLACEHOLDER_STEM
-    while True:
-        held = {}
-        text = json.dumps(_hold_simplex_lists(doc, stem, held), **JSON_STYLE)
-        if all(text.count(token) == 1 for token in held):
-            break
-        stem += "\x00"
-    for token, value in held.items():
-        text = text.replace(token, value)
+    writes: ``json.dumps(doc, **JSON_STYLE)`` plus a newline, in one
+    write. With no indent, json encodes the whole document in C; a
+    document it cannot encode raises before the file is opened."""
+    text = json.dumps(doc, **JSON_STYLE) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def read_json(path):
@@ -654,10 +599,14 @@ def read_complex_json(
 ) -> tuple[ComplexSkeleton, Selection]:
     """Read the complex of a bundle directory (its complex.json), a
     complex.json or a result.json (its ``complex`` member), on
-    ``skeleton`` where ``complex_from_dict`` can."""
+    ``skeleton`` where ``complex_from_dict`` can. A faulty document's
+    ValueError names the file."""
     if os.path.isdir(path):
         path = os.path.join(path, "complex.json")
     data = read_json(path)
     if isinstance(data, dict) and "complex" in data:
         data = data["complex"]
-    return complex_from_dict(data, skeleton)
+    try:
+        return complex_from_dict(data, skeleton)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -587,7 +587,7 @@ class TestEval:
         est = write(tmp_path / "bad.json", json.dumps(doc))
         code = main(["eval", "--est", est, "--truth", str(bundle_dir)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: invalid-argument: edge entry")
+        assert capsys.readouterr().err.startswith(f"error: invalid-argument: {est}: edge entry")
 
     def test_node_count_mismatch(self, bundle_dir, tmp_path, capsys):
         other = {"n_nodes": 3, "edges": [[0, 1]], "triangles": []}
@@ -602,39 +602,39 @@ class TestEval:
             (
                 {"n_nodes": 4, "edges": [[0, 9]], "triangles": []},
                 {"n_nodes": 4, "edges": [[1, 0]], "triangles": []},
-                "invalid edge (0, 9) for 4 nodes",
+                "{est}: invalid edge (0, 9) for 4 nodes",
             ),
             (
                 {"n_nodes": 4, "edges": [[0, 9]], "triangles": []},
                 {"n_nodes": 3, "edges": [], "triangles": []},
-                "invalid edge (0, 9) for 4 nodes",
+                "{est}: invalid edge (0, 9) for 4 nodes",
             ),
             (
                 {"n_nodes": 4, "edges": [], "triangles": []},
                 {"n_nodes": 5, "edges": [[0, 1]], "triangles": [[0, 1, 2]]},
-                "triangle (0, 1, 2) lists inactive edge(s) [(0, 2), (1, 2)]; "
+                "{truth}: triangle (0, 1, 2) lists inactive edge(s) [(0, 2), (1, 2)]; "
                 "complex is not downward closed",
             ),
             (
                 {"n_nodes": 4, "edges": [], "triangles": []},
                 {"n_nodes": 3, "edges": [[0, 3]], "triangles": []},
-                "invalid edge (0, 3) for 3 nodes",
+                "{truth}: invalid edge (0, 3) for 3 nodes",
             ),
             (
                 {"n_nodes": 4, "edges": [], "triangles": []},
                 {"n_nodes": 4, "edges": [[0, 1]], "triangles": [[0, 1, 2]]},
-                "triangle (0, 1, 2) lists inactive edge(s) [(0, 2), (1, 2)]; "
+                "{truth}: triangle (0, 1, 2) lists inactive edge(s) [(0, 2), (1, 2)]; "
                 "complex is not downward closed",
             ),
             (
                 {"n_nodes": 4, "edges": [], "triangles": []},
                 {"n_nodes": 4.0, "edges": [], "triangles": []},
-                "n_nodes must be an integer, got float",
+                "{truth}: n_nodes must be an integer, got float",
             ),
             (
                 {"n_nodes": 4, "edges": [], "triangles": []},
                 {"n_nodes": 41, "edges": [], "triangles": []},
-                f"n_nodes must be in [2, {MAX_NODES}], got 41",
+                "{truth}: n_nodes must be in [2, %d], got 41" % MAX_NODES,
             ),
             (
                 {"n_nodes": 4, "edges": [], "triangles": []},
@@ -655,17 +655,19 @@ class TestEval:
     )
     def test_error_precedence(self, tmp_path, capsys, est, truth, message):
         """One skeleton serves both documents, yet the estimate's faults
-        still come first, then the reference's, then the size mismatch."""
+        still come first, then the reference's, then the size mismatch;
+        each document's fault names its file."""
         est_path = write(tmp_path / "est.json", json.dumps(est))
         truth_path = write(tmp_path / "truth.json", json.dumps({"complex": truth}))
         assert main(["eval", "--est", est_path, "--truth", truth_path]) == 1
+        message = message.format(est=est_path, truth=truth_path)
         assert capsys.readouterr().err == f"error: invalid-argument: {message}\n"
 
     def test_invalid_estimate_before_missing_truth(self, tmp_path, capsys):
         est = write(tmp_path / "est.json", json.dumps({"n_nodes": 1, "edges": [], "triangles": []}))
         assert main(["eval", "--est", est, "--truth", str(tmp_path / "none.json")]) == 1
         assert capsys.readouterr().err == (
-            f"error: invalid-argument: n_nodes must be in [2, {MAX_NODES}], got 1\n"
+            f"error: invalid-argument: {est}: n_nodes must be in [2, {MAX_NODES}], got 1\n"
         )
 
     def test_shared_skeleton_builds_once(self, bundle_dir, monkeypatch, capsys):
@@ -677,6 +679,59 @@ class TestEval:
         complex_json = str(bundle_dir / "complex.json")
         assert main(["eval", "--est", complex_json, "--truth", str(bundle_dir)]) == 0
         assert calls == [7]
+
+
+class TestFaultyComplexNamesItsFile:
+    @pytest.fixture
+    def bad_bundle(self, bundle_dir, tmp_path):
+        """A copy of the bundle whose complex.json first lists edge [5, 2]."""
+        ds = tmp_path / "bad"
+        shutil.copytree(bundle_dir, ds)
+        doc = json.loads(read_bytes(ds / "complex.json"))
+        doc["edges"].insert(0, [5, 2])
+        write(ds / "complex.json", json.dumps(doc))
+        return ds
+
+    @pytest.mark.parametrize("bad", ["est", "truth"])
+    def test_eval_names_the_faulty_document(self, bundle_dir, bad_bundle, tmp_path, capsys, bad):
+        run = tmp_path / "run"
+        assert main(["learn", str(bundle_dir), "--out", str(run)]) == 0
+        docs = {"est": str(run / "result.json"), "truth": str(bundle_dir)}
+        docs[bad] = str(bad_bundle)
+        capsys.readouterr()
+        assert main(["eval", "--est", docs["est"], "--truth", docs["truth"]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid-argument: {bad_bundle / 'complex.json'}: "
+            "invalid edge (5, 2) for 7 nodes\n"
+        )
+
+    def test_learn_names_the_bundle_complex_json(self, bad_bundle, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["learn", str(bad_bundle), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid-argument: {bad_bundle / 'complex.json'}: "
+            "invalid edge (5, 2) for 7 nodes\n"
+        )
+        assert not out.exists()
+
+
+def test_every_json_document_is_the_compact_sorted_dump(bundle_dir, tmp_path, capsys):
+    """generate, learn (each method) and eval --out write every JSON file
+    as ``json.dumps(doc, sort_keys=True)`` plus a newline, and eval prints
+    the text of its --out file."""
+    files = [bundle_dir / "complex.json", bundle_dir / "meta.json"]
+    for method in METHOD_NAMES:
+        run = tmp_path / method
+        assert main(["learn", str(bundle_dir), "--method", method, "--out", str(run)]) == 0
+        report = tmp_path / f"{method}.report.json"
+        capsys.readouterr()
+        argv = ["eval", "--est", str(run / "result.json"), "--truth", str(bundle_dir)]
+        assert main([*argv, "--out", str(report)]) == 0
+        assert capsys.readouterr().out.encode() == read_bytes(report)
+        files += [run / "result.json", report]
+    for path in files:
+        text = read_bytes(path).decode()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 from collections import deque
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -560,6 +561,22 @@ class TestDatasetBundle:
             truth.fill_draws, truth.fill_identifiable
         )
         assert isinstance(truth.fill_identifiable, bool) and truth.fill_draws >= 1
+
+    def test_numpy_scalar_params_round_trip(self, tmp_path):
+        """Fields given as numpy scalars are written to meta.json as plain
+        numbers of the same values, so the bundle is complete."""
+        params = InstanceParams(
+            n_nodes=np.int64(12),
+            n_node_signals=np.int32(10),
+            n_edge_signals=10,
+            edge_prob=np.float32(0.6),
+        )
+        truth, signals = generate_instance(params, seed=3)
+        write_dataset(tmp_path, truth, signals, params)
+        meta = read_dataset(tmp_path).meta
+        assert {name: meta[name] for name in asdict(params)} == asdict(params)
+        assert type(meta["n_nodes"]) is type(meta["n_node_signals"]) is int
+        assert type(meta["edge_prob"]) is float
 
     def test_byte_identical_across_runs(self, tmp_path):
         params = self._params()
