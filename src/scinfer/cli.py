@@ -18,7 +18,6 @@ Unknown flags or methods are argparse usage errors (exit status 2).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -43,7 +42,7 @@ from .synth import (
     write_dataset,
     write_matrix_npy,
 )
-from .topology import JSON_STYLE, complex_to_dict, read_complex_json, write_json
+from .topology import complex_to_dict, json_text, read_complex_json, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -171,7 +170,7 @@ def _cmd_eval(args) -> int:
         except FileNotFoundError as exc:
             # main reads FileNotFoundError as a missing input; this is an output.
             raise ValueError(str(exc)) from exc
-    print(json.dumps(report, **JSON_STYLE))
+    print(json_text(report), end="")
     return 0
 
 

@@ -58,11 +58,9 @@ __all__ = [
 # learner or the generator past this size.
 MAX_NODES = 40
 
+# Relative singular-value cutoff of the generator's curl projection
+# (``_span_basis``) and of ``hodge_decompose``'s least-squares solves.
 _SV_CUTOFF = 1e-10
-
-# Layout of every JSON document the package writes or prints: json's
-# default separators and no indent, so its C encoder writes all of it.
-JSON_STYLE = {"sort_keys": True}
 
 # Boundary signs of a triangle on its edges, in ``tri_edges`` column order.
 _TRI_SIGNS = np.array([1.0, -1.0, 1.0])
@@ -348,7 +346,9 @@ def b2_block(skeleton: ComplexSkeleton, rows, cols) -> np.ndarray:
 
 def _span_basis(b: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of ``b``: the left singular
-    vectors whose singular value exceeds ``_SV_CUTOFF`` times the largest."""
+    vectors whose singular value exceeds ``_SV_CUTOFF`` times the largest.
+    Only ``gen_low_curl_edge_signals`` uses it, for the curl projection;
+    ``fill_triangles`` spans its fills from a Gram eigendecomposition."""
     u, sv, _ = np.linalg.svd(b, full_matrices=False)
     return u[:, : int((sv > _SV_CUTOFF * sv[:1]).sum())]
 
@@ -571,14 +571,24 @@ def complex_from_dict(
     return skeleton, make_selection(skeleton, w1, w2)
 
 
-def write_json(path, doc) -> None:
-    """Write ``doc`` in the one JSON layout of every file the package
-    writes: ``json.dumps(doc, **JSON_STYLE)`` plus a newline, in one
-    write. With no indent, json encodes the whole document in C; a
-    document it cannot encode raises before the file is opened."""
-    text = json.dumps(doc, **JSON_STYLE) + "\n"
+def json_text(doc) -> str:
+    """``doc`` in the one JSON layout of every document the package
+    writes or prints: ``json.dumps(doc, sort_keys=True)`` plus a newline.
+    With json's default separators and no indent, its C encoder encodes
+    the whole document."""
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 in one write."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_json(path, doc) -> None:
+    """Write ``json_text(doc)`` in one write; a document json cannot
+    encode raises before the file is opened."""
+    write_text(path, json_text(doc))
 
 
 def read_json(path):

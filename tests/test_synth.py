@@ -7,6 +7,7 @@ import pickle
 import re
 from collections import deque
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,6 +168,31 @@ class TestFillTriangles:
         expected, draws, identifiable = _fill_triangles_per_draw(sk, w1, fraction, ref_rng)
         event("no draw" if draws == 0 else "one draw" if draws == 1 else "several draws")
         fill = fill_triangles(sk, w1, fraction, new_rng)
+        np.testing.assert_array_equal(fill.w2, expected)
+        assert (fill.draws, fill.identifiable) == (draws, identifiable)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n, edge_prob, seed, draws, identifiable",
+        [
+            pytest.param(20, 0.4, 1010, 2, True, id="n20-passes-on-draw-2"),
+            pytest.param(20, 0.4, 1000, 200, False, id="n20-all-200-draws-fail"),
+            pytest.param(30, 0.3, 3000, 69, True, id="n30-passes-on-draw-69"),
+        ],
+    )
+    def test_matches_per_draw_reference_at_larger_sizes(
+        self, n, edge_prob, seed, draws, identifiable
+    ):
+        """Fixed connected instances at the sizes the sampled test above
+        does not reach, each filled at fraction 0.5: every draw's decision
+        and the kept fill match the SVD reference."""
+        sk = build_skeleton(n)
+        w1 = sample_er_selection(sk, edge_prob, np.random.default_rng(seed))
+        ref_rng = np.random.default_rng(seed + 1)
+        new_rng = np.random.default_rng(seed + 1)
+        expected, *outcome = _fill_triangles_per_draw(sk, w1, 0.5, ref_rng)
+        assert tuple(outcome) == (draws, identifiable)
+        fill = fill_triangles(sk, w1, 0.5, new_rng)
         np.testing.assert_array_equal(fill.w2, expected)
         assert (fill.draws, fill.identifiable) == (draws, identifiable)
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -577,6 +603,19 @@ class TestDatasetBundle:
         assert {name: meta[name] for name in asdict(params)} == asdict(params)
         assert type(meta["n_nodes"]) is type(meta["n_node_signals"]) is int
         assert type(meta["edge_prob"]) is float
+
+    def test_fraction_param_round_trip(self, tmp_path):
+        """A Fraction, which the real-number rule accepts and json cannot
+        encode, is written to meta.json as its float, so the bundle is
+        complete and reads back."""
+        params = InstanceParams(n_nodes=8, edge_prob=Fraction(1, 2))
+        truth, signals = generate_instance(params, seed=3)
+        write_dataset(tmp_path, truth, signals, params)
+        ds = read_dataset(tmp_path)
+        assert ds.meta["edge_prob"] == 0.5 and type(ds.meta["edge_prob"]) is float
+        assert {name: ds.meta[name] for name in asdict(params)} == asdict(params)
+        np.testing.assert_array_equal(ds.truth.w2, truth.selection.w2)
+        np.testing.assert_array_equal(ds.observed_edges, signals.observed_edges)
 
     def test_byte_identical_across_runs(self, tmp_path):
         params = self._params()
