@@ -16,7 +16,7 @@ from .config import (
     parse_instance,
     parse_sweep,
 )
-from .evaluation import EvalReport, evaluate, nerr
+from .evaluation import EvalReport, evaluate
 from .learner import (
     HyperParams,
     LearnState,
@@ -89,7 +89,6 @@ __all__ = [
     "interpolate_edge_signals",
     "load_config",
     "make_selection",
-    "nerr",
     "node_laplacian",
     "objective_value",
     "parse_hyperparams",

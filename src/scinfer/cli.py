@@ -31,7 +31,7 @@ from .config import (
     parse_sweep,
     resolve_budgets,
 )
-from .evaluation import evaluate
+from .evaluation import evaluate, run_record
 from .learner import HyperParams
 from .sweep import run_sweep
 from .synth import (
@@ -128,21 +128,11 @@ def _cmd_learn(args) -> int:
 
     state = METHODS[args.method](ds.skeleton, ds.x0, ds.x1_obs, ds.observed_edges, params)
     report = evaluate(ds.skeleton, state.selection, ds.truth)
-    result = {
-        "method": args.method,
-        "complex": complex_to_dict(ds.skeleton, state.selection),
-        "objective_trace": list(state.objective_trace),
-        "iterations_run": state.iterations_run,
-        "converged": state.converged,
-        "closure_violations": report.closure_violations,
-        "pruned_triangles": state.pruned_triangles,
-        "phase_seconds": state.phase_seconds,
-        "eval": report.to_dict(),
-    }
+    record = run_record(args.method, state, report)
     out_dir = args.out if args.out is not None else args.dataset
     os.makedirs(out_dir, exist_ok=True)
     result_path = os.path.join(out_dir, "result.json")
-    write_json(result_path, result)
+    write_json(result_path, {"complex": complex_to_dict(ds.skeleton, state.selection), **record})
     if args.save_x1:
         write_matrix_npy(os.path.join(out_dir, "x1_est.npy"), state.x1_est)
     print(

@@ -1,4 +1,4 @@
-"""Recovery metrics: normalized Laplacian errors and support scores.
+"""Recovery metrics (normalized Laplacian errors, support scores) and a run's record.
 
 Laplacian errors always compare the full candidate-axis embeddings
 (node-by-node for the graph Laplacian, candidate-edge-by-candidate-edge
@@ -20,7 +20,7 @@ import numpy as np
 
 from .topology import ComplexSkeleton, Selection, _active_indices, _face_counts
 
-__all__ = ["EvalReport", "nerr", "evaluate"]
+__all__ = ["EvalReport", "evaluate", "run_record"]
 
 
 @dataclass(frozen=True)
@@ -39,26 +39,11 @@ class EvalReport:
         return asdict(self)
 
 
-def nerr(l_est: np.ndarray, l_true: np.ndarray) -> float:
-    """Squared-Frobenius error of an estimate, normalized by the truth.
-
-    ``||l_true - l_est||_F^2 / ||l_true||_F^2``; raises on shape
-    mismatch or an identically zero reference.
-    """
-    a = np.asarray(l_est, dtype=np.float64)
-    b = np.asarray(l_true, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    denom = np.sum(b * b)
-    if denom == 0.0:
-        raise ValueError("reference matrix is identically zero")
-    return float(np.sum((b - a) ** 2) / denom)
-
-
 def _count_nerr(faces, size: int, est_idx, true_idx, tp: int, off_diag: int) -> float:
-    """``nerr`` of the combinatorial Laplacians of two sets of active
-    simplices, given as rows of ``faces`` (an edge's two nodes, or a
-    triangle's three edges) that share ``tp`` simplices.
+    """``||L_true - L_est||_F^2 / ||L_true||_F^2`` for the combinatorial
+    Laplacians of two sets of active simplices, given as rows of
+    ``faces`` (an edge's two nodes, or a triangle's three edges) that
+    share ``tp`` simplices.
 
     The diagonal counts the active simplices on each of ``size`` faces
     and each active simplex adds ``off_diag`` unit entries off it, so
@@ -116,4 +101,14 @@ def evaluate(skeleton: ComplexSkeleton, est: Selection, truth: Selection) -> Eva
         triangle_recall=t_r,
         triangle_f1=t_f1,
         closure_violations=est_faces.size - int(np.count_nonzero(e1[est_faces])),
+    )
+
+
+def run_record(method: str, state, report: EvalReport) -> dict:
+    """Every ``result.json`` field of a run but ``complex``; sweep rows read theirs here."""
+    return dict(
+        method=method, objective_trace=list(state.objective_trace),
+        iterations_run=state.iterations_run, converged=state.converged,
+        closure_violations=report.closure_violations, pruned_triangles=state.pruned_triangles,
+        phase_seconds=state.phase_seconds, eval=report.to_dict(),
     )

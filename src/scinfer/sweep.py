@@ -26,7 +26,7 @@ import numpy as np
 
 from .baselines import METHODS
 from .config import SWEEP_AXES, SweepSpec, resolve_budgets
-from .evaluation import evaluate
+from .evaluation import evaluate, run_record
 from .svgplot import line_plot_svg
 from .synth import generate_instance
 from .topology import _require_int
@@ -46,13 +46,12 @@ CSV_COLUMNS = (
     "status",
 )
 
-_METRIC_KEYS = ("nerr_l0", "nerr_lu", "edge_f1", "triangle_f1", "closure_violations")
 
-
-def _row(value, trial: int, method: str, report=None, seconds=math.nan, status="ok") -> dict:
-    """One results row; without a report every metric reads nan."""
-    metrics = [getattr(report, key, math.nan) for key in _METRIC_KEYS]
-    return dict(zip(CSV_COLUMNS, (value, trial, method, *metrics, seconds, status)))
+def _row(value, trial: int, method: str, record=None, seconds=math.nan, status="ok") -> dict:
+    """One results row; its metrics are run record fields, nan without a record."""
+    given = dict(sweep_value=value, trial=trial, method=method, seconds=seconds, status=status)
+    fields = {**record["eval"], **record, **given} if record else given
+    return {key: fields.get(key, math.nan) for key in CSV_COLUMNS}
 
 
 def _cell_rows(spec: SweepSpec, grid_index: int, trial: int) -> list[dict]:
@@ -78,7 +77,8 @@ def _cell_rows(spec: SweepSpec, grid_index: int, trial: int) -> list[dict]:
         except Exception as exc:
             rows.append(_row(value, trial, method, status=f"{type(exc).__name__}: {exc}"))
             continue
-        rows.append(_row(value, trial, method, report, time.perf_counter() - start))
+        seconds = time.perf_counter() - start
+        rows.append(_row(value, trial, method, run_record(method, state, report), seconds))
     return rows
 
 

@@ -438,9 +438,10 @@ def read_dataset(in_dir) -> Dataset:
         observed = check_observed_edges(skeleton.n_edges, observed)
     except ValueError as exc:
         raise ValueError(f"{paths['observed_edges.npy']}: {exc}") from exc
-    if x1_obs.shape[0] != observed.size:
-        raise ValueError(
-            f"{paths['x1_obs.npy']}: {x1_obs.shape[0]} rows but "
-            f"{observed.size} edges are observed"
-        )
+    for name, arr, rows, what in (
+        ("x0.npy", x0, skeleton.n_nodes, "nodes are in the complex"),
+        ("x1_obs.npy", x1_obs, observed.size, "edges are observed"),
+    ):
+        if arr.shape[0] != rows:
+            raise ValueError(f"{paths[name]}: {arr.shape[0]} rows but {rows} {what}")
     return Dataset(skeleton, truth, x0, x1_obs, observed, read_json(paths["meta.json"]))

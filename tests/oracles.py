@@ -5,9 +5,10 @@ dense incidence matrices enumerated from the orientation rule,
 exhaustive subset enumeration for the cardinality-constrained selection
 subproblems, fixed-step gradient descent and a full-system pseudoinverse
 for the interpolation solve, and literal matrix-product objective
-formulas (no row-norm shortcuts), a complex-document reader that
-checks one entry at a time, and set-based recovery metrics with the
-Laplacians built entry by entry. The implementations under test must
+formulas (no row-norm shortcuts), a plain GreedySCL loop that scores
+every candidate and interpolates by the full pseudoinverse, a
+complex-document reader that checks one entry at a time, and set-based
+recovery metrics with the Laplacians built entry by entry. The implementations under test must
 agree with these to tight tolerances; the oracles deliberately share no
 code with the package and import nothing from it.
 """
@@ -250,6 +251,101 @@ def full_objective(
         + params.eta * np.sum(resid * resid)
         + params.gamma * ((1.0 - w1) @ np.abs(skeleton_b2) @ w2)
     )
+
+
+def reference_greedy_scl(
+    n, x0, x1_obs, observed, params, max_iters=50, score_quantum=1e-9, pinv_tol=1e-10
+):
+    """GreedySCL's loop as its docstrings state it, with nothing skipped.
+
+    Dense ``B1`` and ``B2`` come from ``incidence(n)``. Starting from
+    (observed edges, no triangles, the interpolation of no triangles),
+    each iteration:
+
+    - scores every candidate triangle, ``alpha2 + beta2 * curl energy +
+      gamma * missing edges``, and activates the ``t_min`` smallest by
+      the bucket rule: key ``round(score / q)`` with ``q = score_quantum
+      * (alpha2 + 9 * beta2 * max_e ||x1_e||^2)`` (the score itself when
+      ``q = 0``), equal keys to the lowest index;
+    - scores every edge, ``alpha1 + beta1 * smoothness - gamma * active
+      triangles on it``, keeps the observed edges and activates the
+      unobserved ones in stable ascending order, as many as
+      ``max(e_min - |observed|, negative unobserved scores)``;
+    - interpolates with ``pinv_interpolation`` on the new triangles,
+      always, and appends ``full_objective``.
+
+    It stops when an iteration leaves (w1, w2) unchanged, or after
+    ``max_iters``. Every triangle still missing an edge is then
+    deactivated and, if any was, the signals are interpolated again.
+
+    Returns a dict: ``w1``, ``w2``, ``x1``, ``trace``, ``iterations_run``,
+    ``converged``, ``pruned``, ``tiers``, the most missing edges of a
+    triangle selected at each triangle step (-1 for none), and
+    ``cut_values``, which holds for each triangle step the ``score / q``
+    of every candidate whose key is within one of the ``t_min``-th
+    smallest key (empty when ``q = 0`` or the budget selects none or all).
+    """
+    b1, b2 = incidence(n)
+    closure = np.abs(b2)
+    observed = np.asarray(observed, dtype=int)
+    unobserved = np.setdiff1d(np.arange(b1.shape[1]), observed)
+    grad = b1.T @ x0
+    smoothness = np.sum(grad * grad, axis=1)
+
+    def interpolate(w2):
+        return pinv_interpolation(b2, w2, observed, x1_obs, params.beta2, params.eta, pinv_tol)
+
+    def triangle_step(x1, w1):
+        curl = b2.T @ x1
+        energy = np.sum(curl * curl, axis=1)
+        missing = (1.0 - w1) @ closure
+        scores = params.alpha2 + params.beta2 * energy + params.gamma * missing
+        q = score_quantum * (params.alpha2 + 9.0 * params.beta2 * np.max(np.sum(x1 * x1, axis=1)))
+        keys = np.round(scores / q) if q > 0.0 else scores
+        order = np.argsort(keys, kind="stable")
+        w2 = np.zeros(b2.shape[1])
+        w2[order[: params.t_min]] = 1.0
+        near = np.zeros(0)
+        if q > 0.0 and 0 < params.t_min < keys.size:
+            cut = keys[order[params.t_min - 1]]
+            near = (scores / q)[np.abs(keys - cut) <= 1.0]
+        return w2, near, int(missing[w2 == 1.0].max(initial=-1))
+
+    def edge_step(w2):
+        scores = params.alpha1 + params.beta1 * smoothness - params.gamma * (closure @ w2)
+        ranked = unobserved[np.argsort(scores[unobserved], kind="stable")]
+        take = max(params.e_min - observed.size, int(np.sum(scores[unobserved] < 0.0)))
+        w1 = np.zeros(b1.shape[1])
+        w1[observed] = 1.0
+        w1[ranked[:take]] = 1.0
+        return w1
+
+    w1 = np.zeros(b1.shape[1])
+    w1[observed] = 1.0
+    w2 = np.zeros(b2.shape[1])
+    x1 = interpolate(w2)
+    trace, tiers, cut_values, converged = [], [], [], False
+    for _ in range(max_iters):
+        prev_w1, prev_w2 = w1, w2
+        w2, near, tier = triangle_step(x1, w1)
+        tiers.append(tier)
+        cut_values.append(near)
+        w1 = edge_step(w2)
+        x1 = interpolate(w2)
+        trace.append(full_objective(b1, b2, x0, x1, w1, w2, observed, x1_obs, params))
+        if np.array_equal(w1, prev_w1) and np.array_equal(w2, prev_w2):
+            converged = True
+            break
+
+    open_triangles = (w2 == 1.0) & ((1.0 - w1) @ closure > 0)
+    if open_triangles.any():
+        w2 = np.where(open_triangles, 0.0, w2)
+        x1 = interpolate(w2)
+    return {
+        "w1": w1, "w2": w2, "x1": x1, "trace": trace, "iterations_run": len(trace),
+        "converged": converged, "pruned": int(open_triangles.sum()), "tiers": tiers,
+        "cut_values": cut_values,
+    }
 
 
 def evaluation_report(n, est, truth):

@@ -1,5 +1,6 @@
 """Config parsing, CLI subcommands, and the sweep harness."""
 
+import csv
 import dataclasses
 import hashlib
 import io
@@ -30,9 +31,9 @@ from scinfer.config import (
     parse_sweep,
 )
 from scinfer.learner import HyperParams
-from scinfer.sweep import CSV_COLUMNS, run_sweep
+from scinfer.sweep import CSV_COLUMNS, _fmt_cell, run_sweep
 from scinfer.svgplot import line_plot_svg
-from scinfer.synth import InstanceParams
+from scinfer.synth import InstanceParams, generate_instance, write_dataset
 from scinfer.topology import MAX_NODES
 
 
@@ -497,8 +498,9 @@ class TestLearn:
             ("observed_edges.npy", npy_bytes(np.array([5, 3], dtype=np.int64)),
              "observed_edges must be strictly increasing"),
             ("x1_obs.npy", npy_bytes(np.array([[0.5]])), "1 rows but 12 edges are observed"),
+            ("x0.npy", npy_bytes(np.zeros((6, 40))), "6 rows but 7 nodes are in the complex"),
         ],
-        ids=["unsorted-observed", "x1-obs-row-mismatch"],
+        ids=["unsorted-observed", "x1-obs-row-mismatch", "x0-row-mismatch"],
     )
     def test_bundle_index_errors_name_the_file(
         self, bundle_dir, tmp_path, capsys, name, data, message
@@ -1142,3 +1144,38 @@ def test_readme_params_list_is_the_fields():
     groups = re.findall(r"`([a-z0-9_]+(?:, [a-z0-9_]+)*)`\s\(", paragraph.group(0))
     listed = [name for group in groups for name in group.split(", ")]
     assert listed == [f.name for f in dataclasses.fields(HyperParams)]
+
+
+def test_sweep_row_and_result_json_are_one_record(tmp_path):
+    """For one instance and each method, the sweep's results.csv row and
+    ``scinfer learn``'s result.json show the same run: every metric cell is
+    the ``_fmt_cell`` text of the matching result.json field (top level,
+    else under ``eval``), and the result.json keys are README's list."""
+    cfg = write(
+        tmp_path / "s.ini",
+        "[sweep]\nvariable = node_noise_std\ngrid = 0.1\ntrials = 1\nbase_seed = 3\n"
+        "methods = GreedySCL, SepSCL, RC\n\n"
+        "[instance]\nn_nodes = 7\nedge_prob = 0.6\nn_node_signals = 20\nn_edge_signals = 20\n",
+    )
+    spec = parse_sweep(load_config(cfg))
+    run_sweep(spec, tmp_path / "sweep")
+    with open(tmp_path / "sweep" / "results.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    instance = dataclasses.replace(spec.instance, node_noise_std=spec.grid[0])
+    write_dataset(tmp_path / "ds", *generate_instance(instance, spec.base_seed), instance)
+    block = re.search(r"`result.json` holds:\n\n```\n(.*?)```", _readme(), re.S).group(1)
+    readme_keys = {key.strip() for key in re.sub(r"\{[^}]*\}", "", block).split(",")}
+    given = ("sweep_value", "trial", "seconds", "status")
+    metric_columns = [key for key in CSV_COLUMNS if key not in given]
+
+    assert [row["method"] for row in rows] == list(spec.methods)
+    for row in rows:
+        out = tmp_path / row["method"]
+        args = ["learn", str(tmp_path / "ds"), "--method", row["method"], "--out", str(out)]
+        assert main(args) == 0
+        result = json.loads(read_bytes(out / "result.json"))
+        assert set(result) == readme_keys
+        assert row["status"] == "ok"
+        for key in metric_columns:
+            field = result[key] if key in result else result["eval"][key]
+            assert row[key] == _fmt_cell(key, field), (row["method"], key)

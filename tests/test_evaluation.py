@@ -9,14 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import evaluation_report, incidence
-from scinfer.evaluation import evaluate, nerr
+from scinfer.evaluation import evaluate
 from scinfer.synth import InstanceParams, generate_instance
 from scinfer.topology import (
     Selection,
     build_skeleton,
     edge_index,
     make_selection,
-    node_laplacian,
     triangle_index,
 )
 
@@ -46,41 +45,6 @@ def _drawn_selections(n, seed):
 
 
 class TestNerr:
-    def test_exact_match_is_zero(self):
-        sk, sel = _random_selection(0)
-        l0 = node_laplacian(sk, sel.w1.astype(float))
-        assert nerr(l0, l0) == 0.0
-
-    def test_zero_estimate_is_one(self):
-        sk, sel = _random_selection(1)
-        l0 = node_laplacian(sk, sel.w1.astype(float))
-        assert nerr(np.zeros_like(l0), l0) == pytest.approx(1.0)
-
-    def test_doubled_estimate_is_one(self):
-        sk, sel = _random_selection(2)
-        l0 = node_laplacian(sk, sel.w1.astype(float))
-        assert nerr(2.0 * l0, l0) == pytest.approx(1.0)
-
-    def test_manual_recomputation(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 6))
-        b = rng.standard_normal((6, 6))
-        expected = ((b - a) ** 2).sum() / (b**2).sum()
-        assert nerr(a, b) == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_shape_mismatch_and_zero_reference(self):
-        with pytest.raises(ValueError, match="shape"):
-            nerr(np.zeros((2, 2)), np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="zero"):
-            nerr(np.eye(3), np.zeros((3, 3)))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.floats(-3.0, 3.0))
-    def test_scaling_identity(self, c):
-        sk, sel = _random_selection(4)
-        l0 = node_laplacian(sk, sel.w1.astype(float))
-        assert nerr(c * l0, l0) == pytest.approx((1.0 - c) ** 2, abs=1e-9)
-
     def test_permutation_invariance(self):
         """Relabeling nodes consistently leaves both errors unchanged."""
         sk, truth = _random_selection(5)
@@ -211,8 +175,6 @@ class TestEvaluate:
         assert report.nerr_lu == pytest.approx(
             ((lu_t - lu_e) ** 2).sum() / (lu_t**2).sum(), rel=1e-12
         )
-        assert report.nerr_l0 == nerr(l0_e, l0_t)
-        assert report.nerr_lu == nerr(lu_e, lu_t)
 
     @settings(max_examples=100, deadline=None)
     @given(

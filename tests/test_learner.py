@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -16,6 +16,7 @@ from oracles import (
     gradient_descent_interpolation,
     incidence,
     pinv_interpolation,
+    reference_greedy_scl,
     triangle_subproblem_value,
     upper_gram,
 )
@@ -824,3 +825,96 @@ class TestRunGreedyScl:
             truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp
         )
         assert state.phase_seconds["edge_select"] >= 0.01 * state.iterations_run
+
+
+# The bucket-boundary rule of the whole-loop comparison, fixed before any
+# draw was compared. The reference interpolates by a full pseudoinverse and
+# the package by a Schur solve, so their signals differ by about 1e-13
+# relative, and a score s and the width q with them. A key round(s / q) is
+# settled when s / q lies further than KEY_SLACK + WIDTH_SLACK * |s / q|
+# from a bucket boundary (a half-integer). KEY_SLACK bounds the curl
+# energy's error in units of q (the note on SCORE_QUANTUM: 7e-12 * M
+# against q >= 9e-9 * beta2 * M); WIDTH_SLACK bounds the relative
+# difference of the two widths, each taken from the largest row energy, ten
+# times over. A draw in which the reference meets an unsettled key within
+# one key of a cut may legitimately select otherwise: if it does, it is
+# rejected. Every other draw must match exactly.
+KEY_SLACK = 1e-3
+WIDTH_SLACK = 1e-12
+WEIGHTS = ("alpha1", "alpha2", "beta1", "beta2", "gamma", "eta")
+
+
+def _loop_case(n, seed, weights, amp, observed_share, e_share, t_share):
+    """A GreedySCL input on ``n`` nodes: Gaussian signals whose rows are
+    zero, tiny (1e-6) or of scale ``amp``, so that curl energies fall
+    below, inside and beyond a tier's ``gamma`` step; at least one
+    observed edge, and budgets anywhere in their ranges."""
+    sk = build_skeleton(n)
+    rng = np.random.default_rng(seed)
+    n_obs = max(1, round(observed_share * sk.n_edges))
+    observed = np.sort(rng.choice(sk.n_edges, size=n_obs, replace=False)).astype(np.int64)
+    x0, x1_obs = (
+        rng.choice([0.0, 1e-6, amp], size=(rows, 1)) * rng.standard_normal((rows, cols))
+        for rows, cols in ((n, int(rng.integers(1, 5))), (n_obs, int(rng.integers(1, 5))))
+    )
+    params = HyperParams(
+        **dict(zip(WEIGHTS, weights)),
+        e_min=n_obs + round(e_share * (sk.n_edges - n_obs)),
+        t_min=round(t_share * sk.n_triangles),
+    )
+    return sk, x0, x1_obs, observed, params
+
+
+_LOOP_CASES = st.builds(
+    _loop_case,
+    st.integers(3, 12),
+    st.integers(0, 2**32 - 1),
+    st.tuples(*[st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0])] * len(WEIGHTS)),
+    st.sampled_from([0.1, 1.0, 4.0]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestWholeLoopReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_LOOP_CASES)
+    # A cut that tier 0 alone sets between the floors of tiers 1 and 2, which
+    # a tier stop one tier early misses.
+    @example(_loop_case(9, 1, (0.0, 0.0, 0.0, 1e-3, 1e-3, 1e-3), 4.0, 0.6875, 0.0, 0.5))
+    def test_matches_the_plain_loop(self, case):
+        """GreedySCL selects, iterates, prunes and interpolates as the plain
+        loop of ``oracles.reference_greedy_scl`` does, which scores every
+        candidate and re-interpolates by a pseudoinverse every time."""
+        sk, x0, x1_obs, observed, params = case
+        got = run_greedy_scl(sk, x0, x1_obs, observed, params)
+        ref = reference_greedy_scl(
+            sk.n_nodes, x0, x1_obs, observed, params, max_iters=learner.MAX_ITERS,
+            score_quantum=learner.SCORE_QUANTUM, pinv_tol=learner.PINV_TOL,
+        )
+        event(f"highest tier selected: {max(ref['tiers'])}")
+        event(f"zero weights: {sum(getattr(params, name) == 0.0 for name in WEIGHTS)}")
+        event(f"pruned: {ref['pruned'] > 0}, converged: {ref['converged']}")
+        near = np.concatenate([np.zeros(0), *ref["cut_values"]])
+        margin = 0.5 - np.abs(near - np.round(near))
+        slack = margin - KEY_SLACK - WIDTH_SLACK * np.abs(near)
+        atol = 1e-12 * params.eta * np.sum(x1_obs**2)
+        same = (
+            np.array_equal(got.selection.w1, ref["w1"])
+            and np.array_equal(got.selection.w2, ref["w2"])
+            and got.iterations_run == ref["iterations_run"]
+            and np.allclose(got.objective_trace, ref["trace"], rtol=1e-9, atol=atol)
+        )
+        if not same and (slack < 0.0).any():
+            reject()
+        assert same, (
+            f"differs from the plain loop: iterations {got.iterations_run} vs "
+            f"{ref['iterations_run']}, traces {got.objective_trace} vs {ref['trace']}, "
+            f"bucket margin {margin.min(initial=np.inf):.3g} q"
+        )
+        assert got.converged == ref["converged"]
+        assert got.pruned_triangles == ref["pruned"]
+        np.testing.assert_allclose(
+            got.x1_est, ref["x1"], rtol=0.0, atol=1e-9 * max(1.0, np.abs(x1_obs).max())
+        )
