@@ -19,9 +19,8 @@ The learner alternates three exact block solves of one objective over
       on the observed rows. Only the unobserved edges of active
       triangles can carry a kernel, so their rows are eliminated through
       a small pseudoinverse and the coupled observed rows solve the
-      Schur complement, which is positive definite. B2 diag(w2) B2^T is
-      a sum of one 3 x 3 sign block per active triangle, so its blocks
-      on the support are scattered from the active triangles' edges.
+      Schur complement, which is positive definite. The blocks of
+      B2 diag(w2) B2^T are scattered by ``topology._gram_blocks``.
 
 Scores are evaluated through squared row norms of the per-edge
 gradients and per-triangle curls of the signals; the candidate-by-
@@ -50,9 +49,10 @@ import numpy as np
 from .topology import (
     ComplexSkeleton,
     Selection,
-    _TRI_SIGNS,
     _active_indices,
+    _check_finite,
     _curl_energy,
+    _gram_blocks,
     _require_int,
     _require_real,
     _row_energy,
@@ -102,11 +102,6 @@ SCORE_QUANTUM = 1e-9
 # objective. Every GreedySCL run on the shipped sweeps and the n = 40
 # benchmark bundles reaches its fixpoint in 2 to 9 iterations.
 MAX_ITERS = 50
-
-# Sign products s_a * s_b of a triangle's boundary on its edge pairs
-# (a, b), row-major over its ``tri_edges`` columns: its 3 x 3 block of
-# B2 B2^T.
-_SIGN_PAIRS = np.outer(_TRI_SIGNS, _TRI_SIGNS).ravel()
 
 
 @dataclass(frozen=True)
@@ -169,13 +164,6 @@ def _check_rows(*checks) -> None:
     for name, arr, rows in checks:
         if np.ndim(arr) != 2 or np.shape(arr)[0] != rows:
             raise ValueError(f"{name} must be 2-d with {rows} rows, got shape {np.shape(arr)}")
-
-
-def _check_finite(*checks) -> None:
-    """Each ``(name, arr)`` must hold only finite values."""
-    for name, arr in checks:
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} has non-finite entries")
 
 
 def triangle_scores(
@@ -317,6 +305,7 @@ def select_edges(scores: np.ndarray, observed_edges, e_min: int) -> np.ndarray:
     _require_int("e_min", e_min, 0, scores.size)
     if e_min < obs.size:
         raise ValueError(f"e_min={e_min} is below the {obs.size} observed edges")
+    _check_finite(("scores", scores))
 
     w1 = np.zeros(scores.size, dtype=np.int8)
     w1[obs] = 1
@@ -389,27 +378,6 @@ def interpolate_edge_signals(
     x1_est[o_rows] = x_o
     x1_est[u_rows] = -eigvecs @ (root_inv[:, None] * (h @ x_o))
     return x1_est
-
-
-def _gram_blocks(skeleton: ComplexSkeleton, active, u_rows, o_rows):
-    """Blocks ``(UU, UO, OO)`` of ``B2[:, active] B2[:, active]^T`` on the
-    support ``[u_rows; o_rows]``, which must hold every edge of the
-    ``active`` triangles.
-
-    One ``np.bincount`` adds each triangle's 3 x 3 sign block at its
-    edges' support positions. The entries are small integers, so the
-    sums are exact and equal the dense products.
-    """
-    size = u_rows.size + o_rows.size
-    pos = np.full(skeleton.n_edges, -1, dtype=np.intp)
-    pos[u_rows] = np.arange(u_rows.size)
-    pos[o_rows] = np.arange(u_rows.size, size)
-    at = pos[skeleton.tri_edges[active]]
-    flat = (at[:, :, None] * size + at[:, None, :]).ravel()
-    weights = np.tile(_SIGN_PAIRS, len(active))
-    gram = np.bincount(flat, weights, minlength=size * size).reshape(size, size)
-    nu = u_rows.size
-    return gram[:nu, :nu], gram[:nu, nu:], gram[nu:, nu:]
 
 
 def objective_value(

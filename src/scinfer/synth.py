@@ -24,9 +24,9 @@ from .topology import (
     Selection,
     _active_indices,
     _closed_indices,
+    _range_basis,
     _require_int,
     _require_real,
-    _span_basis,
     b2_block,
     build_skeleton,
     check_observed_edges,
@@ -62,14 +62,6 @@ __all__ = [
 _EIG_CUTOFF = 1e-9
 _MAX_ER_ATTEMPTS = 1000
 _MAX_FILL_DRAWS = 200
-# Relative eigenvalue cutoff of the Gram B_f^T B_f in ``fill_triangles``'
-# span test. The Gram squares the singular values of B_f, so this keeps
-# those above 1e-5 of the largest. Over all 22,978 draws of both shipped
-# sweeps and the n = 40 instances of seeds 5000-5005, the dropped
-# eigenvalues were at most 8.8e-16 times the largest and the kept ones
-# at least 2.7e-4 times it, and the kept count equalled the rank an SVD
-# of B_f gives at ``_SV_CUTOFF`` on every draw.
-_GRAM_CUTOFF = 1e-10
 
 
 class GenerationError(RuntimeError):
@@ -205,14 +197,9 @@ def fill_triangles(
     any low-curl flow, so such fills are unidentifiable from edge data.
 
     The boundaries of the eligible triangles on the active edges are
-    built once per call. For each draw, with ``B_f`` the filled columns
-    of that block, the span test takes an orthonormal basis of the
-    range of ``B_f`` from the eigenvectors of its Gram ``B_f^T B_f``:
-    ``B_f V_k / sqrt(lam_k)`` over the eigenvalues above
-    ``_GRAM_CUTOFF`` times the largest, since the range of ``B_f`` is
-    ``B_f`` times the range of its Gram. The Gram's entries are small
-    integer sums, exact in any summation order. An unfilled boundary
-    fails when its residual off that basis has norm at most 1e-8.
+    built once per call. A draw's span test takes a basis of the range of
+    its filled columns (``_range_basis``); an unfilled boundary fails when
+    its residual off that basis has norm at most 1e-8.
 
     If no independent fill shows up within 200 draws, the final draw is
     kept and the returned ``Fill`` says so; dense graphs may admit none.
@@ -234,10 +221,7 @@ def fill_triangles(
         w2[:] = 0
         w2[chosen] = 1
         filled = w2[eligible] == 1
-        b_f = boundary[:, filled]
-        lam, vec = np.linalg.eigh(b_f.T @ b_f)
-        keep = lam > _GRAM_CUTOFF * lam[-1]
-        basis = b_f @ (vec[:, keep] / np.sqrt(lam[keep]))
+        basis = _range_basis(boundary[:, filled])
         probe = boundary[:, ~filled]
         residual = probe - basis @ (basis.T @ probe)
         identifiable = bool((np.linalg.norm(residual, axis=0) > 1e-8).all())
@@ -297,7 +281,7 @@ def gen_low_curl_edge_signals(
     active_e, active_t = _closed_indices(skeleton, w1, w2)
 
     white = rng.standard_normal((active_e.size, n_signals))
-    basis = _span_basis(b2_block(skeleton, active_e, active_t))
+    basis = _range_basis(b2_block(skeleton, active_e, active_t))
     curl = basis @ (basis.T @ white)
     flows = white - (1.0 - curl_atten) * curl
     flows = _normalize_columns(flows)

@@ -58,12 +58,25 @@ __all__ = [
 # learner or the generator past this size.
 MAX_NODES = 40
 
-# Relative singular-value cutoff of the generator's curl projection
-# (``_span_basis``) and of ``hodge_decompose``'s least-squares solves.
+# Relative singular-value cutoff of ``hodge_decompose``'s least-squares solves.
 _SV_CUTOFF = 1e-10
+
+# Relative eigenvalue cutoff of ``_range_basis`` on the Gram b^T b, which
+# squares the singular values of b: it keeps those above 1e-5 of the
+# largest. On all 22,978 fill draws of both shipped sweeps and of seeds
+# 5000-5005 at n = 40, the dropped eigenvalues were at most 8.8e-16 times
+# the largest and the kept ones at least 2.7e-4 times it; on the true
+# curl blocks of those instances and of the C3 and C4 families, 6.3e-16
+# and 1.7e-3. Every kept count equalled the SVD rank at ``_SV_CUTOFF``.
+_GRAM_CUTOFF = 1e-10
 
 # Boundary signs of a triangle on its edges, in ``tri_edges`` column order.
 _TRI_SIGNS = np.array([1.0, -1.0, 1.0])
+
+# Sign products s_a * s_b of a triangle's boundary on its edge pairs
+# (a, b), row-major over its ``tri_edges`` columns: its 3 x 3 block of
+# B2 B2^T.
+_SIGN_PAIRS = np.outer(_TRI_SIGNS, _TRI_SIGNS).ravel()
 
 # Triangles per block of ``_curl_energy``. At 100 signals per edge the
 # three gathers of a 512-row block stay in cache. The methods pass
@@ -144,6 +157,13 @@ def _require_real(name: str, value, lo=0, hi=None, open_lo=False) -> None:
         raise ValueError(f"{name} must be {'>' if open_lo else '>='} {lo} and finite, got {value}")
     if hi is not None and not (above and value <= hi):
         raise ValueError(f"{name} must be in {'(' if open_lo else '['}{lo}, {hi}], got {value}")
+
+
+def _check_finite(*checks) -> None:
+    """Each ``(name, arr)`` must hold only finite values."""
+    for name, arr in checks:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -235,18 +255,21 @@ def _triangle_rank(n: int, i, j, k):
 
 
 def edge_index(skeleton: ComplexSkeleton, i: int, j: int) -> int:
-    """Position of edge ``(i, j)`` in the candidate list; requires ``i < j``."""
+    """Candidate-list position of edge ``(i, j)``, integer vertices ``i < j``."""
+    for v in (i, j):
+        _require_int("vertex", v)
     if not (0 <= i < j < skeleton.n_nodes):
         raise ValueError(f"invalid edge ({i}, {j}) for {skeleton.n_nodes} nodes")
     return int(_edge_rank(skeleton.n_nodes, int(i), int(j)))
 
 
 def triangle_index(skeleton: ComplexSkeleton, i: int, j: int, k: int) -> int:
-    """Position of triangle ``(i, j, k)`` in the candidate list; requires ``i < j < k``."""
-    n = skeleton.n_nodes
-    if not (0 <= i < j < k < n):
-        raise ValueError(f"invalid triangle ({i}, {j}, {k}) for {n} nodes")
-    return int(_triangle_rank(n, int(i), int(j), int(k)))
+    """Candidate-list position of triangle ``(i, j, k)``, integer vertices ``i < j < k``."""
+    for v in (i, j, k):
+        _require_int("vertex", v)
+    if not (0 <= i < j < k < skeleton.n_nodes):
+        raise ValueError(f"invalid triangle ({i}, {j}, {k}) for {skeleton.n_nodes} nodes")
+    return int(_triangle_rank(skeleton.n_nodes, int(i), int(j), int(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +367,36 @@ def b2_block(skeleton: ComplexSkeleton, rows, cols) -> np.ndarray:
     return block
 
 
-def _span_basis(b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span of ``b``: the left singular
-    vectors whose singular value exceeds ``_SV_CUTOFF`` times the largest.
-    Only ``gen_low_curl_edge_signals`` uses it, for the curl projection;
-    ``fill_triangles`` spans its fills from a Gram eigendecomposition."""
-    u, sv, _ = np.linalg.svd(b, full_matrices=False)
-    return u[:, : int((sv > _SV_CUTOFF * sv[:1]).sum())]
+def _gram_blocks(skeleton: ComplexSkeleton, active, u_rows, o_rows):
+    """Blocks ``(UU, UO, OO)`` of ``B2[:, active] B2[:, active]^T`` on the
+    support ``[u_rows; o_rows]``, which must hold every edge of the
+    ``active`` triangles.
+
+    One ``np.bincount`` adds each triangle's 3 x 3 sign block at its
+    edges' support positions. The entries are small integers, so the
+    sums are exact and equal the dense products.
+    """
+    size = u_rows.size + o_rows.size
+    pos = np.full(skeleton.n_edges, -1, dtype=np.intp)
+    pos[u_rows] = np.arange(u_rows.size)
+    pos[o_rows] = np.arange(u_rows.size, size)
+    at = pos[skeleton.tri_edges[active]]
+    flat = (at[:, :, None] * size + at[:, None, :]).ravel()
+    weights = np.tile(_SIGN_PAIRS, len(active))
+    gram = np.bincount(flat, weights, minlength=size * size).reshape(size, size)
+    nu = u_rows.size
+    return gram[:nu, :nu], gram[:nu, nu:], gram[nu:, nu:]
+
+
+def _range_basis(b: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of ``b``: ``b V_k / sqrt(lam_k)``
+    over the eigenpairs of the Gram ``b^T b`` above ``_GRAM_CUTOFF`` times
+    the largest, as the range of ``b`` is ``b`` times the range of its Gram.
+    A boundary block's Gram holds small integer sums, exact in any order.
+    A block with no columns gives an empty basis."""
+    lam, vec = np.linalg.eigh(b.T @ b)
+    keep = lam > _GRAM_CUTOFF * lam[-1:]
+    return b @ (vec[:, keep] / np.sqrt(lam[keep]))
 
 
 def check_observed_edges(n_edges: int, observed_edges) -> np.ndarray:
@@ -442,6 +488,7 @@ def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:
     xa = np.asarray(x, dtype=np.float64)
     if xa.shape != (b1t.shape[0],):
         raise ValueError(f"x must have shape ({b1t.shape[0]},), got {xa.shape}")
+    _check_finite(("x", xa))
 
     v, *_ = np.linalg.lstsq(b1t, xa, rcond=_SV_CUTOFF)
     gradient = b1t @ v

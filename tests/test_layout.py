@@ -2,12 +2,18 @@
 views, the generate/learn/eval pipeline never builds them, no module
 reaches for a dense incidence matrix, the learning methods take curl
 energies only from the blocked pass and only for triangle subsets, the
-learner builds no incidence block, the complex reader ranks no simplex
-on its own, only the two ``topology`` helpers word a numeric range
-check and only ``_active_indices`` the indicator rule, and the test
-oracles stay independent of the package."""
+learner builds no incidence block, only ``topology`` names B2's sign
+layout, the generator takes every range basis from one kernel, the
+complex reader ranks no simplex on its own, only the two ``topology``
+helpers word a numeric range check and only ``_active_indices`` the
+indicator rule, the package imports nothing beyond numpy and the
+standard library, and the test oracles stay independent of the
+package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +106,48 @@ def test_learner_builds_no_b2_block():
     assert _name_refs(("learner.py",), ("b2_block",)) == []
 
 
+def _package_files():
+    return [path.name for path in sorted(Path(scinfer.__file__).parent.glob("*.py"))]
+
+
+def test_only_topology_names_the_sign_layout():
+    """B2's signs, and the Gram blocks scattered from them, live in ``topology``."""
+    files = [name for name in _package_files() if name != "topology.py"]
+    assert _name_refs(files, ("_TRI_SIGNS", "_SIGN_PAIRS")) == []
+
+
+def test_one_range_kernel_and_no_svd():
+    """The fill's span test and the curl projection both take their basis
+    from ``topology._range_basis``, and no module calls an SVD."""
+    assert _name_refs(_package_files(), ("svd",)) == []
+    for func in ("fill_triangles", "gen_low_curl_edge_signals"):
+        refs, _ = _reachable_refs("synth.py", func, ("_range_basis",))
+        assert [ref for ref in refs if ref.endswith(f" {func} -> _range_basis")]
+
+
+def test_imports_nothing_beyond_numpy_and_the_standard_library():
+    """A fresh interpreter that imports the package, its CLI and its sweep
+    loads no top-level module but ``numpy``, ``scinfer`` and the standard
+    library's; modules loaded before the import, such as site hooks, do
+    not count."""
+    script = (
+        "import sys\n"
+        "before = {m.split('.')[0] for m in sys.modules}\n"
+        "import scinfer, scinfer.cli, scinfer.sweep\n"
+        "after = {m.split('.')[0] for m in sys.modules}\n"
+        "print(scinfer.__file__)\n"
+        "print(' '.join(sorted(after - before - set(sys.stdlib_module_names))))\n"
+    )
+    path = [str(Path(scinfer.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    where, added = proc.stdout.splitlines()
+    assert where == scinfer.__file__
+    assert set(added.split()) == {"numpy", "scinfer"}
+
+
 def _reachable_refs(name, root, names):
     """Every reference to one of ``names`` in the module-level function
     ``root`` of the package file ``name`` or in the module-level
@@ -163,8 +211,7 @@ def test_only_active_indices_words_the_indicator_rule():
     module names the float-copying ``_as_indicator`` it replaced."""
     found = _wordings(("must be binary",))
     assert {f[:2] for f in found} == {("topology.py", "_active_indices")}
-    files = [path.name for path in Path(scinfer.__file__).parent.glob("*.py")]
-    assert _name_refs(files, ("_as_indicator",)) == []
+    assert _name_refs(_package_files(), ("_as_indicator",)) == []
 
 
 def test_oracles_import_nothing_from_the_package():

@@ -24,7 +24,6 @@ from scinfer import learner
 from scinfer.learner import (
     HyperParams,
     _CurlMemo,
-    _gram_blocks,
     _select_by_tier,
     _triangle_scores,
     bucket_width,
@@ -39,6 +38,7 @@ from scinfer.learner import (
 from scinfer.synth import InstanceParams, generate_instance
 from scinfer.topology import (
     _curl_energy,
+    _gram_blocks,
     build_skeleton,
     closure_violations,
     edge_coverage,
@@ -178,7 +178,8 @@ def _tier_instance(data):
     """Signals whose rows are zero, tiny (1e-6) or of scale ``amp``, so
     that many scores sit exactly on a tier floor or inside the floor's
     bucket while others reach past the next floors, with a random edge
-    set, gamma in {0, 10} and any budget."""
+    set, gamma 0 or log-uniform in [1e-3, 1e2] and any budget. A gamma
+    of the curls' scale puts tier-m scores between later floors."""
     n = data.draw(st.integers(3, 8), label="n_nodes")
     sk = build_skeleton(n)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -188,7 +189,9 @@ def _tier_instance(data):
     w1 = (rng.random(sk.n_edges) < data.draw(st.floats(0.0, 1.0), label="density")).astype(np.int8)
     params = HyperParams(
         alpha2=data.draw(st.sampled_from([0.0, 1e-3]), label="alpha2"),
-        gamma=data.draw(st.sampled_from([0.0, 10.0]), label="gamma"),
+        gamma=data.draw(
+            st.just(0.0) | st.floats(-3.0, 2.0).map(lambda e: 10.0**e), label="gamma"
+        ),
     )
     t_min = data.draw(st.integers(0, sk.n_triangles), label="t_min")
     return sk, x1, w1, params, t_min
@@ -213,6 +216,38 @@ class TestTieredSelection:
         assert not memo.energy[~memo.known].any()
         if params.gamma == 0.0 and t_min > 0:
             assert memo.known.all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_budget_selects_what_the_full_pass_selects(self, data):
+        """A stop one tier too early shows only at some budgets, so every
+        budget of the instance is checked, each on a fresh memo."""
+        sk, x1, w1, params, _ = _tier_instance(data)
+        q = bucket_width(x1, params)
+        scores = _triangle_scores(_curl_energy(sk, x1), missing_edges(sk, w1), params)
+        for t_min in range(sk.n_triangles + 1):
+            got = _select_by_tier(_CurlMemo(sk, x1), w1, params, q, t_min)
+            np.testing.assert_array_equal(got, select_triangles(scores, t_min, q))
+
+    def test_a_cut_between_later_floors_fills_the_next_tier(self):
+        """The complete triangle (0, 1, 2) scores 1.5, between the floors
+        1 and 2 of tiers 1 and 2, and the tier-1 triangle (0, 1, 3) has
+        zero curl and scores 1. The cut of tier 0 alone is not below the
+        floor of tier 1, so tier 1 must be filled, and it wins."""
+        sk = build_skeleton(4)
+        w1 = np.zeros(sk.n_edges, dtype=np.int8)
+        w1[[0, 1, 2, 3]] = 1  # edges (0, 1), (0, 2), (0, 3), (1, 2)
+        x1 = np.zeros((sk.n_edges, 1))
+        x1[3] = np.sqrt(1.5)
+        params = HyperParams(alpha2=0.0, gamma=1.0)
+        q = bucket_width(x1, params)
+        np.testing.assert_allclose(
+            _triangle_scores(_curl_energy(sk, x1), missing_edges(sk, w1), params),
+            [1.5, 1.0, 1.0, 3.5],
+        )
+        got = _select_by_tier(_CurlMemo(sk, x1), w1, params, q, 1)
+        np.testing.assert_array_equal(got, [0, 1, 0, 0])
+        assert triangle_index(sk, 0, 1, 3) == 1
 
     def test_stops_at_the_first_tier_that_decides_the_cut(self):
         """With gamma = 10 and small curls, a budget the complete
@@ -318,6 +353,12 @@ class TestSelectEdges:
     def test_rejects_budget_below_observed(self):
         with pytest.raises(ValueError, match="below"):
             select_edges(np.zeros(5), np.array([0, 1, 2]), e_min=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        """A NaN sorts last and is never negative, so it would be dropped unseen."""
+        with pytest.raises(ValueError, match="scores has non-finite entries"):
+            select_edges(np.array([bad, 1.0, -1.0]), [], 2)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**12 - 1), st.integers(0, 12))

@@ -25,8 +25,10 @@ from scinfer import topology
 from scinfer.topology import (
     MAX_NODES,
     ComplexSkeleton,
+    _SV_CUTOFF,
     _curl_energy,
     _edge_rank,
+    _range_basis,
     _row_energy,
     _triangle_rank,
     build_skeleton,
@@ -179,6 +181,22 @@ class TestIndices:
             triangle_index(sk, 2, 1, 0)
         with pytest.raises(ValueError):
             triangle_index(sk, 1, 2, 4)
+        with pytest.raises(ValueError, match=r"invalid edge \(0, 4\) for 4 nodes"):
+            edge_index(sk, np.int64(0), np.uint8(4))
+        assert edge_index(sk, np.int64(1), np.uint8(3)) == edge_index(sk, 1, 3)
+        assert triangle_index(sk, np.uint8(0), np.int32(1), 3) == triangle_index(sk, 0, 1, 3)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [(0.5, 1), (0, 1.0), (False, True), (0, True), (0, 1.5, 3), (0.0, 1, 2), (False, 1, 2)],
+    )
+    def test_refuses_float_and_bool_vertices(self, vertices):
+        """A float or a bool vertex is refused, not truncated to a
+        neighbouring simplex."""
+        sk = build_skeleton(5)
+        index = edge_index if len(vertices) == 2 else triangle_index
+        with pytest.raises(ValueError, match="vertex must be an integer"):
+            index(sk, *vertices)
 
 
 class TestLaplacians:
@@ -321,6 +339,38 @@ class TestHodgeDecompose:
         w2[0] = 1
         with pytest.raises(ValueError):
             hodge_decompose(sk, w1, w2, np.zeros(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_flow(self, bad):
+        with pytest.raises(ValueError, match="x has non-finite entries"):
+            hodge_decompose(build_skeleton(3), [1, 1, 1], [1], [1.0, bad, 0.0])
+
+
+class TestRangeBasis:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 14),
+        st.floats(0.0, 1.0),
+        st.sampled_from(["empty", "partial", "full"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(14, 1.0, "full", 0)
+    @example(14, 1.0, "empty", 0)
+    def test_spans_what_the_svd_spans(self, n, edge_prob, fill, seed):
+        """On a true boundary block, empty and full fills included, the
+        kernel's width is the SVD rank at ``_SV_CUTOFF`` and its
+        projector is the SVD's."""
+        rng = np.random.default_rng(seed)
+        b2 = incidence(n)[1]
+        active = rng.random(b2.shape[0]) < edge_prob
+        eligible = np.flatnonzero(np.abs(b2).T @ active == 3)
+        share = {"empty": 0.0, "partial": rng.random(), "full": 1.0}[fill]
+        block = b2[np.ix_(active, eligible[rng.random(eligible.size) < share])]
+        basis = _range_basis(block)
+        u, sv, _ = np.linalg.svd(block, full_matrices=False)
+        u = u[:, : int((sv > _SV_CUTOFF * sv[:1]).sum())]
+        assert basis.shape == u.shape
+        assert np.abs(basis @ basis.T - u @ u.T).max(initial=0.0) <= 1e-12
 
 
 class TestClosure:
