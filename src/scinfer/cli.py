@@ -102,7 +102,8 @@ def _cmd_generate(args) -> int:
         f"wrote dataset to {args.out} "
         f"(nodes={truth.skeleton.n_nodes}, edges={int(truth.selection.w1.sum())}, "
         f"triangles={int(truth.selection.w2.sum())}, "
-        f"observed={signals.observed_edges.size})"
+        f"observed={signals.observed_edges.size}) "
+        f"fill_draws={truth.fill_draws} fill_identifiable={truth.fill_identifiable}"
     )
     return 0
 

@@ -18,9 +18,10 @@ The learner alternates three exact block solves of one objective over
       curl energy through the active triangles plus a quadratic data-fit
       on the observed rows. Only the unobserved edges of active
       triangles can carry a kernel, so their rows are eliminated through
-      a small pseudoinverse and the coupled observed rows solve the
-      Schur complement, which is positive definite. The blocks of
-      B2 diag(w2) B2^T are scattered by ``topology._gram_blocks``.
+      a small pseudoinverse, its rank decided by ``topology._rank_mask``,
+      and the coupled observed rows solve the Schur complement, which is
+      positive definite. The blocks of B2 diag(w2) B2^T are scattered by
+      ``topology._gram_blocks``.
 
 Scores are evaluated through squared row norms of the per-edge
 gradients and per-triangle curls of the signals; the candidate-by-
@@ -53,6 +54,7 @@ from .topology import (
     _check_finite,
     _curl_energy,
     _gram_blocks,
+    _rank_mask,
     _require_int,
     _require_real,
     _row_energy,
@@ -76,11 +78,6 @@ __all__ = [
     "objective_value",
     "run_greedy_scl",
 ]
-
-# Relative eigenvalue cutoff of the interpolation solve: eigenvalues of
-# the unobserved block A_UU at or below PINV_TOL times its largest are
-# treated as its kernel.
-PINV_TOL = 1e-10
 
 # Width of the score buckets ``select_triangles`` ranks, relative to
 # alpha2 + 9 * beta2 * M, M = max_e ||x1_e||^2, which bounds the sparsity
@@ -337,8 +334,8 @@ def interpolate_edge_signals(
 
     The kernel of A is {v : v_O = 0, beta2 * B2[U]^T v_U = 0}, so only
     U can carry one. Its rows are x_U = -A_UU^+ A_UO x_O, with A_UU^+ taken
-    from an eigendecomposition of the |U| x |U| block that drops every
-    eigenvalue at or below ``PINV_TOL`` times its largest. x_O solves the
+    from an eigendecomposition of the |U| x |U| block that keeps the
+    eigenvalues ``topology._rank_mask`` keeps. x_O solves the
     Schur complement A_OO - A_OU A_UU^+ A_UO, which is at least
     ``eta * I``. The blocks A_UU, A_UO and A_OO are scattered from the
     active triangles (``_gram_blocks``). With ``eta = 0`` the right-hand
@@ -366,7 +363,7 @@ def interpolate_edge_signals(
 
     g_uu, g_uo, g_oo = _gram_blocks(skeleton, active_t, u_rows, o_rows)
     eigvals, eigvecs = np.linalg.eigh(params.beta2 * g_uu)
-    keep = eigvals > PINV_TOL * eigvals.max(initial=0.0)
+    keep = _rank_mask(eigvals)
     root_inv = np.zeros_like(eigvals)
     root_inv[keep] = 1.0 / np.sqrt(eigvals[keep])
     # h^T h = A_OU A_UU^+ A_UO, so the Schur complement is symmetric.

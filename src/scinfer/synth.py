@@ -24,9 +24,11 @@ from .topology import (
     Selection,
     _active_indices,
     _closed_indices,
-    _range_basis,
+    _project,
+    _rank_mask,
     _require_int,
     _require_real,
+    _row_energy,
     b2_block,
     build_skeleton,
     check_observed_edges,
@@ -59,7 +61,6 @@ __all__ = [
     "read_matrix_npy",
 ]
 
-_EIG_CUTOFF = 1e-9
 _MAX_ER_ATTEMPTS = 1000
 _MAX_FILL_DRAWS = 200
 
@@ -172,13 +173,12 @@ def sample_er_selection(
 
 
 def _connected(skeleton: ComplexSkeleton, w1: np.ndarray) -> bool:
-    """Whether the active graph is connected: its node Laplacian has
-    exactly one eigenvalue at or below the cutoff that
-    ``gen_smooth_node_signals`` treats as zero. The decision is exact for
-    every n <= MAX_NODES, since a connected graph on n vertices has
-    lambda_2 >= 2 - 2 cos(pi / n) (Fiedler 1973), 6.2e-3 at n = 40."""
+    """Whether the active graph is connected: ``_rank_mask`` keeps all but
+    one eigenvalue of its node Laplacian. Exact for every n <= MAX_NODES:
+    a connected graph has lambda_2 >= 2 - 2 cos(pi / n) (Fiedler 1973),
+    6.2e-3 at n = 40, and the cutoff is at most 1e-10 * 2 (n - 1), 7.8e-9."""
     lam = np.linalg.eigvalsh(node_laplacian(skeleton, w1))
-    return np.count_nonzero(lam <= _EIG_CUTOFF) == 1
+    return np.count_nonzero(_rank_mask(lam)) == skeleton.n_nodes - 1
 
 
 def fill_triangles(
@@ -197,9 +197,10 @@ def fill_triangles(
     any low-curl flow, so such fills are unidentifiable from edge data.
 
     The boundaries of the eligible triangles on the active edges are
-    built once per call. A draw's span test takes a basis of the range of
-    its filled columns (``_range_basis``); an unfilled boundary fails when
-    its residual off that basis has norm at most 1e-8.
+    built once per call. A draw's span test projects the unfilled
+    boundaries onto the range of the filled ones (``_project``); an
+    unfilled boundary, of squared norm 3, fails when ``_rank_mask`` finds
+    its squared residual zero.
 
     If no independent fill shows up within 200 draws, the final draw is
     kept and the returned ``Fill`` says so; dense graphs may admit none.
@@ -221,10 +222,9 @@ def fill_triangles(
         w2[:] = 0
         w2[chosen] = 1
         filled = w2[eligible] == 1
-        basis = _range_basis(boundary[:, filled])
         probe = boundary[:, ~filled]
-        residual = probe - basis @ (basis.T @ probe)
-        identifiable = bool((np.linalg.norm(residual, axis=0) > 1e-8).all())
+        residual = probe - _project(boundary[:, filled], probe)
+        identifiable = bool(_rank_mask(_row_energy(residual.T), 3.0).all())
         if identifiable:
             break
     return Fill(w2, draws, identifiable)
@@ -240,15 +240,15 @@ def gen_smooth_node_signals(
     """Low-frequency node signals on the active graph.
 
     Gaussian coefficients are shaped by the inverse nonzero spectrum of
-    the graph Laplacian (filter 1/lambda above a 1e-9 cutoff, zero
-    below), each column is normalized to unit energy, then white noise
-    of the given standard deviation is added entrywise.
+    the graph Laplacian (filter 1/lambda on the eigenvalues ``_rank_mask``
+    keeps, zero on the rest, which span the constants on each connected
+    component), each column is normalized to unit energy, then white
+    noise of the given standard deviation is added entrywise.
     """
     _require_int("n_signals", n_signals, 1)
     _require_real("noise_std", noise_std)
-    l0 = node_laplacian(skeleton, w1)
-    lam, basis = np.linalg.eigh(l0)
-    filt = np.where(lam > _EIG_CUTOFF, 1.0 / np.maximum(lam, _EIG_CUTOFF), 0.0)
+    lam, basis = np.linalg.eigh(node_laplacian(skeleton, w1))
+    filt = np.divide(1.0, lam, out=np.zeros_like(lam), where=_rank_mask(lam))
     coeff = np.sqrt(filt)[:, None] * rng.standard_normal((skeleton.n_nodes, n_signals))
     x0 = basis @ coeff
     x0 = _normalize_columns(x0)
@@ -281,8 +281,7 @@ def gen_low_curl_edge_signals(
     active_e, active_t = _closed_indices(skeleton, w1, w2)
 
     white = rng.standard_normal((active_e.size, n_signals))
-    basis = _range_basis(b2_block(skeleton, active_e, active_t))
-    curl = basis @ (basis.T @ white)
+    curl = _project(b2_block(skeleton, active_e, active_t), white)
     flows = white - (1.0 - curl_atten) * curl
     flows = _normalize_columns(flows)
 
@@ -406,7 +405,8 @@ def write_dataset(
 
 
 def read_dataset(in_dir) -> Dataset:
-    """Read a bundle back; raises FileNotFoundError naming the missing piece."""
+    """Read a bundle back; raises FileNotFoundError naming the missing
+    piece, and ValueError naming the faulty file."""
     paths = {
         name: os.path.join(in_dir, name)
         for name in ("complex.json", "x0.npy", "x1_obs.npy", "observed_edges.npy", "meta.json")
@@ -428,4 +428,7 @@ def read_dataset(in_dir) -> Dataset:
     ):
         if arr.shape[0] != rows:
             raise ValueError(f"{paths[name]}: {arr.shape[0]} rows but {rows} {what}")
-    return Dataset(skeleton, truth, x0, x1_obs, observed, read_json(paths["meta.json"]))
+    meta = read_json(paths["meta.json"])
+    if not isinstance(meta, dict):
+        raise ValueError(f"{paths['meta.json']}: meta.json must be a JSON object")
+    return Dataset(skeleton, truth, x0, x1_obs, observed, meta)

@@ -21,6 +21,10 @@ its boundary as ``i -> j -> k -> i``, contributing ``+1`` to edges
 ``(i, j)`` and ``(j, k)`` and ``-1`` to edge ``(i, k)``. Under this
 convention the chain property ``B1 B2 = 0`` holds exactly in integer
 arithmetic: ``triangle_curl(edge_gradient(x)) == 0`` for every ``x``.
+
+Every rank the package decides, on the spectrum of an integer Gram or
+on residuals off a span, goes through ``_rank_mask``; the package calls
+no SVD and no least-squares solver.
 """
 
 from __future__ import annotations
@@ -58,16 +62,12 @@ __all__ = [
 # learner or the generator past this size.
 MAX_NODES = 40
 
-# Relative singular-value cutoff of ``hodge_decompose``'s least-squares solves.
-_SV_CUTOFF = 1e-10
-
-# Relative eigenvalue cutoff of ``_range_basis`` on the Gram b^T b, which
-# squares the singular values of b: it keeps those above 1e-5 of the
-# largest. On all 22,978 fill draws of both shipped sweeps and of seeds
-# 5000-5005 at n = 40, the dropped eigenvalues were at most 8.8e-16 times
-# the largest and the kept ones at least 2.7e-4 times it; on the true
-# curl blocks of those instances and of the C3 and C4 families, 6.3e-16
-# and 1.7e-3. Every kept count equalled the SVD rank at ``_SV_CUTOFF``.
+# The package's one rank cutoff (``_rank_mask``), relative to the largest
+# eigenvalue of an integer Gram; on b^T b it keeps the singular values of
+# b above 1e-5 of the largest. On both shipped sweeps and seeds 5000-5005
+# at n = 40, dropped eigenvalues were at most 8.8e-16 times the largest
+# and kept ones at least 2.7e-4 times it (fill draws), 1.7e-3 (curl
+# blocks), 6.5e-3 (GreedySCL's A_UU) and 0.12 (node Laplacians).
 _GRAM_CUTOFF = 1e-10
 
 # Boundary signs of a triangle on its edges, in ``tri_edges`` column order.
@@ -176,18 +176,12 @@ class Selection:
 
 @dataclass(frozen=True)
 class HodgeParts:
-    """Orthogonal decomposition of an edge flow on the active edges.
-
-    ``gradient + curl + harmonic`` reconstructs the input;
-    ``node_potential`` and ``triangle_potential`` are least-squares
-    preimages of the gradient and curl parts.
-    """
+    """Orthogonal decomposition of an edge flow on the active edges;
+    ``gradient + curl + harmonic`` reconstructs the input."""
 
     gradient: np.ndarray
     curl: np.ndarray
     harmonic: np.ndarray
-    node_potential: np.ndarray
-    triangle_potential: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -388,15 +382,32 @@ def _gram_blocks(skeleton: ComplexSkeleton, active, u_rows, o_rows):
     return gram[:nu, :nu], gram[:nu, nu:], gram[nu:, nu:]
 
 
+def _rank_mask(lam: np.ndarray, top=None) -> np.ndarray:
+    """The package's one rank rule: which of ``lam`` count as nonzero.
+
+    ``lam`` are the ascending eigenvalues of an integer Gram (or of a
+    nonnegative multiple of one), and those above ``_GRAM_CUTOFF`` times
+    the largest count; an empty ``lam`` gives an empty mask. With ``top``
+    given, ``lam`` are the squared residuals off a span of vectors of
+    squared norm ``top``, and those above ``_GRAM_CUTOFF * top`` count."""
+    return lam > _GRAM_CUTOFF * (lam[-1:] if top is None else top)
+
+
 def _range_basis(b: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span of ``b``: ``b V_k / sqrt(lam_k)``
-    over the eigenpairs of the Gram ``b^T b`` above ``_GRAM_CUTOFF`` times
-    the largest, as the range of ``b`` is ``b`` times the range of its Gram.
-    A boundary block's Gram holds small integer sums, exact in any order.
-    A block with no columns gives an empty basis."""
+    over the eigenpairs of the Gram ``b^T b`` that ``_rank_mask`` keeps,
+    as the range of ``b`` is ``b`` times the range of its Gram. A boundary
+    block's Gram holds small integer sums, exact in any order. A block
+    with no columns gives an empty basis."""
     lam, vec = np.linalg.eigh(b.T @ b)
-    keep = lam > _GRAM_CUTOFF * lam[-1:]
+    keep = _rank_mask(lam)
     return b @ (vec[:, keep] / np.sqrt(lam[keep]))
+
+
+def _project(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of ``x`` onto the column span of ``b``."""
+    basis = _range_basis(b)
+    return basis @ (basis.T @ x)
 
 
 def check_observed_edges(n_edges: int, observed_edges) -> np.ndarray:
@@ -467,35 +478,20 @@ def node_laplacian(skeleton: ComplexSkeleton, w1) -> np.ndarray:
 
 
 def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:
-    """Split an edge flow into gradient, curl and harmonic parts.
-
-    Parameters
-    ----------
-    w1, w2 : array-like
-        Binary selection; must be downward closed.
-    x : ndarray, shape (n_active_edges,)
-        Flow on the active edges, ordered by ascending candidate index.
-
-    Returns
-    -------
-    HodgeParts
-        Parts are mutually orthogonal and sum to ``x``; closure of the
-        selection makes the gradient and curl ranges orthogonal.
-    """
+    """Split an edge flow ``x`` on the active edges of a downward-closed
+    selection ``(w1, w2)``, in ascending candidate order, into its
+    projections onto the ranges of B1^T and B2 on the active simplices
+    (``_project``) and the harmonic rest. Closure makes the two ranges
+    orthogonal, so the parts are mutually orthogonal and sum to ``x``."""
     active_e, active_t = _closed_indices(skeleton, w1, w2)
-    b1t = edge_gradient(skeleton, np.eye(skeleton.n_nodes))[active_e]
-    b2 = b2_block(skeleton, active_e, active_t)
     xa = np.asarray(x, dtype=np.float64)
-    if xa.shape != (b1t.shape[0],):
-        raise ValueError(f"x must have shape ({b1t.shape[0]},), got {xa.shape}")
+    if xa.shape != (active_e.size,):
+        raise ValueError(f"x must have shape ({active_e.size},), got {xa.shape}")
     _check_finite(("x", xa))
 
-    v, *_ = np.linalg.lstsq(b1t, xa, rcond=_SV_CUTOFF)
-    gradient = b1t @ v
-    t, *_ = np.linalg.lstsq(b2, xa - gradient, rcond=_SV_CUTOFF)
-    curl = b2 @ t
-    harmonic = xa - gradient - curl
-    return HodgeParts(gradient, curl, harmonic, v, t)
+    gradient = _project(edge_gradient(skeleton, np.eye(skeleton.n_nodes))[active_e], xa)
+    curl = _project(b2_block(skeleton, active_e, active_t), xa)
+    return HodgeParts(gradient, curl, xa - gradient - curl)
 
 
 def closure_violations(skeleton: ComplexSkeleton, w1, w2) -> ClosureReport:

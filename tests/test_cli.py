@@ -249,7 +249,20 @@ class TestGenerate:
         assert sorted(os.listdir(tmp_path / "d1")) == names
         for name in names:
             assert read_bytes(tmp_path / "d1" / name) == read_bytes(tmp_path / "d2" / name)
-        assert "wrote dataset" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        meta = json.loads(read_bytes(tmp_path / "d1" / "meta.json"))
+        tail = f" fill_draws={meta['fill_draws']} fill_identifiable={meta['fill_identifiable']}"
+        assert len(lines) == 2 and all(line.startswith("wrote dataset") for line in lines)
+        assert all(line.endswith(tail) for line in lines)
+
+    def test_summary_reports_an_unidentifiable_fill(self, tmp_path, capsys):
+        """On the complete graph on 8 nodes none of the 200 half fills of
+        seed 11 passes the span test, and the summary says so."""
+        text = TINY_INSTANCE.replace("n_nodes = 7", "n_nodes = 8").replace("0.6", "1.0")
+        cfg = write(tmp_path / "a.ini", text)
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(" fill_draws=200 fill_identifiable=False\n")
 
     def test_seed_flag_changes_bundle(self, tmp_path):
         cfg = write(tmp_path / "a.ini", TINY_INSTANCE)

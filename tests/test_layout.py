@@ -3,12 +3,12 @@ views, the generate/learn/eval pipeline never builds them, no module
 reaches for a dense incidence matrix, the learning methods take curl
 energies only from the blocked pass and only for triangle subsets, the
 learner builds no incidence block, only ``topology`` names B2's sign
-layout, the generator takes every range basis from one kernel, the
-complex reader ranks no simplex on its own, only the two ``topology``
-helpers word a numeric range check and only ``_active_indices`` the
-indicator rule, the package imports nothing beyond numpy and the
-standard library, and the test oracles stay independent of the
-package."""
+layout, every projection takes its basis from one kernel, every rank
+comes from one rule, the complex reader ranks no simplex on its own,
+only the two ``topology`` helpers word a numeric range check and only
+``_active_indices`` the indicator rule, the package imports nothing
+beyond numpy and the standard library, and the test oracles stay
+independent of the package."""
 
 import ast
 import os
@@ -117,12 +117,69 @@ def test_only_topology_names_the_sign_layout():
 
 
 def test_one_range_kernel_and_no_svd():
-    """The fill's span test and the curl projection both take their basis
-    from ``topology._range_basis``, and no module calls an SVD."""
+    """The fill's span test, the curl projection and ``hodge_decompose``
+    all project through ``topology._project``, which takes its basis from
+    ``topology._range_basis``, and no module calls an SVD."""
     assert _name_refs(_package_files(), ("svd",)) == []
-    for func in ("fill_triangles", "gen_low_curl_edge_signals"):
-        refs, _ = _reachable_refs("synth.py", func, ("_range_basis",))
-        assert [ref for ref in refs if ref.endswith(f" {func} -> _range_basis")]
+    for name, func in [("synth.py", "fill_triangles"), ("synth.py", "gen_low_curl_edge_signals"),
+                       ("topology.py", "hodge_decompose"), ("topology.py", "_project")]:
+        callee = "_range_basis" if func == "_project" else "_project"
+        refs, _ = _reachable_refs(name, func, (callee,))
+        assert [ref for ref in refs if ref.endswith(f" {func} -> {callee}")]
+
+
+def _functions_naming(names):
+    """``file function`` of each function in the package that names one of
+    ``names``, and the module-level names assigned in each file."""
+    found, assigned = set(), set()
+    for path in sorted(Path(scinfer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                getattr(sub, "id", None) in names or getattr(sub, "attr", None) in names
+                for sub in ast.walk(node)
+            ):
+                found.add(f"{path.name} {node.name}")
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                assigned |= {f"{path.name} {t.id}" for t in node.targets if isinstance(t, ast.Name)}
+    return found, assigned
+
+
+def test_one_rank_rule():
+    """Every rank the package decides goes through ``topology._rank_mask``:
+    it holds the one rank cutoff, ``_GRAM_CUTOFF``, which no other
+    function reads; every function that takes a spectrum masks it there;
+    no small float literal but the cutoff and the score quantum sits in
+    the package; and no module names a least-squares solve, an SVD, a
+    pseudoinverse or a cutoff the rule replaced."""
+    readers, assigned = _functions_naming(("_GRAM_CUTOFF",))
+    assert readers == {"topology.py _rank_mask"}
+    assert {a for a in assigned if a.endswith(("CUTOFF", "TOL"))} == {"topology.py _GRAM_CUTOFF"}
+    spectra, _ = _functions_naming(("eigh", "eigvalsh", "eigvals", "eig"))
+    masked, _ = _functions_naming(("_rank_mask",))
+    assert spectra == {
+        "topology.py _range_basis",
+        "synth.py _connected",
+        "synth.py gen_smooth_node_signals",
+        "learner.py interpolate_edge_signals",
+    }
+    assert spectra <= masked
+    small = []
+    for path in sorted(Path(scinfer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node.value) for node in tree.body if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] in (["_GRAM_CUTOFF"], ["SCORE_QUANTUM"])
+        }
+        small += [
+            f"{path.name}:{node.lineno} {node.value}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0.0 < node.value < 1e-6 and id(node) not in allowed
+        ]
+    assert small == []
+    banned = ("lstsq", "svd", "pinv", "PINV_TOL", "_EIG_CUTOFF", "_SV_CUTOFF")
+    assert _name_refs(_package_files(), banned) == []
 
 
 def test_imports_nothing_beyond_numpy_and_the_standard_library():

@@ -20,7 +20,7 @@ from oracles import (
     triangle_subproblem_value,
     upper_gram,
 )
-from scinfer import learner
+from scinfer import learner, topology
 from scinfer.learner import (
     HyperParams,
     _CurlMemo,
@@ -932,7 +932,7 @@ class TestWholeLoopReference:
         got = run_greedy_scl(sk, x0, x1_obs, observed, params)
         ref = reference_greedy_scl(
             sk.n_nodes, x0, x1_obs, observed, params, max_iters=learner.MAX_ITERS,
-            score_quantum=learner.SCORE_QUANTUM, pinv_tol=learner.PINV_TOL,
+            score_quantum=learner.SCORE_QUANTUM, pinv_tol=topology._GRAM_CUTOFF,
         )
         event(f"highest tier selected: {max(ref['tiers'])}")
         event(f"zero weights: {sum(getattr(params, name) == 0.0 for name in WEIGHTS)}")

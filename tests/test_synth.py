@@ -285,6 +285,22 @@ class TestSmoothNodeSignals:
         x = gen_smooth_node_signals(sk, w1, 50, 0.0, rng)
         np.testing.assert_allclose(np.linalg.norm(x, axis=0), 1.0, atol=1e-12)
 
+    def test_filter_drops_exactly_the_kernel(self):
+        """On a graph of two components, a 20-node path and a 20-node
+        cycle, noiseless signals sum to zero on each component, so the
+        filter drops both kernel directions, and they span the rest, so
+        it keeps every other eigenvalue, the path's smallest at 6.2e-3
+        times the largest included."""
+        sk = build_skeleton(MAX_NODES)
+        w1 = np.zeros(sk.n_edges, dtype=np.int8)
+        for i in range(19):
+            w1[edge_index(sk, i, i + 1)] = w1[edge_index(sk, 20 + i, 21 + i)] = 1
+        w1[edge_index(sk, 20, 39)] = 1
+        x = gen_smooth_node_signals(sk, w1, 60, 0.0, np.random.default_rng(3))
+        for component in (slice(0, 20), slice(20, 40)):
+            assert np.abs(x[component].sum(axis=0)).max() <= 1e-12
+        assert np.linalg.matrix_rank(x) == sk.n_nodes - 2
+
     def test_noise_second_moment(self):
         """Same seed with and without noise isolates the noise draw."""
         sk = build_skeleton(20)
@@ -651,6 +667,16 @@ class TestDatasetBundle:
         write_dataset(tmp_path, truth, signals, params)
         (tmp_path / "x0.npy").unlink()
         with pytest.raises(FileNotFoundError, match="x0.npy"):
+            read_dataset(tmp_path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"meta"', "3"])
+    def test_read_rejects_meta_that_is_not_an_object(self, tmp_path, text):
+        params = self._params()
+        truth, signals = generate_instance(params, seed=5)
+        write_dataset(tmp_path, truth, signals, params)
+        path = tmp_path / "meta.json"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: meta.json must be a JSON object")):
             read_dataset(tmp_path)
 
     def test_read_rejects_row_mismatch(self, tmp_path):

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import incidence, parse_complex
@@ -25,7 +25,6 @@ from scinfer import topology
 from scinfer.topology import (
     MAX_NODES,
     ComplexSkeleton,
-    _SV_CUTOFF,
     _curl_energy,
     _edge_rank,
     _range_basis,
@@ -330,7 +329,6 @@ class TestHodgeDecompose:
         x = rng.standard_normal(sk.n_edges)
         parts = hodge_decompose(sk, w1, w2, x)
         np.testing.assert_array_equal(parts.curl, np.zeros(sk.n_edges))
-        assert parts.triangle_potential.shape == (0,)
 
     def test_rejects_open_selection(self):
         sk = build_skeleton(4)
@@ -346,29 +344,59 @@ class TestHodgeDecompose:
             hodge_decompose(build_skeleton(3), [1, 1, 1], [1], [1.0, bad, 0.0])
 
 
+# The SVD reference's rank cutoff, relative to the largest singular value.
+_SVD_RANK_CUTOFF = 1e-10
+
+
+def _gram_factor(kind, n, edge_prob, fill, rng):
+    """A matrix ``b`` whose Gram ``b^T b`` is one of the three integer
+    Gram kinds the package decides a rank on, built from the oracle's
+    dense incidence: a curl block B2[active, filled], whose Gram is
+    B2^T B2 there; B1^T on a random edge set, whose Gram is its node
+    Laplacian; or B2[U, filled]^T for a random share U of the filled
+    triangles' edges, whose Gram is GreedySCL's A_UU / beta2."""
+    b1, b2 = incidence(n)
+    active = rng.random(b2.shape[0]) < edge_prob
+    if kind == "node":
+        return b1[:, active].T
+    eligible = np.flatnonzero(np.abs(b2).T @ active == 3)
+    share = {"empty": 0.0, "partial": rng.random(), "full": 1.0}[fill]
+    filled = eligible[rng.random(eligible.size) < share]
+    if kind == "curl":
+        return b2[np.ix_(active, filled)]
+    on_filled = np.flatnonzero(np.abs(b2[:, filled]).sum(axis=1))
+    u_rows = on_filled[rng.random(on_filled.size) < rng.random()]
+    return b2[np.ix_(u_rows, filled)].T
+
+
 class TestRangeBasis:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         st.integers(2, 14),
         st.floats(0.0, 1.0),
         st.sampled_from(["empty", "partial", "full"]),
         st.integers(0, 2**32 - 1),
+        st.sampled_from(["curl", "node", "a_uu"]),
     )
-    @example(14, 1.0, "full", 0)
-    @example(14, 1.0, "empty", 0)
-    def test_spans_what_the_svd_spans(self, n, edge_prob, fill, seed):
-        """On a true boundary block, empty and full fills included, the
-        kernel's width is the SVD rank at ``_SV_CUTOFF`` and its
-        projector is the SVD's."""
-        rng = np.random.default_rng(seed)
-        b2 = incidence(n)[1]
-        active = rng.random(b2.shape[0]) < edge_prob
-        eligible = np.flatnonzero(np.abs(b2).T @ active == 3)
-        share = {"empty": 0.0, "partial": rng.random(), "full": 1.0}[fill]
-        block = b2[np.ix_(active, eligible[rng.random(eligible.size) < share])]
-        basis = _range_basis(block)
-        u, sv, _ = np.linalg.svd(block, full_matrices=False)
-        u = u[:, : int((sv > _SV_CUTOFF * sv[:1]).sum())]
+    @example(14, 1.0, "full", 0, "curl")
+    @example(14, 1.0, "empty", 0, "curl")
+    @example(14, 1.0, "full", 0, "node")
+    @example(14, 0.0, "full", 0, "node")
+    @example(14, 0.15, "full", 0, "node")
+    @example(14, 1.0, "full", 0, "a_uu")
+    @example(6, 1.0, "partial", 0, "a_uu")
+    def test_spans_what_the_svd_spans(self, n, edge_prob, fill, seed, kind):
+        """On each Gram kind, empty and full fills and connected and
+        disconnected graphs included, the kernel's width is the SVD rank
+        and its projector is the SVD's."""
+        b = _gram_factor(kind, n, edge_prob, fill, np.random.default_rng(seed))
+        basis = _range_basis(b)
+        u, sv, _ = np.linalg.svd(b, full_matrices=False)
+        u = u[:, : int((sv > _SVD_RANK_CUTOFF * sv[:1]).sum())]
+        if kind == "node":
+            event(f"node: {'connected' if u.shape[1] == n - 1 else 'disconnected'}")
+        else:
+            event(f"{kind}: {'kernel' if u.shape[1] < b.shape[1] else 'no kernel'}")
         assert basis.shape == u.shape
         assert np.abs(basis @ basis.T - u @ u.T).max(initial=0.0) <= 1e-12
 
