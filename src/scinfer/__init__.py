@@ -21,13 +21,10 @@ from .learner import (
     HyperParams,
     LearnState,
     bucket_width,
-    edge_scores,
     interpolate_edge_signals,
-    objective_value,
     run_greedy_scl,
     select_edges,
     select_triangles,
-    triangle_scores,
 )
 from .sweep import run_sweep
 from .synth import (
@@ -41,12 +38,10 @@ from .synth import (
     write_dataset,
 )
 from .topology import (
-    ClosureReport,
     ComplexSkeleton,
     HodgeParts,
     Selection,
     build_skeleton,
-    closure_violations,
     complex_from_dict,
     complex_to_dict,
     edge_index,
@@ -61,7 +56,6 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosureReport",
     "ComplexSkeleton",
     "Dataset",
     "EvalReport",
@@ -78,11 +72,9 @@ __all__ = [
     "SweepSpec",
     "bucket_width",
     "build_skeleton",
-    "closure_violations",
     "complex_from_dict",
     "complex_to_dict",
     "edge_index",
-    "edge_scores",
     "evaluate",
     "generate_instance",
     "hodge_decompose",
@@ -90,7 +82,6 @@ __all__ = [
     "load_config",
     "make_selection",
     "node_laplacian",
-    "objective_value",
     "parse_hyperparams",
     "parse_instance",
     "parse_sweep",
@@ -103,7 +94,6 @@ __all__ = [
     "select_edges",
     "select_triangles",
     "triangle_index",
-    "triangle_scores",
     "write_complex_json",
     "write_dataset",
 ]

@@ -69,13 +69,10 @@ from .topology import (
 __all__ = [
     "HyperParams",
     "LearnState",
-    "triangle_scores",
     "bucket_width",
     "select_triangles",
-    "edge_scores",
     "select_edges",
     "interpolate_edge_signals",
-    "objective_value",
     "run_greedy_scl",
 ]
 
@@ -163,22 +160,6 @@ def _check_rows(*checks) -> None:
             raise ValueError(f"{name} must be 2-d with {rows} rows, got shape {np.shape(arr)}")
 
 
-def triangle_scores(
-    skeleton: ComplexSkeleton, x1_est: np.ndarray, w1, params: HyperParams
-) -> np.ndarray:
-    """Per-candidate-triangle selection scores.
-
-    score_t = alpha2 + beta2 * ||row_t(B2^T X1)||^2
-            + gamma * (# inactive supporting edges of t)
-    """
-    w1a, _ = _active_indices(w1, skeleton.n_edges, "w1")
-    _check_rows(("x1_est", x1_est, skeleton.n_edges))
-    _check_finite(("x1_est", x1_est))
-    x1 = np.asarray(x1_est, dtype=np.float64)
-    missing = missing_edges(skeleton, w1a)
-    return _triangle_scores(_curl_energy(skeleton, x1), missing, params)
-
-
 def _triangle_scores(curl_energy, missing, params):
     return params.alpha2 + params.beta2 * curl_energy + params.gamma * missing
 
@@ -263,22 +244,6 @@ def _select_by_tier(memo: _CurlMemo, w1, params, q: float, t_min: int) -> np.nda
     w2 = np.zeros(missing.size, dtype=np.int8)
     w2[filled] = select_triangles(scores, t_min, q)
     return w2
-
-
-def edge_scores(
-    skeleton: ComplexSkeleton, x0: np.ndarray, w2, observed_edges, params: HyperParams
-) -> np.ndarray:
-    """Per-candidate-edge selection scores; observed edges score zero.
-
-    score_l = alpha1 + beta1 * ||row_l(B1^T X0)||^2
-            - gamma * (# active triangles supported by l)
-    """
-    w2a, _ = _active_indices(w2, skeleton.n_triangles, "w2")
-    _check_rows(("x0", x0, skeleton.n_nodes))
-    _check_finite(("x0", x0))
-    x0a = np.asarray(x0, dtype=np.float64)
-    obs = check_observed_edges(skeleton.n_edges, observed_edges)
-    return _edge_scores(skeleton, _row_energy(edge_gradient(skeleton, x0a)), w2a, obs, params)
 
 
 def _edge_scores(skeleton: ComplexSkeleton, smoothness, w2, obs, params) -> np.ndarray:
@@ -375,28 +340,6 @@ def interpolate_edge_signals(
     x1_est[o_rows] = x_o
     x1_est[u_rows] = -eigvecs @ (root_inv[:, None] * (h @ x_o))
     return x1_est
-
-
-def objective_value(
-    skeleton: ComplexSkeleton,
-    x0: np.ndarray,
-    x1_est: np.ndarray,
-    w1,
-    w2,
-    observed_edges,
-    x1_obs: np.ndarray,
-    params: HyperParams,
-) -> float:
-    """Full objective: sparsity + smoothness + curl fit + data fit + closure."""
-    obs = check_observed_edges(skeleton.n_edges, observed_edges)
-    rows = (("x0", x0, skeleton.n_nodes), ("x1_est", x1_est, skeleton.n_edges))
-    _check_rows(*rows, ("x1_obs", x1_obs, obs.size))
-    _check_finite(("x0", x0), ("x1_est", x1_est), ("x1_obs", x1_obs))
-    w1, _ = _active_indices(w1, skeleton.n_edges, "w1")
-    w2, _ = _active_indices(w2, skeleton.n_triangles, "w2")
-    smoothness = _row_energy(edge_gradient(skeleton, x0))
-    curl_energy = _curl_energy(skeleton, x1_est)
-    return _objective(skeleton, smoothness, curl_energy, x1_est, w1, w2, obs, x1_obs, params)
 
 
 def _objective(

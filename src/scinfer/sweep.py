@@ -82,10 +82,6 @@ def _cell_rows(spec: SweepSpec, grid_index: int, trial: int) -> list[dict]:
     return rows
 
 
-def _cell_worker(args) -> list[dict]:
-    return _cell_rows(*args)
-
-
 def _fmt_cell(key: str, value) -> str:
     if key in ("trial", "closure_violations"):
         return str(value) if isinstance(value, (int, np.integer)) else f"{value:.12g}"
@@ -135,14 +131,14 @@ def run_sweep(spec: SweepSpec, out_dir, jobs: int = 1) -> list[dict]:
         for trial in range(spec.n_trials)
     ]
     if jobs == 1:
-        per_cell = [_cell_worker(task) for task in tasks]
+        per_cell = list(map(_cell_rows, *zip(*tasks)))
     else:
         # Imported here so that a process running no workers does not load
         # multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            per_cell = list(pool.map(_cell_worker, tasks))
+            per_cell = list(pool.map(_cell_rows, *zip(*tasks)))
     rows = [row for cell in per_cell for row in cell]
 
     write_results_csv(os.path.join(out_dir, "results.csv"), rows)

@@ -44,14 +44,12 @@ __all__ = [
     "ComplexSkeleton",
     "Selection",
     "HodgeParts",
-    "ClosureReport",
     "build_skeleton",
     "edge_index",
     "triangle_index",
     "make_selection",
     "node_laplacian",
     "hodge_decompose",
-    "closure_violations",
     "complex_to_dict",
     "complex_from_dict",
     "write_complex_json",
@@ -182,19 +180,6 @@ class HodgeParts:
     gradient: np.ndarray
     curl: np.ndarray
     harmonic: np.ndarray
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    """Downward-closure violations of a selection.
-
-    ``count`` totals missing-edge incidences over active triangles, i.e.
-    ``(1 - w1)^T |B2| w2``. ``items`` lists each offending
-    triangle index with the candidate-edge indices it is missing.
-    """
-
-    count: int
-    items: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def build_skeleton(n_nodes: int) -> ComplexSkeleton:
@@ -494,19 +479,6 @@ def hodge_decompose(skeleton: ComplexSkeleton, w1, w2, x) -> HodgeParts:
     return HodgeParts(gradient, curl, xa - gradient - curl)
 
 
-def closure_violations(skeleton: ComplexSkeleton, w1, w2) -> ClosureReport:
-    """Report active triangles whose supporting edges are not all active."""
-    w1a, _ = _active_indices(w1, skeleton.n_edges, "w1")
-    _, active_t = _active_indices(w2, skeleton.n_triangles, "w2")
-    open_tris = active_t[missing_edges(skeleton, w1a)[active_t] > 0]
-    items = tuple(
-        (int(t_idx), tuple(int(e) for e in skeleton.tri_edges[t_idx] if w1a[e] == 0))
-        for t_idx in open_tris
-    )
-    count = sum(len(m) for _, m in items)
-    return ClosureReport(count, items)
-
-
 def complex_to_dict(skeleton: ComplexSkeleton, selection: Selection) -> dict:
     """Serialize the active simplices of a selection."""
     _, active_e = _active_indices(selection.w1, skeleton.n_edges, "w1")
@@ -608,7 +580,7 @@ def complex_from_dict(
         first = open_tris[0]
         raise ValueError(
             f"triangle {tuple(data['triangles'][first])} lists inactive edge(s) "
-            f"{[skeleton.edges[e] for e in faces[first] if w1[e] == 0]}; "
+            f"{[tuple(skeleton.edge_nodes[e].tolist()) for e in faces[first] if w1[e] == 0]}; "
             "complex is not downward closed"
         )
     return skeleton, make_selection(skeleton, w1, w2)

@@ -11,7 +11,6 @@ row by row with ``tests/golden``.
 import csv
 import hashlib
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +22,6 @@ from scinfer import (
     SweepSpec,
     bucket_width,
     build_skeleton,
-    closure_violations,
-    edge_scores,
     evaluate,
     generate_instance,
     hodge_decompose,
@@ -34,11 +31,11 @@ from scinfer import (
     run_greedy_scl,
     run_sweep,
     select_edges,
-    select_triangles,
-    triangle_scores,
 )
+from scinfer.learner import _CurlMemo, _edge_scores, _select_by_tier
 from scinfer.topology import (
     _face_counts,
+    _row_energy,
     b2_block,
     edge_coverage,
     edge_gradient,
@@ -144,7 +141,9 @@ def _rows_without_seconds(path):
 
 class TestAcceptance:
     def test_c1_greedy_blocks_match_brute_force(self):
-        """Both selection blocks hit the exhaustive minimum on N=5."""
+        """Both selection blocks, solved as GreedySCL solves them (the
+        triangle tiers and the edge scores of its one smoothness pass), hit
+        the exhaustive minimum on N=5."""
         skeleton = build_skeleton(5)
         b1, b2 = incidence(5)
         params = HyperParams(e_min=0, t_min=0)
@@ -160,8 +159,8 @@ class TestAcceptance:
             t_min = int(rng.integers(0, skeleton.n_triangles + 1))
             e_min = int(rng.integers(observed.size, skeleton.n_edges + 1))
 
-            scores = triangle_scores(skeleton, x1_est, w1, params)
-            got_w2 = select_triangles(scores, t_min, bucket_width(x1_est, params))
+            q = bucket_width(x1_est, params)
+            got_w2 = _select_by_tier(_CurlMemo(skeleton, x1_est), w1, params, q, t_min)
             got_val = triangle_subproblem_value(
                 b2, x1_est, w1, got_w2, params.alpha2, params.beta2, params.gamma
             )
@@ -170,7 +169,8 @@ class TestAcceptance:
             )
             worst = max(worst, abs(got_val - best_val) / max(abs(best_val), 1e-30))
 
-            scores = edge_scores(skeleton, x0, w2, observed, params)
+            smoothness = _row_energy(edge_gradient(skeleton, x0))
+            scores = _edge_scores(skeleton, smoothness, w2, observed, params)
             got_w1 = select_edges(scores, observed, e_min)
             got_val = edge_subproblem_value(
                 b1, b2, x0, got_w1, w2,
@@ -313,8 +313,8 @@ class TestAcceptance:
             state = run_greedy_scl(
                 truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, params
             )
-            report = closure_violations(truth.skeleton, state.selection.w1, state.selection.w2)
-            closure_ok &= report.count == 0
+            report = evaluate(truth.skeleton, state.selection, truth.selection)
+            closure_ok &= report.closure_violations == 0
 
         worst_hodge = 0.0
         for seed in range(10):

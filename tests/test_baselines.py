@@ -11,17 +11,20 @@ from hypothesis import strategies as st
 
 from oracles import incidence
 from scinfer.baselines import METHODS, _node_correlations, run_rc, run_sep_scl
+from scinfer.evaluation import evaluate
 from scinfer.learner import (
     HyperParams,
+    _objective,
+    _triangle_scores,
     bucket_width,
-    objective_value,
     select_triangles,
-    triangle_scores,
 )
 from scinfer.synth import InstanceParams, generate_instance
 from scinfer.topology import (
+    _curl_energy,
+    _row_energy,
     build_skeleton,
-    closure_violations,
+    edge_gradient,
     edge_index,
     missing_edges,
     prune_open_triangles,
@@ -58,8 +61,8 @@ class TestSepScl:
             )
             assert int(state.selection.w1.sum()) == hp.e_min
             assert int(state.selection.w2.sum()) <= hp.t_min
-            sel = state.selection
-            assert closure_violations(truth.skeleton, sel.w1, sel.w2).count == 0
+            report = evaluate(truth.skeleton, state.selection, truth.selection)
+            assert report.closure_violations == 0
 
     def test_edge_set_ignores_observed_flows(self):
         """The graph estimate must not change when a different subset of
@@ -100,14 +103,17 @@ class TestSepScl:
         )
 
     def test_objective_matches_public_objective(self):
-        """The one-pass objective equals the public formula bit for bit."""
+        """The objective SepSCL takes from the curl energies of its
+        candidates equals the one taken from every candidate's energy of
+        the zero-filled signals, bit for bit."""
         truth, signals, hp = _instance(3)
         sk, obs = truth.skeleton, signals.observed_edges
         state = run_sep_scl(sk, signals.x0, signals.x1_obs, obs, hp)
-        sel = state.selection
-        assert state.objective_trace[0] == objective_value(
-            sk, signals.x0, state.x1_est, sel.w1, sel.w2, obs, signals.x1_obs,
-            replace(hp, gamma=0.0),
+        sel, x1_filled = state.selection, state.x1_est
+        smoothness = _row_energy(edge_gradient(sk, signals.x0))
+        assert state.objective_trace[0] == _objective(
+            sk, smoothness, _curl_energy(sk, x1_filled), x1_filled, sel.w1, sel.w2, obs,
+            signals.x1_obs, replace(hp, gamma=0.0),
         )
 
     @settings(max_examples=60, deadline=None)
@@ -139,7 +145,7 @@ class TestSepScl:
         state = run_sep_scl(sk, signals.x0, signals.x1_obs, obs, hp)
         decoupled = replace(hp, gamma=0.0)
         x1, w1 = state.x1_est, state.selection.w1
-        scores = triangle_scores(sk, x1, w1, decoupled)
+        scores = _triangle_scores(_curl_energy(sk, x1), missing_edges(sk, w1), decoupled)
         w2 = select_triangles(scores, hp.t_min, bucket_width(x1, decoupled))
         w2, pruned = prune_open_triangles(sk, w1, w2)
         np.testing.assert_array_equal(state.selection.w2, w2)
@@ -275,7 +281,7 @@ class TestRc:
         for _ in range(5):
             x0 = rng.standard_normal((7, 15))
             sel = _rc(sk, x0, int(rng.integers(0, 22)), 3)
-            assert closure_violations(sk, sel.w1, sel.w2).count == 0
+            assert evaluate(sk, sel, sel).closure_violations == 0
 
     @pytest.mark.parametrize("t_min", [-1, 5])
     def test_rejects_t_min_out_of_range(self, t_min):
@@ -287,15 +293,25 @@ class TestRc:
 
 
 # Malformed variants of a valid method call: (skeleton, x0, x1_obs,
-# observed_edges, params) -> the same five arguments.
+# observed_edges, params) -> the same five arguments, and the message.
 _BAD_INPUTS = {
-    "reversed-observed": lambda sk, x0, x1, obs, hp: (sk, x0, x1, obs[::-1], hp),
-    "observed-minus-one": lambda sk, x0, x1, obs, hp: (sk, x0, x1, np.r_[-1, obs[1:]], hp),
-    "observed-n-edges": lambda sk, x0, x1, obs, hp: (sk, x0, x1, np.r_[obs[:-1], sk.n_edges], hp),
-    "x1-obs-one-row": lambda sk, x0, x1, obs, hp: (sk, x0, x1[:1], obs, hp),
-    "x1-obs-1d": lambda sk, x0, x1, obs, hp: (sk, x0, x1[:, 0], obs, hp),
-    "x0-wrong-rows": lambda sk, x0, x1, obs, hp: (sk, x0[:-1], x1, obs, hp),
-    "budgets-unset": lambda sk, x0, x1, obs, hp: (sk, x0, x1, obs, HyperParams()),
+    "reversed-observed": (
+        lambda sk, x0, x1, obs, hp: (sk, x0, x1, obs[::-1], hp), "strictly increasing"
+    ),
+    "observed-minus-one": (
+        lambda sk, x0, x1, obs, hp: (sk, x0, x1, np.r_[-1, obs[1:]], hp), "out of range"
+    ),
+    "observed-n-edges": (
+        lambda sk, x0, x1, obs, hp: (sk, x0, x1, np.r_[obs[:-1], sk.n_edges], hp), "out of range"
+    ),
+    "x1-obs-one-row": (
+        lambda sk, x0, x1, obs, hp: (sk, x0, x1[:1], obs, hp), r"x1_obs must be 2-d with \d+ rows"
+    ),
+    "x1-obs-1d": (lambda sk, x0, x1, obs, hp: (sk, x0, x1[:, 0], obs, hp), "x1_obs must be 2-d"),
+    "x0-wrong-rows": (
+        lambda sk, x0, x1, obs, hp: (sk, x0[:-1], x1, obs, hp), "x0 must be 2-d with 8 rows"
+    ),
+    "budgets-unset": (lambda sk, x0, x1, obs, hp: (sk, x0, x1, obs, HyperParams()), "must be set"),
 }
 
 
@@ -316,8 +332,7 @@ class TestMethods:
             tight = replace(hp, e_min=obs.size, t_min=sk.n_triangles // 2, gamma=1.0)
             for params in (hp, tight):
                 state = METHODS[method](sk, signals.x0, signals.x1_obs, obs, params)
-                sel = state.selection
-                assert closure_violations(sk, sel.w1, sel.w2).count == 0
+                assert evaluate(sk, state.selection, truth.selection).closure_violations == 0
                 pruned.append(state.pruned_triangles)
         assert (max(pruned) > 0) == (method != "RC")
 
@@ -325,10 +340,9 @@ class TestMethods:
     @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
     def test_bad_inputs_rejected(self, method, case):
         truth, signals, hp = _instance(0)
-        args = _BAD_INPUTS[case](
-            truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp
-        )
-        with pytest.raises(ValueError):
+        edit, match = _BAD_INPUTS[case]
+        args = edit(truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, hp)
+        with pytest.raises(ValueError, match=match):
             METHODS[method](*args)
 
     @pytest.mark.parametrize("method", sorted(METHODS))

@@ -1,14 +1,14 @@
-"""The skeleton layout boundary: only ``topology`` reads the vertex-tuple
-views, the generate/learn/eval pipeline never builds them, no module
-reaches for a dense incidence matrix, the learning methods take curl
-energies only from the blocked pass and only for triangle subsets, the
-learner builds no incidence block, only ``topology`` names B2's sign
-layout, every projection takes its basis from one kernel, every rank
-comes from one rule, the complex reader ranks no simplex on its own,
-only the two ``topology`` helpers word a numeric range check and only
-``_active_indices`` the indicator rule, the package imports nothing
-beyond numpy and the standard library, and the test oracles stay
-independent of the package."""
+"""The skeleton layout boundary: no module reads the vertex-tuple views,
+the generate/learn/eval pipeline never builds them, no module reaches
+for a dense incidence matrix, the learning methods take curl energies
+only from the blocked pass, every curl-energy call names a triangle
+subset, the learner builds no incidence block, only ``topology`` names
+B2's sign layout, every projection takes its basis from one kernel,
+every rank comes from one rule, the complex reader ranks no simplex on
+its own, only the two ``topology`` helpers word a numeric range check
+and only ``_active_indices`` the indicator rule, the package imports
+nothing beyond numpy and the standard library, and the test oracles
+stay independent of the package."""
 
 import ast
 import os
@@ -30,11 +30,9 @@ _VIEWS = ("edges", "triangles")
 _DENSE = ("b1_full", "b2_full", "b2_unsigned")
 
 
-def _attribute_reads(names, skip=()):
+def _attribute_reads(names):
     reads = []
     for path in sorted(Path(scinfer.__file__).parent.glob("*.py")):
-        if path.name in skip:
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr in names:
                 reads.append(f"{path.name}:{node.lineno} .{node.attr}")
@@ -42,7 +40,9 @@ def _attribute_reads(names, skip=()):
 
 
 def test_no_module_outside_topology_reads_the_tuple_views():
-    assert _attribute_reads(_VIEWS, skip=("topology.py",)) == []
+    """``topology`` does not either: ``complex_from_dict`` names a missing
+    edge by its ``edge_nodes`` row."""
+    assert _attribute_reads(_VIEWS) == []
 
 
 def test_no_module_reads_a_dense_incidence_matrix():
@@ -88,17 +88,16 @@ def _calls(name, callee):
 
 
 def test_methods_take_curl_energies_of_subsets_only():
-    """GreedySCL and SepSCL pass ``_curl_energy`` a triangle subset at
-    every call; only the public full-pass ``triangle_scores`` and
-    ``objective_value`` score every candidate, and the name is used for
-    nothing but these calls and its import."""
-    files = ("learner.py", "baselines.py")
+    """Every ``_curl_energy`` call in the package passes a triangle
+    subset, so no full-pass scorer of every candidate can come back.
+    GreedySCL's memo and SepSCL are the only callers, and the name is used
+    for nothing but these calls and their two imports."""
+    files = _package_files()
     calls = [call for name in files for call in _calls(name, "_curl_energy")]
-    subset = {"baselines.py run_sep_scl", "learner.py _CurlMemo.fill"}
-    full = {"learner.py triangle_scores", "learner.py objective_value"}
-    assert {scope for scope, _ in calls} == subset | full
-    assert [call for call in calls if call[0] in subset and call[1] != 3] == []
-    assert len(_name_refs(files, ("_curl_energy",))) == len(calls) + len(files)
+    callers = {"baselines.py run_sep_scl", "learner.py _CurlMemo.fill"}
+    assert {scope for scope, _ in calls} == callers
+    assert [call for call in calls if call[1] != 3] == []
+    assert len(_name_refs(files, ("_curl_energy",))) == len(calls) + 2
 
 
 def test_learner_builds_no_b2_block():

@@ -32,7 +32,6 @@ from scinfer.topology import (
     _triangle_rank,
     build_skeleton,
     check_observed_edges,
-    closure_violations,
     complex_from_dict,
     complex_to_dict,
     edge_index,
@@ -399,26 +398,6 @@ class TestRangeBasis:
             event(f"{kind}: {'kernel' if u.shape[1] < b.shape[1] else 'no kernel'}")
         assert basis.shape == u.shape
         assert np.abs(basis @ basis.T - u @ u.T).max(initial=0.0) <= 1e-12
-
-
-class TestClosure:
-    def test_counts_missing_edges(self):
-        sk = build_skeleton(4)
-        w1 = np.zeros(sk.n_edges)
-        w1[edge_index(sk, 0, 1)] = 1
-        w2 = np.zeros(sk.n_triangles)
-        w2[triangle_index(sk, 0, 1, 2)] = 1
-        report = closure_violations(sk, w1, w2)
-        assert report.count == 2
-        assert report.items == (
-            (0, (edge_index(sk, 0, 2), edge_index(sk, 1, 2))),
-        )
-
-    def test_closed_selection_reports_zero(self):
-        sk = _k3()
-        report = closure_violations(sk, np.ones(3), np.ones(1))
-        assert report.count == 0
-        assert report.items == ()
 
 
 def _corrupted_document(data):
