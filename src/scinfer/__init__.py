@@ -28,7 +28,6 @@ from .learner import (
 )
 from .sweep import run_sweep
 from .synth import (
-    Dataset,
     GenerationError,
     GroundTruth,
     InstanceParams,
@@ -50,14 +49,12 @@ from .topology import (
     node_laplacian,
     read_complex_json,
     triangle_index,
-    write_complex_json,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ComplexSkeleton",
-    "Dataset",
     "EvalReport",
     "GenerationError",
     "GroundTruth",
@@ -94,6 +91,5 @@ __all__ = [
     "select_edges",
     "select_triangles",
     "triangle_index",
-    "write_complex_json",
     "write_dataset",
 ]

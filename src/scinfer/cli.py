@@ -9,8 +9,8 @@ Failures exit with status 1 and a single machine-parsable stderr line:
 ``error: generation-failure: ...``, ``error: missing-file: ...`` or
 ``error: invalid-argument: ...``. A missing input is ``missing-file``;
 any other path a command cannot read or write (an existing file where
-``--out`` needs a directory, a directory where a file is read or
-written, a file to write in a missing directory) is
+``--out`` or a bundle needs a directory, a directory where a file is
+read or written, a file to write in a missing directory) is
 ``invalid-argument``, and the message names the path.
 Unknown flags or methods are argparse usage errors (exit status 2).
 """
@@ -97,13 +97,14 @@ def _cmd_generate(args) -> int:
     if args.seed is not None:
         seed = args.seed
     truth, signals = generate_instance(instance, seed)
-    write_dataset(args.out, truth, signals, instance)
+    write_dataset(args.out, truth, signals)
     print(
         f"wrote dataset to {args.out} "
         f"(nodes={truth.skeleton.n_nodes}, edges={int(truth.selection.w1.sum())}, "
         f"triangles={int(truth.selection.w2.sum())}, "
         f"observed={signals.observed_edges.size}) "
-        f"fill_draws={truth.fill_draws} fill_identifiable={truth.fill_identifiable}"
+        f"fill_draws={truth.meta['fill_draws']} "
+        f"fill_identifiable={truth.meta['fill_identifiable']}"
     )
     return 0
 
@@ -124,16 +125,18 @@ def _resolve_params(args, truth) -> HyperParams:
 def _cmd_learn(args) -> int:
     if args.save_x1 and args.method == "RC":
         raise ValueError("--save-x1 needs an edge-signal estimate, which RC does not make")
-    ds = read_dataset(args.dataset)
-    params = _resolve_params(args, ds.truth)
+    truth, signals = read_dataset(args.dataset)
+    params = _resolve_params(args, truth.selection)
 
-    state = METHODS[args.method](ds.skeleton, ds.x0, ds.x1_obs, ds.observed_edges, params)
-    report = evaluate(ds.skeleton, state.selection, ds.truth)
+    state = METHODS[args.method](
+        truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, params
+    )
+    report = evaluate(truth.skeleton, state.selection, truth.selection)
     record = run_record(args.method, state, report)
     out_dir = args.out if args.out is not None else args.dataset
     os.makedirs(out_dir, exist_ok=True)
     result_path = os.path.join(out_dir, "result.json")
-    write_json(result_path, {"complex": complex_to_dict(ds.skeleton, state.selection), **record})
+    write_json(result_path, {"complex": complex_to_dict(truth.skeleton, state.selection), **record})
     if args.save_x1:
         write_matrix_npy(os.path.join(out_dir, "x1_est.npy"), state.x1_est)
     print(

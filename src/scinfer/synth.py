@@ -32,13 +32,14 @@ from .topology import (
     b2_block,
     build_skeleton,
     check_observed_edges,
+    complex_to_dict,
     json_text,
     make_selection,
     missing_edges,
     node_laplacian,
     read_complex_json,
     read_json,
-    write_complex_json,
+    write_json,
     write_text,
 )
 
@@ -48,7 +49,6 @@ __all__ = [
     "Fill",
     "SignalSet",
     "InstanceParams",
-    "Dataset",
     "sample_er_selection",
     "fill_triangles",
     "gen_smooth_node_signals",
@@ -71,15 +71,13 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """A generated complex, its seed, and how its triangle fill went:
-    the uniform draws ``fill_triangles`` made and whether the kept one
-    passed its span test (see ``Fill``)."""
+    """A generated or read-back complex and its meta.json document, which
+    ``generate_instance`` builds once: the ``InstanceParams`` fields,
+    ``seed``, ``fill_draws`` and ``fill_identifiable`` (see ``Fill``)."""
 
     skeleton: ComplexSkeleton
     selection: Selection
-    seed: int
-    fill_draws: int
-    fill_identifiable: bool
+    meta: dict
 
 
 @dataclass(frozen=True)
@@ -140,18 +138,6 @@ class InstanceParams:
         for name in ("curl_atten", "node_noise_std", "edge_noise_std"):
             _require_real(name, getattr(self, name))
         _require_real("observed_fraction", self.observed_fraction, 0, 1, open_lo=True)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """A dataset bundle as read back from disk."""
-
-    skeleton: ComplexSkeleton
-    truth: Selection
-    x0: np.ndarray
-    x1_obs: np.ndarray
-    observed_edges: np.ndarray
-    meta: dict
 
 
 def sample_er_selection(
@@ -314,7 +300,12 @@ def _normalize_columns(x: np.ndarray) -> np.ndarray:
 def generate_instance(
     params: InstanceParams, seed: int
 ) -> tuple[GroundTruth, SignalSet]:
-    """Run the full generation protocol for one seed, a nonnegative integer."""
+    """Run the full generation protocol for one seed, a nonnegative integer.
+
+    ``truth.meta`` is the meta.json document. json encodes Python ints
+    and floats only, so an integral field of ``params`` is kept as
+    ``int(v)`` and any other real the fields accept (a numpy scalar, a
+    Fraction) as ``float(v)``."""
     _require_int("seed", seed, 0)
     skeleton = build_skeleton(params.n_nodes)
     rng = np.random.default_rng(seed)
@@ -333,8 +324,12 @@ def generate_instance(
         rng,
     )
     observed = sample_observed_edges(skeleton, w1, params.observed_fraction, rng)
-    selection = make_selection(skeleton, w1, fill.w2)
-    truth = GroundTruth(skeleton, selection, int(seed), fill.draws, fill.identifiable)
+    meta = {
+        k: int(v) if isinstance(v, numbers.Integral) else float(v)
+        for k, v in asdict(params).items()
+    }
+    meta.update(seed=int(seed), fill_draws=fill.draws, fill_identifiable=fill.identifiable)
+    truth = GroundTruth(skeleton, make_selection(skeleton, w1, fill.w2), meta)
     return truth, SignalSet(x0=x0, x1_obs=x1_noisy[observed], observed_edges=observed)
 
 
@@ -375,38 +370,29 @@ def read_matrix_npy(path, dtype, ndim: int) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def write_dataset(
-    out_dir, truth: GroundTruth, signals: SignalSet, params: InstanceParams
-) -> None:
+def write_dataset(out_dir, truth: GroundTruth, signals: SignalSet) -> None:
     """Write the on-disk bundle: complex.json, x0.npy, x1_obs.npy,
-    observed_edges.npy (1-D int64), meta.json.
+    observed_edges.npy (1-D int64), and ``truth.meta`` as meta.json, as
+    given: it is not checked against the complex.
 
-    ``meta.json`` is encoded before anything is written, so a parameter
-    that cannot be written leaves no partial bundle. json encodes Python
-    ints and floats only, so an integral field is written as ``int(v)``
-    and any other real the fields accept (a numpy scalar, a Fraction) as
-    ``float(v)``."""
-    meta = {
-        **{
-            k: int(v) if isinstance(v, numbers.Integral) else float(v)
-            for k, v in asdict(params).items()
-        },
-        "seed": truth.seed,
-        "fill_draws": truth.fill_draws,
-        "fill_identifiable": truth.fill_identifiable,
-    }
-    meta_text = json_text(meta)
+    ``meta.json`` is encoded before anything is written, so a document
+    that cannot be written leaves no partial bundle."""
+    complex_doc = complex_to_dict(truth.skeleton, truth.selection)
+    meta_text = json_text(truth.meta)
     os.makedirs(out_dir, exist_ok=True)
-    write_complex_json(os.path.join(out_dir, "complex.json"), truth.skeleton, truth.selection)
+    write_json(os.path.join(out_dir, "complex.json"), complex_doc)
     write_matrix_npy(os.path.join(out_dir, "x0.npy"), signals.x0)
     write_matrix_npy(os.path.join(out_dir, "x1_obs.npy"), signals.x1_obs)
     write_matrix_npy(os.path.join(out_dir, "observed_edges.npy"), signals.observed_edges)
     write_text(os.path.join(out_dir, "meta.json"), meta_text)
 
 
-def read_dataset(in_dir) -> Dataset:
-    """Read a bundle back; raises FileNotFoundError naming the missing
-    piece, and ValueError naming the faulty file."""
+def read_dataset(in_dir) -> tuple[GroundTruth, SignalSet]:
+    """Read a bundle back as the pair ``generate_instance`` returns; raises
+    FileNotFoundError naming the missing piece, and ValueError naming the
+    faulty file or an existing ``in_dir`` that is not a directory."""
+    if os.path.exists(in_dir) and not os.path.isdir(in_dir):
+        raise ValueError(f"{in_dir}: not a dataset bundle directory")
     paths = {
         name: os.path.join(in_dir, name)
         for name in ("complex.json", "x0.npy", "x1_obs.npy", "observed_edges.npy", "meta.json")
@@ -414,7 +400,7 @@ def read_dataset(in_dir) -> Dataset:
     for name, path in paths.items():
         if not os.path.exists(path):
             raise FileNotFoundError(path)
-    skeleton, truth = read_complex_json(paths["complex.json"])
+    skeleton, selection = read_complex_json(paths["complex.json"])
     x0 = read_matrix_npy(paths["x0.npy"], np.float64, 2)
     x1_obs = read_matrix_npy(paths["x1_obs.npy"], np.float64, 2)
     observed = read_matrix_npy(paths["observed_edges.npy"], np.int64, 1)
@@ -431,4 +417,4 @@ def read_dataset(in_dir) -> Dataset:
     meta = read_json(paths["meta.json"])
     if not isinstance(meta, dict):
         raise ValueError(f"{paths['meta.json']}: meta.json must be a JSON object")
-    return Dataset(skeleton, truth, x0, x1_obs, observed, meta)
+    return GroundTruth(skeleton, selection, meta), SignalSet(x0, x1_obs, observed)

@@ -52,7 +52,6 @@ __all__ = [
     "hodge_decompose",
     "complex_to_dict",
     "complex_from_dict",
-    "write_complex_json",
     "read_complex_json",
 ]
 
@@ -613,10 +612,6 @@ def read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def write_complex_json(path, skeleton: ComplexSkeleton, selection: Selection) -> None:
-    write_json(path, complex_to_dict(skeleton, selection))
 
 
 def read_complex_json(

@@ -264,6 +264,25 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert out.endswith(" fill_draws=200 fill_identifiable=False\n")
 
+    def test_default_config_bundle_matches_golden(self, tmp_path, capsys):
+        """``scinfer generate --config configs/generate_default.ini`` prints
+        its summary and writes the files pinned in
+        ``tests/golden/generate_default.sha256``, made like the sweep
+        goldens; x0.npy and x1_obs.npy are left out because their last bits
+        depend on the BLAS."""
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        out = tmp_path / "default"
+        cfg = os.path.join(root, "configs", "generate_default.ini")
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote dataset to {out} (nodes=20, edges=75, triangles=34, observed=60) "
+            "fill_draws=110 fill_identifiable=True\n"
+        )
+        with open(os.path.join(root, "tests", "golden", "generate_default.sha256")) as fh:
+            for line in fh.read().splitlines():
+                digest, name = line.split()
+                assert hashlib.sha256(read_bytes(out / name)).hexdigest() == digest, name
+
     def test_seed_flag_changes_bundle(self, tmp_path):
         cfg = write(tmp_path / "a.ini", TINY_INSTANCE)
         main(["generate", "--config", cfg, "--out", str(tmp_path / "d1")])
@@ -781,6 +800,7 @@ def test_non_finite_config_floats_rejected(command, text, bundle_dir, tmp_path, 
         (["eval", "--est", "{bundle}", "--truth", "{bundle}", "--out", "{dir}"], "dir"),
         (["generate", "--config", "{dir}", "--out", "{out}"], "dir"),
         (["eval", "--est", "{bundle}", "--truth", "{bundle}", "--out", "{nodir}"], "nodir"),
+        (["learn", "{file}"], "file"),
     ],
     ids=[
         "generate-out-file",
@@ -788,6 +808,7 @@ def test_non_finite_config_floats_rejected(command, text, bundle_dir, tmp_path, 
         "eval-out-dir",
         "generate-config-dir",
         "eval-out-missing-dir",
+        "learn-dataset-file",
     ],
 )
 def test_unusable_path_is_one_error_line(argv, bad, bundle_dir, tmp_path, capsys):
@@ -1175,7 +1196,7 @@ def test_sweep_row_and_result_json_are_one_record(tmp_path):
     with open(tmp_path / "sweep" / "results.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     instance = dataclasses.replace(spec.instance, node_noise_std=spec.grid[0])
-    write_dataset(tmp_path / "ds", *generate_instance(instance, spec.base_seed), instance)
+    write_dataset(tmp_path / "ds", *generate_instance(instance, spec.base_seed))
     block = re.search(r"`result.json` holds:\n\n```\n(.*?)```", _readme(), re.S).group(1)
     readme_keys = {key.strip() for key in re.sub(r"\{[^}]*\}", "", block).split(",")}
     given = ("sweep_value", "trial", "seconds", "status")

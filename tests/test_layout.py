@@ -284,15 +284,17 @@ def test_oracles_import_nothing_from_the_package():
 def test_pipeline_builds_no_tuple_view(tmp_path):
     params = InstanceParams(n_nodes=12, n_node_signals=30, n_edge_signals=30)
     truth, signals = generate_instance(params, seed=3)
-    write_dataset(tmp_path, truth, signals, params)
-    ds = read_dataset(tmp_path)
-    hp = resolve_budgets(HyperParams(), ds.truth)
+    write_dataset(tmp_path, truth, signals)
+    back, back_signals = read_dataset(tmp_path)
+    hp = resolve_budgets(HyperParams(), back.selection)
     for run in METHODS.values():
-        state = run(ds.skeleton, ds.x0, ds.x1_obs, ds.observed_edges, hp)
-        evaluate(ds.skeleton, state.selection, ds.truth)
-        skeleton, selection = complex_from_dict(complex_to_dict(ds.skeleton, state.selection))
+        state = run(
+            back.skeleton, back_signals.x0, back_signals.x1_obs, back_signals.observed_edges, hp
+        )
+        evaluate(back.skeleton, state.selection, back.selection)
+        skeleton, selection = complex_from_dict(complex_to_dict(back.skeleton, state.selection))
         np.testing.assert_array_equal(selection.w1, state.selection.w1)
         np.testing.assert_array_equal(selection.w2, state.selection.w2)
         assert not set(_VIEWS) & set(vars(skeleton))
-    for sk in (truth.skeleton, ds.skeleton):
+    for sk in (truth.skeleton, back.skeleton):
         assert not set(_VIEWS) & set(vars(sk))

@@ -555,7 +555,7 @@ class TestInstanceChecks:
         with pytest.raises(ValueError, match=f"^seed must be an integer, got {kind}$"):
             generate_instance(params, seed)
         truth, _ = generate_instance(params, np.int64(3))
-        assert truth.seed == 3
+        assert truth.meta["seed"] == 3 and type(truth.meta["seed"]) is int
 
 
 def npy_bytes(arr, allow_pickle=False):
@@ -571,6 +571,7 @@ def npz_bytes(arr):
 
 
 _UNREADABLE = "not a readable .npy matrix: "
+BUNDLE_FILES = ("complex.json", "x0.npy", "x1_obs.npy", "observed_edges.npy", "meta.json")
 
 
 class TestDatasetBundle:
@@ -588,21 +589,27 @@ class TestDatasetBundle:
         )
 
     def test_round_trip(self, tmp_path):
+        """A bundle reads back as the pair it was written from: every array
+        bit for bit, its meta the generator's, and writing that pair again
+        gives the same five files."""
         params = self._params()
         truth, signals = generate_instance(params, seed=21)
-        write_dataset(tmp_path, truth, signals, params)
-        ds = read_dataset(tmp_path)
-        np.testing.assert_array_equal(ds.truth.w1, truth.selection.w1)
-        np.testing.assert_array_equal(ds.truth.w2, truth.selection.w2)
-        for got, want in ((ds.x0, signals.x0), (ds.x1_obs, signals.x1_obs)):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(ds.observed_edges, signals.observed_edges)
-        assert ds.meta["seed"] == 21
-        assert ds.meta["edge_prob"] == 0.5
-        assert (ds.meta["fill_draws"], ds.meta["fill_identifiable"]) == (
-            truth.fill_draws, truth.fill_identifiable
-        )
-        assert isinstance(truth.fill_identifiable, bool) and truth.fill_draws >= 1
+        write_dataset(tmp_path / "a", truth, signals)
+        back, back_signals = read_dataset(tmp_path / "a")
+        for got, want in zip(
+            (back_signals.x0, back_signals.x1_obs, back_signals.observed_edges,
+             back.selection.w1, back.selection.w2),
+            (signals.x0, signals.x1_obs, signals.observed_edges,
+             truth.selection.w1, truth.selection.w2),
+        ):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        write_dataset(tmp_path / "b", back, back_signals)
+        for name in BUNDLE_FILES:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert back.meta == truth.meta
+        assert (truth.meta["seed"], truth.meta["edge_prob"]) == (21, 0.5)
+        assert type(truth.meta["fill_identifiable"]) is bool and truth.meta["fill_draws"] >= 1
 
     def test_numpy_scalar_params_round_trip(self, tmp_path):
         """Fields given as numpy scalars are written to meta.json as plain
@@ -614,8 +621,9 @@ class TestDatasetBundle:
             edge_prob=np.float32(0.6),
         )
         truth, signals = generate_instance(params, seed=3)
-        write_dataset(tmp_path, truth, signals, params)
-        meta = read_dataset(tmp_path).meta
+        write_dataset(tmp_path, truth, signals)
+        meta = read_dataset(tmp_path)[0].meta
+        assert meta == truth.meta
         assert {name: meta[name] for name in asdict(params)} == asdict(params)
         assert type(meta["n_nodes"]) is type(meta["n_node_signals"]) is int
         assert type(meta["edge_prob"]) is float
@@ -626,12 +634,12 @@ class TestDatasetBundle:
         complete and reads back."""
         params = InstanceParams(n_nodes=8, edge_prob=Fraction(1, 2))
         truth, signals = generate_instance(params, seed=3)
-        write_dataset(tmp_path, truth, signals, params)
-        ds = read_dataset(tmp_path)
-        assert ds.meta["edge_prob"] == 0.5 and type(ds.meta["edge_prob"]) is float
-        assert {name: ds.meta[name] for name in asdict(params)} == asdict(params)
-        np.testing.assert_array_equal(ds.truth.w2, truth.selection.w2)
-        np.testing.assert_array_equal(ds.observed_edges, signals.observed_edges)
+        write_dataset(tmp_path, truth, signals)
+        back, back_signals = read_dataset(tmp_path)
+        assert back.meta["edge_prob"] == 0.5 and type(back.meta["edge_prob"]) is float
+        assert {name: back.meta[name] for name in asdict(params)} == asdict(params)
+        np.testing.assert_array_equal(back.selection.w2, truth.selection.w2)
+        np.testing.assert_array_equal(back_signals.observed_edges, signals.observed_edges)
 
     def test_byte_identical_across_runs(self, tmp_path):
         params = self._params()
@@ -639,9 +647,9 @@ class TestDatasetBundle:
         for name in ("a", "b"):
             out = tmp_path / name
             truth, signals = generate_instance(params, seed=99)
-            write_dataset(out, truth, signals, params)
+            write_dataset(out, truth, signals)
             dirs.append(out)
-        for fname in ("complex.json", "x0.npy", "x1_obs.npy", "observed_edges.npy", "meta.json"):
+        for fname in BUNDLE_FILES:
             assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes(), fname
 
     def test_matrix_npy_exact_round_trip(self, tmp_path):
@@ -664,7 +672,7 @@ class TestDatasetBundle:
     def test_read_rejects_corrupt_bundle(self, tmp_path):
         params = self._params()
         truth, signals = generate_instance(params, seed=5)
-        write_dataset(tmp_path, truth, signals, params)
+        write_dataset(tmp_path, truth, signals)
         (tmp_path / "x0.npy").unlink()
         with pytest.raises(FileNotFoundError, match="x0.npy"):
             read_dataset(tmp_path)
@@ -673,7 +681,7 @@ class TestDatasetBundle:
     def test_read_rejects_meta_that_is_not_an_object(self, tmp_path, text):
         params = self._params()
         truth, signals = generate_instance(params, seed=5)
-        write_dataset(tmp_path, truth, signals, params)
+        write_dataset(tmp_path, truth, signals)
         path = tmp_path / "meta.json"
         path.write_text(text + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: meta.json must be a JSON object")):
@@ -682,7 +690,7 @@ class TestDatasetBundle:
     def test_read_rejects_row_mismatch(self, tmp_path):
         params = self._params()
         truth, signals = generate_instance(params, seed=5)
-        write_dataset(tmp_path, truth, signals, params)
+        write_dataset(tmp_path, truth, signals)
         obs_path = tmp_path / "observed_edges.npy"
         obs_path.write_bytes(npy_bytes(np.load(obs_path, allow_pickle=False)[:-1]))
         with pytest.raises(ValueError, match="rows"):
@@ -692,10 +700,10 @@ class TestDatasetBundle:
         """observed_edges.npy is the sampled indices as a 1-D int64 array."""
         params = self._params()
         truth, signals = generate_instance(params, seed=21)
-        write_dataset(tmp_path, truth, signals, params)
+        write_dataset(tmp_path, truth, signals)
         assert signals.observed_edges.dtype == np.int64
         assert (tmp_path / "observed_edges.npy").read_bytes() == npy_bytes(signals.observed_edges)
-        assert read_dataset(tmp_path).observed_edges.dtype == np.int64
+        assert read_dataset(tmp_path)[1].observed_edges.dtype == np.int64
 
     @pytest.mark.parametrize(
         "observed, message",
@@ -722,7 +730,7 @@ class TestDatasetBundle:
     def test_read_rejects_bad_edge_index(self, tmp_path, observed, message):
         params = self._params()
         truth, signals = generate_instance(params, seed=5)
-        write_dataset(tmp_path, truth, signals, params)
+        write_dataset(tmp_path, truth, signals)
         path = tmp_path / "observed_edges.npy"
         path.write_bytes(npy_bytes(observed, allow_pickle=True))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):

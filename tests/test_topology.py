@@ -42,7 +42,6 @@ from scinfer.topology import (
     read_json,
     triangle_curl,
     triangle_index,
-    write_complex_json,
     write_json,
 )
 
@@ -493,7 +492,7 @@ class TestComplexJson:
     def test_round_trip(self, tmp_path):
         sk, sel = self._sample()
         path = tmp_path / "complex.json"
-        write_complex_json(path, sk, sel)
+        write_json(path, complex_to_dict(sk, sel))
         sk2, sel2 = read_complex_json(path)
         assert sk2.n_nodes == sk.n_nodes
         np.testing.assert_array_equal(sel2.w1, sel.w1)
