@@ -83,12 +83,14 @@ class SweepSpec:
 
 
 def load_config(path) -> configparser.ConfigParser:
-    """Read an INI file, rejecting unknown sections."""
-    parser = configparser.ConfigParser()
+    """Read an INI file, rejecting unknown sections. A ``%`` is read
+    literally, and ``[DEFAULT]`` is an unknown section like any other."""
+    # No section header can spell a newline, so no section is the default.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"bad config {path}: {exc}") from exc
     for section in parser.sections():
         if section not in _SECTIONS:

@@ -82,10 +82,10 @@ def _cell_rows(spec: SweepSpec, grid_index: int, trial: int) -> list[dict]:
     return rows
 
 
-def _fmt_cell(key: str, value) -> str:
-    if key in ("trial", "closure_violations"):
-        return str(value) if isinstance(value, (int, np.integer)) else f"{value:.12g}"
-    if key in ("method", "status"):
+def _fmt_cell(value) -> str:
+    """A csv cell by the value's type: strings, bools and integers as
+    ``str``, any other real number to 12 significant digits."""
+    if isinstance(value, (str, int, np.integer, np.bool_)):
         return str(value)
     return f"{float(value):.12g}"
 
@@ -95,7 +95,7 @@ def write_results_csv(path, rows: list[dict]) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt_cell(key, row[key]) for key in CSV_COLUMNS])
+            writer.writerow([_fmt_cell(row[key]) for key in CSV_COLUMNS])
 
 
 def _series_stats(rows: list[dict], spec: SweepSpec, metric: str):

@@ -250,7 +250,7 @@ def gen_low_curl_edge_signals(
     curl_atten: float,
     noise_std: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Edge flows whose curl against the true triangles is attenuated.
 
     White flows on the active edges are split along the curl subspace of
@@ -259,7 +259,7 @@ def gen_low_curl_edge_signals(
     embedded into the candidate-edge axis (zeros on inactive edges).
     Noise is then added on active edges only.
 
-    Returns ``(noisy, clean)``, both of shape (n_candidate_edges, n_signals).
+    Returns the noisy flows, of shape (n_candidate_edges, n_signals).
     """
     _require_int("n_signals", n_signals, 1)
     _require_real("curl_atten", curl_atten)
@@ -271,11 +271,9 @@ def gen_low_curl_edge_signals(
     flows = white - (1.0 - curl_atten) * curl
     flows = _normalize_columns(flows)
 
-    clean = np.zeros((skeleton.n_edges, n_signals))
-    clean[active_e] = flows
-    noisy = clean.copy()
-    noisy[active_e] += noise_std * rng.standard_normal((active_e.size, n_signals))
-    return noisy, clean
+    x1 = np.zeros((skeleton.n_edges, n_signals))
+    x1[active_e] = flows + noise_std * rng.standard_normal((active_e.size, n_signals))
+    return x1
 
 
 def sample_observed_edges(
@@ -314,7 +312,7 @@ def generate_instance(
     x0 = gen_smooth_node_signals(
         skeleton, w1, params.n_node_signals, params.node_noise_std, rng
     )
-    x1_noisy, _ = gen_low_curl_edge_signals(
+    x1_noisy = gen_low_curl_edge_signals(
         skeleton,
         w1,
         fill.w2,

@@ -290,19 +290,19 @@ def _row_energy(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
-def _curl_energy(skeleton: ComplexSkeleton, x1, triangles=None) -> np.ndarray:
+def _curl_energy(skeleton: ComplexSkeleton, x1, triangles) -> np.ndarray:
     """Curl energy ``||row_t(B2^T x1)||^2`` of the candidate triangles
-    ``triangles`` (an index array; every candidate when omitted) for a
-    2-d ``x1``; bitwise ``_row_energy(triangle_curl(skeleton, x1))[triangles]``.
+    ``triangles`` (an index array) for a 2-d ``x1``; bitwise
+    ``_row_energy(triangle_curl(skeleton, x1))[triangles]``.
 
     Works through ``_CURL_BLOCK`` triangles at a time, so the gathered
     rows are still in cache when their energy is taken. Each row's energy
-    takes the same operations whichever block holds it, so a subset gets
-    the full pass's values bit for bit. The range covers at least one
-    block, which is empty when there are no triangles.
+    takes the same operations whichever block holds it, so any subset
+    gets the values of a pass over every candidate bit for bit. The range
+    covers at least one block, which is empty when there are no triangles.
     """
     x1 = np.asarray(x1)
-    tri = skeleton.tri_edges if triangles is None else skeleton.tri_edges[triangles]
+    tri = skeleton.tri_edges[triangles]
     return np.concatenate([
         _row_energy(_curl(tri[start : start + _CURL_BLOCK], x1))
         for start in range(0, max(len(tri), 1), _CURL_BLOCK)
@@ -606,11 +606,11 @@ def write_json(path, doc) -> None:
 
 
 def read_json(path):
-    """Parse a JSON file; a syntax error becomes a ValueError naming it."""
+    """Parse a JSON file; a syntax or UTF-8 error becomes a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"invalid JSON in {path}: {exc}") from exc
 
 

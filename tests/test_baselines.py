@@ -111,8 +111,9 @@ class TestSepScl:
         state = run_sep_scl(sk, signals.x0, signals.x1_obs, obs, hp)
         sel, x1_filled = state.selection, state.x1_est
         smoothness = _row_energy(edge_gradient(sk, signals.x0))
+        energy = _curl_energy(sk, x1_filled, np.arange(sk.n_triangles))
         assert state.objective_trace[0] == _objective(
-            sk, smoothness, _curl_energy(sk, x1_filled), x1_filled, sel.w1, sel.w2, obs,
+            sk, smoothness, energy, x1_filled, sel.w1, sel.w2, obs,
             signals.x1_obs, replace(hp, gamma=0.0),
         )
 
@@ -145,7 +146,8 @@ class TestSepScl:
         state = run_sep_scl(sk, signals.x0, signals.x1_obs, obs, hp)
         decoupled = replace(hp, gamma=0.0)
         x1, w1 = state.x1_est, state.selection.w1
-        scores = _triangle_scores(_curl_energy(sk, x1), missing_edges(sk, w1), decoupled)
+        energy = _curl_energy(sk, x1, np.arange(sk.n_triangles))
+        scores = _triangle_scores(energy, missing_edges(sk, w1), decoupled)
         w2 = select_triangles(scores, hp.t_min, bucket_width(x1, decoupled))
         w2, pruned = prune_open_triangles(sk, w1, w2)
         np.testing.assert_array_equal(state.selection.w2, w2)

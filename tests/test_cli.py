@@ -89,9 +89,10 @@ class TestConfig:
         assert params.e_min is None
 
     def test_unknown_section_rejected(self, tmp_path):
-        cfg = write(tmp_path / "a.ini", "[instanec]\nn_nodes = 5\n")
-        with pytest.raises(ValueError, match=r"unknown config section \[instanec\]"):
-            load_config(cfg)
+        for section in ("instanec", "DEFAULT"):
+            cfg = write(tmp_path / "a.ini", f"[{section}]\nn_nodes = 5\n")
+            with pytest.raises(ValueError, match=rf"unknown config section \[{section}\]"):
+                load_config(cfg)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write(tmp_path / "a.ini", "[instance]\nn_node = 5\n")
@@ -299,6 +300,34 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: generation-failure:")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[instance]\nn_nodes = 2%0\n", "key 'n_nodes': cannot parse '2%0' as int"),
+            ("[instance]\nfill_fraction = 0.9\nedge_prob = %(fill_fraction)s\n",
+             "key 'edge_prob': cannot parse '%(fill_fraction)s' as float"),
+            ("[DEFAULT]\nn_nodes = 8\n",
+             "unknown config section [DEFAULT], expected one of ('instance', 'params', 'sweep')"),
+        ],
+        ids=["percent-literal", "no-interpolation", "default-section"],
+    )
+    def test_config_is_read_literally(self, tmp_path, capsys, text, message):
+        """A ``%`` is part of the value, and ``[DEFAULT]`` is an unknown
+        section, not keys merged into every other one."""
+        cfg = write(tmp_path / "a.ini", text)
+        out = tmp_path / "d"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid-argument: {message}\n"
+        assert not out.exists()
+
+    def test_non_utf8_config_names_its_file(self, tmp_path, capsys):
+        cfg = tmp_path / "a.ini"
+        cfg.write_bytes(b"\xff")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: invalid-argument: bad config {cfg}: 'utf-8' codec")
+
     def test_bad_config_key_exit_code(self, tmp_path, capsys):
         cfg = write(tmp_path / "a.ini", "[instance]\nnodes = 6\n")
         code = main(["generate", "--config", cfg, "--out", str(tmp_path / "d")])
@@ -501,9 +530,11 @@ class TestLearn:
              "x0.npy: expected a 2-D float64 matrix, got 3-D float64"),
             ("x1_obs.npy", lambda good: npy_bytes(np.full((12, 40), np.inf)),
              "x1_obs.npy: non-finite values (nan or inf)"),
+            ("meta.json", lambda good: b"\xff", "invalid JSON in "),
+            ("complex.json", lambda good: b"\xff", "invalid JSON in "),
         ],
         ids=["empty-x0", "malformed-meta", "text-x0", "truncated-x1-obs", "object-x0",
-             "int-x0", "1d-x1-obs", "3d-x0", "inf-x1-obs"],
+             "int-x0", "1d-x1-obs", "3d-x0", "inf-x1-obs", "non-utf8-meta", "non-utf8-complex"],
     )
     def test_bad_bundle_file_one_error_line(
         self, bundle_dir, tmp_path, capsys, name, corrupt, message
@@ -960,6 +991,15 @@ class TestSweep:
         assert err.startswith(f"error: invalid-argument: {prefix}")
         assert not out.exists()
 
+    def test_csv_cells_format_by_value_type(self):
+        """Strings, bools and integers print as ``str``, any other real
+        to 12 significant digits, whatever the column."""
+        cells = ["GreedySCL", True, 7, np.int64(12), np.bool_(False), 0.1 + 0.2,
+                 np.float32(0.5), 3.0, math.nan]
+        assert [_fmt_cell(value) for value in cells] == [
+            "GreedySCL", "True", "7", "12", "False", "0.3", "0.5", "3", "nan",
+        ]
+
     def test_jobs_defaults_to_one(self, monkeypatch):
         monkeypatch.setenv("SCINFER_JOBS", "3")
         args = build_parser().parse_args(["sweep", "--config", "s.ini", "--out", "o"])
@@ -1212,4 +1252,4 @@ def test_sweep_row_and_result_json_are_one_record(tmp_path):
         assert row["status"] == "ok"
         for key in metric_columns:
             field = result[key] if key in result else result["eval"][key]
-            assert row[key] == _fmt_cell(key, field), (row["method"], key)
+            assert row[key] == _fmt_cell(field), (row["method"], key)

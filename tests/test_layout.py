@@ -185,11 +185,14 @@ def test_imports_nothing_beyond_numpy_and_the_standard_library():
     """A fresh interpreter that imports the package, its CLI and its sweep
     loads no top-level module but ``numpy``, ``scinfer`` and the standard
     library's; modules loaded before the import, such as site hooks, do
-    not count."""
+    not count. ``import scinfer`` alone loads neither the CLI nor argparse."""
     script = (
         "import sys\n"
+        "loaded = set(sys.modules)\n"
         "before = {m.split('.')[0] for m in sys.modules}\n"
-        "import scinfer, scinfer.cli, scinfer.sweep\n"
+        "import scinfer\n"
+        "print(' '.join(sorted({'scinfer.cli', 'argparse'} & (set(sys.modules) - loaded))))\n"
+        "import scinfer.cli, scinfer.sweep\n"
         "after = {m.split('.')[0] for m in sys.modules}\n"
         "print(scinfer.__file__)\n"
         "print(' '.join(sorted(after - before - set(sys.stdlib_module_names))))\n"
@@ -199,7 +202,8 @@ def test_imports_nothing_beyond_numpy_and_the_standard_library():
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    where, added = proc.stdout.splitlines()
+    lone, where, added = proc.stdout.splitlines()
+    assert lone == ""
     assert where == scinfer.__file__
     assert set(added.split()) == {"numpy", "scinfer"}
 

@@ -61,7 +61,8 @@ def _random_subset_instance(seed, n=5):
 
 def _all_triangle_scores(sk, x1, w1, params):
     """Every candidate's triangle score, the full pass ``_select_by_tier`` must match."""
-    return _triangle_scores(_curl_energy(sk, x1), missing_edges(sk, w1), params)
+    energy = _curl_energy(sk, x1, np.arange(sk.n_triangles))
+    return _triangle_scores(energy, missing_edges(sk, w1), params)
 
 
 def _all_edge_scores(sk, x0, w2, obs, params):
@@ -72,7 +73,8 @@ def _all_edge_scores(sk, x0, w2, obs, params):
 def _full_objective(sk, x0, x1, w1, w2, obs, x1o, params):
     """The learner's objective with every candidate's curl energy."""
     smoothness = _row_energy(edge_gradient(sk, x0))
-    return _objective(sk, smoothness, _curl_energy(sk, x1), x1, w1, w2, obs, x1o, params)
+    energy = _curl_energy(sk, x1, np.arange(sk.n_triangles))
+    return _objective(sk, smoothness, energy, x1, w1, w2, obs, x1o, params)
 
 
 class TestTriangleScores:
@@ -177,7 +179,8 @@ class TestSelectTriangles:
         for seed in range(4):
             sk, _, x1, _, _, _, _ = _random_subset_instance(seed, n=7)
             bound = bucket_width(x1, params) / learner.SCORE_QUANTUM
-            worst = params.alpha2 + params.beta2 * _curl_energy(sk, x1).max()
+            energy = _curl_energy(sk, x1, np.arange(sk.n_triangles))
+            worst = params.alpha2 + params.beta2 * energy.max()
             largest_row = (x1 * x1).sum(axis=1).max()
             assert worst <= bound
             assert bound == pytest.approx(params.alpha2 + 9.0 * params.beta2 * largest_row)
@@ -214,7 +217,7 @@ class TestTieredSelection:
         sk, x1, w1, params, t_min = _tier_instance(data)
         q = bucket_width(x1, params)
         missing = missing_edges(sk, w1)
-        full = _curl_energy(sk, x1)
+        full = _curl_energy(sk, x1, np.arange(sk.n_triangles))
         want = select_triangles(_triangle_scores(full, missing, params), t_min, q)
         memo = _CurlMemo(sk, x1)
         # A memo already holding some energies, as after an interpolation.
@@ -701,8 +704,8 @@ class TestRunGreedyScl:
 
             monkeypatch.setattr(learner, name, counted)
 
-        def recorded(skeleton, x1, triangles=None):
-            scored[-1].append(np.arange(sk.n_triangles) if triangles is None else triangles)
+        def recorded(skeleton, x1, triangles):
+            scored[-1].append(triangles)
             return _curl_energy(skeleton, x1, triangles)
 
         monkeypatch.setattr(learner, "_curl_energy", recorded)

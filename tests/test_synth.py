@@ -317,48 +317,52 @@ class TestSmoothNodeSignals:
 class TestLowCurlEdgeSignals:
     def test_zero_atten_kills_curl(self):
         sk, w1, w2, rng = _er_instance(6)
-        _, clean = gen_low_curl_edge_signals(sk, w1, w2, 20, 0.0, 0.0, rng)
+        x1 = gen_low_curl_edge_signals(sk, w1, w2, 20, 0.0, 0.0, rng)
         active_e = np.flatnonzero(w1)
         active_t = np.flatnonzero(w2)
         b2a = incidence(sk.n_nodes)[1][np.ix_(active_e, active_t)]
-        assert np.abs(b2a.T @ clean[active_e]).max() <= 1e-8
+        assert np.abs(b2a.T @ x1[active_e]).max() <= 1e-8
 
     def test_inactive_rows_exactly_zero(self):
-        sk, w1, w2, rng = _er_instance(8)
-        noisy, clean = gen_low_curl_edge_signals(sk, w1, w2, 10, 0.3, 0.1, rng)
+        """Noise lands on the active rows only: it is the draw after the
+        white one, scaled by noise_std."""
+        sk, w1, w2, _ = _er_instance(8)
+        noisy = gen_low_curl_edge_signals(sk, w1, w2, 10, 0.3, 0.1, np.random.default_rng(8))
+        clean = gen_low_curl_edge_signals(sk, w1, w2, 10, 0.3, 0.0, np.random.default_rng(8))
         inactive = np.flatnonzero(w1 == 0)
-        np.testing.assert_array_equal(clean[inactive], 0.0)
         np.testing.assert_array_equal(noisy[inactive], 0.0)
+        np.testing.assert_array_equal(clean[inactive], 0.0)
+        replay = np.random.default_rng(8)
+        active_e = np.flatnonzero(w1)
+        replay.standard_normal((active_e.size, 10))
+        noise = 0.1 * replay.standard_normal((active_e.size, 10))
+        np.testing.assert_allclose(noisy[active_e] - clean[active_e], noise, rtol=0, atol=1e-12)
 
     def test_unit_columns_when_noiseless(self):
         sk, w1, w2, rng = _er_instance(2)
-        noisy, clean = gen_low_curl_edge_signals(sk, w1, w2, 15, 0.2, 0.0, rng)
-        np.testing.assert_allclose(np.linalg.norm(clean, axis=0), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(noisy, clean)
+        x1 = gen_low_curl_edge_signals(sk, w1, w2, 15, 0.2, 0.0, rng)
+        np.testing.assert_allclose(np.linalg.norm(x1, axis=0), 1.0, atol=1e-12)
 
     def test_atten_one_is_plain_white_noise(self):
         """curl_atten=1 must leave the white draw untouched up to
         normalization; replaying the rng exposes the raw draw."""
         sk, w1, w2, _ = _er_instance(5)
         state_rng = np.random.default_rng(123)
-        _, clean = gen_low_curl_edge_signals(sk, w1, w2, 12, 1.0, 0.0, state_rng)
+        x1 = gen_low_curl_edge_signals(sk, w1, w2, 12, 1.0, 0.0, state_rng)
         replay = np.random.default_rng(123)
         white = replay.standard_normal((int(w1.sum()), 12))
         white /= np.linalg.norm(white, axis=0, keepdims=True)
-        np.testing.assert_allclose(clean[np.flatnonzero(w1)], white, atol=1e-12)
+        np.testing.assert_allclose(x1[np.flatnonzero(w1)], white, atol=1e-12)
 
     def test_no_triangles_is_normalized_white_draw(self):
         """With no filled triangle there is no curl to attenuate, so the
         flows are the white draw, normalized per column, bit for bit."""
         sk, w1, _, _ = _er_instance(4)
         w2 = np.zeros(sk.n_triangles, dtype=np.int8)
-        noisy, clean = gen_low_curl_edge_signals(
-            sk, w1, w2, 9, 0.05, 0.0, np.random.default_rng(77)
-        )
+        x1 = gen_low_curl_edge_signals(sk, w1, w2, 9, 0.05, 0.0, np.random.default_rng(77))
         white = np.random.default_rng(77).standard_normal((int(w1.sum()), 9))
         white /= np.linalg.norm(white, axis=0, keepdims=True)
-        np.testing.assert_array_equal(clean[np.flatnonzero(w1)], white)
-        np.testing.assert_array_equal(noisy, clean)
+        np.testing.assert_array_equal(x1[np.flatnonzero(w1)], white)
 
     def test_curl_fraction_scales_linearly_with_atten(self):
         """The curl/non-curl energy ratio per column scales with atten;
@@ -373,8 +377,7 @@ class TestLowCurlEdgeSignals:
 
         def curl_ratio(atten, seed):
             rng = np.random.default_rng(seed)
-            _, clean = gen_low_curl_edge_signals(sk, w1, w2, 6, atten, 0.0, rng)
-            xa = clean[active_e]
+            xa = gen_low_curl_edge_signals(sk, w1, w2, 6, atten, 0.0, rng)[active_e]
             curl = basis @ (basis.T @ xa)
             rest = xa - curl
             return np.linalg.norm(curl, axis=0) / np.linalg.norm(rest, axis=0)
@@ -393,8 +396,8 @@ class TestLowCurlEdgeSignals:
             vals = []
             for seed in seeds:
                 rng = np.random.default_rng(seed)
-                _, clean = gen_low_curl_edge_signals(sk, w1, w2, 30, atten, 0.0, rng)
-                vals.append(np.sum((b2a.T @ clean[active_e]) ** 2))
+                x1 = gen_low_curl_edge_signals(sk, w1, w2, 30, atten, 0.0, rng)
+                vals.append(np.sum((b2a.T @ x1[active_e]) ** 2))
             return float(np.mean(vals))
 
         e1 = mean_curl_energy(0.1, range(100, 120))
@@ -407,12 +410,12 @@ class TestLowCurlEdgeSignals:
         sk, w1, w2, _ = _er_instance(11)
         atten = 0.25
         rng = np.random.default_rng(500)
-        _, clean = gen_low_curl_edge_signals(sk, w1, w2, 4, atten, 0.0, rng)
+        x1 = gen_low_curl_edge_signals(sk, w1, w2, 4, atten, 0.0, rng)
         active_e = np.flatnonzero(w1)
         replay = np.random.default_rng(500)
         white = replay.standard_normal((active_e.size, 4))
         for col in range(4):
-            parts = hodge_decompose(sk, w1, w2, clean[active_e, col])
+            parts = hodge_decompose(sk, w1, w2, x1[active_e, col])
             ref = hodge_decompose(sk, w1, w2, white[:, col])
             norm_scale = np.linalg.norm(white[:, col] - (1 - atten) * ref.curl)
             np.testing.assert_allclose(
@@ -522,7 +525,7 @@ class TestIndicatorChecks:
                 sk, form(w1), form(w2), 5, 0.05, 0.1, np.random.default_rng(9)
             )
             observed = sample_observed_edges(sk, form(w1), 0.5, np.random.default_rng(9))
-            runs.append((fill.w2, fill.draws, fill.identifiable, *flows, observed))
+            runs.append((fill.w2, fill.draws, fill.identifiable, flows, observed))
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):
                 np.testing.assert_array_equal(got, want)

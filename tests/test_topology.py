@@ -254,7 +254,7 @@ def _assert_curl_energy(sk, x1, rng):
     """The blocked pass equals the unblocked one bit for bit, on every
     candidate and on a random subset in random order, and the dense
     oracle B2 within 1e-12 relative."""
-    energy = _curl_energy(sk, x1)
+    energy = _curl_energy(sk, x1, np.arange(sk.n_triangles))
     unblocked = _row_energy(triangle_curl(sk, x1))
     assert energy.dtype == unblocked.dtype and np.array_equal(energy, unblocked)
     subset = rng.permutation(sk.n_triangles)[: rng.integers(0, sk.n_triangles + 1)]
