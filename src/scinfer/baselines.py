@@ -104,7 +104,8 @@ def run_sep_scl(
     scored = np.flatnonzero(~zero_curl[:cut])
     curl_energy = np.zeros(skeleton.n_triangles)
     curl_energy[scored] = _curl_energy(skeleton, x1_filled, scored)
-    s2 = _triangle_scores(curl_energy[:cut], missing_edges(skeleton, w1)[:cut], decoupled)
+    # The closure weight is zeroed, so no missing-edge count is needed.
+    s2 = _triangle_scores(curl_energy[:cut], 0, decoupled)
     w2 = np.zeros(skeleton.n_triangles, dtype=np.int8)
     w2[:cut] = select_triangles(s2, params.t_min, bucket_width(x1_filled, decoupled))
 

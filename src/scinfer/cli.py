@@ -10,8 +10,8 @@ Failures exit with status 1 and a single machine-parsable stderr line:
 ``error: invalid-argument: ...``. A missing input is ``missing-file``;
 any other path a command cannot read or write (an existing file where
 ``--out`` or a bundle needs a directory, a directory where a file is
-read or written, a file to write in a missing directory) is
-``invalid-argument``, and the message names the path.
+read or written) is ``invalid-argument``, and the message names the
+path.
 Unknown flags or methods are argparse usage errors (exit status 2).
 """
 
@@ -20,17 +20,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .baselines import METHODS
-from .config import (
-    METHOD_NAMES,
-    load_config,
-    parse_hyperparams,
-    parse_instance,
-    parse_sweep,
-    resolve_budgets,
-)
+from .config import load_config, parse_hyperparams, parse_instance, parse_sweep, resolve_budgets
 from .evaluation import evaluate, run_record
 from .learner import HyperParams
 from .sweep import run_sweep
@@ -62,11 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_learn = sub.add_parser("learn", help="fit a method to a dataset bundle")
     p_learn.add_argument("dataset", help="dataset bundle directory")
-    p_learn.add_argument("--method", choices=METHOD_NAMES, default="GreedySCL")
+    p_learn.add_argument("--method", choices=tuple(METHODS), default="GreedySCL")
     p_learn.add_argument("--config", help="INI file with a [params] section")
     p_learn.add_argument("--out", help="output directory (default: the bundle)")
-    p_learn.add_argument("--e-min", type=int, help="edge budget (default: from ground truth)")
-    p_learn.add_argument("--t-min", type=int, help="triangle budget (default: from ground truth)")
     p_learn.add_argument(
         "--save-x1",
         action="store_true",
@@ -78,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score an estimated complex against a reference")
     p_eval.add_argument("--est", required=True, help="bundle, complex.json or result.json")
     p_eval.add_argument("--truth", required=True, help="bundle, complex.json or result.json")
-    p_eval.add_argument("--out", help="also write the report as JSON")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="run a configured experiment grid")
@@ -109,24 +98,12 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _resolve_params(args, truth) -> HyperParams:
-    if args.config is not None:
-        params = parse_hyperparams(load_config(args.config))
-    else:
-        params = HyperParams()
-    overrides = {}
-    if args.e_min is not None:
-        overrides["e_min"] = args.e_min
-    if args.t_min is not None:
-        overrides["t_min"] = args.t_min
-    return resolve_budgets(replace(params, **overrides), truth)
-
-
 def _cmd_learn(args) -> int:
     if args.save_x1 and args.method == "RC":
         raise ValueError("--save-x1 needs an edge-signal estimate, which RC does not make")
     truth, signals = read_dataset(args.dataset)
-    params = _resolve_params(args, truth.selection)
+    params = HyperParams() if args.config is None else parse_hyperparams(load_config(args.config))
+    params = resolve_budgets(params, truth.selection)
 
     state = METHODS[args.method](
         truth.skeleton, signals.x0, signals.x1_obs, signals.observed_edges, params
@@ -157,14 +134,7 @@ def _cmd_eval(args) -> int:
             f"node count mismatch: estimate has {est_skel.n_nodes}, "
             f"reference has {truth_skel.n_nodes}"
         )
-    report = evaluate(truth_skel, est_sel, truth_sel).to_dict()
-    if args.out is not None:
-        try:
-            write_json(args.out, report)
-        except FileNotFoundError as exc:
-            # main reads FileNotFoundError as a missing input; this is an output.
-            raise ValueError(str(exc)) from exc
-    print(json_text(report), end="")
+    print(json_text(evaluate(truth_skel, est_sel, truth_sel).to_dict()), end="")
     return 0
 
 

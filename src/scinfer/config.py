@@ -22,9 +22,7 @@ from .topology import Selection, _require_int
 
 __all__ = [
     "SweepSpec",
-    "METHOD_NAMES",
     "SWEEP_AXES",
-    "SWEEP_VARIABLES",
     "load_config",
     "parse_instance",
     "parse_hyperparams",
@@ -32,11 +30,8 @@ __all__ = [
     "resolve_budgets",
 ]
 
-METHOD_NAMES = tuple(METHODS)
-
 # The instance fields a sweep may vary, each with its chart's x-axis label.
 SWEEP_AXES = {"node_noise_std": "node signal noise std", "observed_fraction": "observed edge fraction"}
-SWEEP_VARIABLES = tuple(SWEEP_AXES)
 
 _SECTIONS = ("instance", "params", "sweep")
 
@@ -57,10 +52,10 @@ class SweepSpec:
     params: HyperParams
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(
-                f"sweep variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
-            )
+        # Tuples, so an unhashable name is refused like any other.
+        variables, names = tuple(SWEEP_AXES), tuple(METHODS)
+        if self.variable not in variables:
+            raise ValueError(f"sweep variable must be one of {variables}, got {self.variable!r}")
         if len(self.grid) == 0:
             raise ValueError("sweep grid must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -76,8 +71,8 @@ class SweepSpec:
         if len(self.methods) == 0:
             raise ValueError("methods must be nonempty")
         for i, name in enumerate(self.methods):
-            if name not in METHOD_NAMES:
-                raise ValueError(f"unknown method {name!r}, expected one of {METHOD_NAMES}")
+            if name not in names:
+                raise ValueError(f"unknown method {name!r}, expected one of {names}")
             if name in self.methods[:i]:
                 raise ValueError(f"method {name!r} is listed more than once")
 
@@ -174,18 +169,14 @@ def parse_sweep(parser: configparser.ConfigParser) -> SweepSpec:
             raise ValueError(f"[sweep] is missing required key {key!r}")
 
     variable = section["variable"].strip()
-    grid = tuple(_typed("grid", tok, float) for tok in section["grid"].split(",") if tok.strip())
+    grid = tuple(_typed("grid", tok, float) for tok in section["grid"].split(","))
     n_trials = _typed("trials", section["trials"], int) if "trials" in section else 10
     base_seed = _typed("base_seed", section["base_seed"], int) if "base_seed" in section else 0
 
     if "methods" in section:
-        # Names go to their canonical spelling, so SweepSpec refuses unknown
-        # names and repeats in any spelling.
-        canon = {name.lower(): name for name in METHOD_NAMES}
-        tokens = (tok.strip() for tok in section["methods"].split(","))
-        methods = tuple(canon.get(tok.lower(), tok) for tok in tokens if tok)
+        methods = tuple(tok.strip() for tok in section["methods"].split(","))
     else:
-        methods = METHOD_NAMES
+        methods = tuple(METHODS)
 
     instance, _ = parse_instance(parser)
     for key, replacement in (("seed", "base_seed"), (variable, "grid")):

@@ -21,9 +21,9 @@ import pytest
 import scinfer.cli
 import scinfer.sweep
 import scinfer.topology
+from scinfer.baselines import METHODS
 from scinfer.cli import build_parser, main
 from scinfer.config import (
-    METHOD_NAMES,
     SweepSpec,
     load_config,
     parse_hyperparams,
@@ -139,18 +139,10 @@ class TestConfig:
         assert spec.instance.n_nodes == 7
         assert spec.params.t_min is None
 
-    def test_sweep_method_names_canonicalized(self, tmp_path):
-        cfg = write(
-            tmp_path / "a.ini",
-            "[sweep]\nvariable = observed_fraction\ngrid = 0.5\nmethods = greedyscl, sepSCL\n",
-        )
-        spec = parse_sweep(load_config(cfg))
-        assert spec.methods == ("GreedySCL", "SepSCL")
-
-    @pytest.mark.parametrize("methods", ["RC, rc", "GreedySCL, RC, greedyscl", "SepSCL, SepSCL"])
+    @pytest.mark.parametrize("methods", ["SepSCL, SepSCL"])
     def test_sweep_repeated_method(self, tmp_path, methods):
-        """A method listed twice, in any spelling, is refused: run twice,
-        its copies would be pooled into one series with shrunken whiskers."""
+        """A method listed twice is refused: run twice, its copies would be
+        pooled into one series with shrunken whiskers."""
         cfg = write(
             tmp_path / "a.ini",
             f"[sweep]\nvariable = observed_fraction\ngrid = 0.5\nmethods = {methods}\n",
@@ -163,7 +155,7 @@ class TestConfig:
             tmp_path / "a.ini",
             "[sweep]\nvariable = observed_fraction\ngrid = 0.5\nmethods = Magic\n",
         )
-        message = f"unknown method 'Magic', expected one of {METHOD_NAMES}"
+        message = "unknown method 'Magic', expected one of ('GreedySCL', 'SepSCL', 'RC')"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_sweep(load_config(cfg))
 
@@ -420,32 +412,22 @@ class TestLearn:
         assert "eval" in result
 
     def test_budget_flags(self, bundle_dir, tmp_path):
-        # The bundle is fully observed, so e_min must cover all 12
-        # active edges. With no triangles no edge score is negative, so
-        # exactly 13 are kept.
+        # The budgets come from [params]. The bundle is fully observed, so
+        # e_min must cover all 12 active edges. With no triangles no edge
+        # score is negative, so exactly 13 are kept.
+        cfg = write(tmp_path / "p.ini", "[params]\ne_min = 13\nt_min = 0\n")
         out = tmp_path / "run"
-        code = main(
-            [
-                "learn",
-                str(bundle_dir),
-                "--out",
-                str(out),
-                "--e-min",
-                "13",
-                "--t-min",
-                "0",
-            ]
-        )
-        assert code == 0
+        assert main(["learn", str(bundle_dir), "--config", cfg, "--out", str(out)]) == 0
         result = json.loads(read_bytes(out / "result.json"))
         assert len(result["complex"]["edges"]) == 13
         assert result["complex"]["triangles"] == []
 
     def test_rc_rejects_negative_t_min(self, bundle_dir, tmp_path, capsys):
+        cfg = write(tmp_path / "p.ini", "[params]\nt_min = -1\n")
         out = tmp_path / "run"
-        code = main(["learn", str(bundle_dir), "--method", "RC", "--t-min", "-1", "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: invalid-argument: t_min must be in")
+        argv = ["learn", str(bundle_dir), "--method", "RC", "--config", cfg, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: invalid-argument: t_min must be in [0, 35], got -1\n"
         assert not out.exists()
 
     def test_max_iters_rejected_at_parse(self, bundle_dir, tmp_path, capsys):
@@ -474,7 +456,7 @@ class TestLearn:
         assert capsys.readouterr().err.startswith("error: invalid-argument: --save-x1")
         assert not out.exists()
 
-    @pytest.mark.parametrize("method", METHOD_NAMES)
+    @pytest.mark.parametrize("method", list(METHODS))
     def test_closure_key_is_eval_count(self, bundle_dir, tmp_path, method):
         out = tmp_path / "run"
         assert main(["learn", str(bundle_dir), "--method", method, "--out", str(out)]) == 0
@@ -615,26 +597,15 @@ class TestEval:
         assert report["triangle_f1"] == 1.0
 
     def test_result_json_accepted_and_out_written(self, bundle_dir, tmp_path, capsys):
+        """A result.json is read as an estimate, and the printed report is
+        its ``eval`` member."""
         run = tmp_path / "run"
         main(["learn", str(bundle_dir), "--out", str(run)])
         capsys.readouterr()
-        out_file = tmp_path / "report.json"
-        code = main(
-            [
-                "eval",
-                "--est",
-                str(run / "result.json"),
-                "--truth",
-                str(bundle_dir),
-                "--out",
-                str(out_file),
-            ]
-        )
-        assert code == 0
-        on_disk = json.loads(read_bytes(out_file))
+        assert main(["eval", "--est", str(run / "result.json"), "--truth", str(bundle_dir)]) == 0
         printed = json.loads(capsys.readouterr().out)
-        assert on_disk == printed
-        assert set(on_disk) == {
+        assert printed == json.loads(read_bytes(run / "result.json"))["eval"]
+        assert set(printed) == {
             "nerr_l0",
             "nerr_lu",
             "edge_precision",
@@ -781,22 +752,18 @@ class TestFaultyComplexNamesItsFile:
 
 
 def test_every_json_document_is_the_compact_sorted_dump(bundle_dir, tmp_path, capsys):
-    """generate, learn (each method) and eval --out write every JSON file
-    as ``json.dumps(doc, sort_keys=True)`` plus a newline, and eval prints
-    the text of its --out file."""
-    files = [bundle_dir / "complex.json", bundle_dir / "meta.json"]
-    for method in METHOD_NAMES:
+    """generate and learn (each method) write every JSON file, and eval
+    prints its report, as ``json.dumps(doc, sort_keys=True)`` plus a
+    newline."""
+    texts = [read_bytes(bundle_dir / name).decode() for name in ("complex.json", "meta.json")]
+    for method in METHODS:
         run = tmp_path / method
         assert main(["learn", str(bundle_dir), "--method", method, "--out", str(run)]) == 0
-        report = tmp_path / f"{method}.report.json"
         capsys.readouterr()
-        argv = ["eval", "--est", str(run / "result.json"), "--truth", str(bundle_dir)]
-        assert main([*argv, "--out", str(report)]) == 0
-        assert capsys.readouterr().out.encode() == read_bytes(report)
-        files += [run / "result.json", report]
-    for path in files:
-        text = read_bytes(path).decode()
-        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path
+        assert main(["eval", "--est", str(run / "result.json"), "--truth", str(bundle_dir)]) == 0
+        texts += [read_bytes(run / "result.json").decode(), capsys.readouterr().out]
+    for text in texts:
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", text
 
 
 @pytest.mark.parametrize(
@@ -828,31 +795,25 @@ def test_non_finite_config_floats_rejected(command, text, bundle_dir, tmp_path, 
     [
         (["generate", "--config", "{cfg}", "--out", "{file}"], "file"),
         (["learn", "{bundle}", "--out", "{file}"], "file"),
-        (["eval", "--est", "{bundle}", "--truth", "{bundle}", "--out", "{dir}"], "dir"),
         (["generate", "--config", "{dir}", "--out", "{out}"], "dir"),
-        (["eval", "--est", "{bundle}", "--truth", "{bundle}", "--out", "{nodir}"], "nodir"),
         (["learn", "{file}"], "file"),
     ],
     ids=[
         "generate-out-file",
         "learn-out-file",
-        "eval-out-dir",
         "generate-config-dir",
-        "eval-out-missing-dir",
         "learn-dataset-file",
     ],
 )
 def test_unusable_path_is_one_error_line(argv, bad, bundle_dir, tmp_path, capsys):
-    """A path that cannot be used as asked (it exists as the wrong kind, or
-    an output's directory is missing) is an argument error naming it, not
-    a traceback, and nothing is printed before it."""
+    """A path that exists as the wrong kind is an argument error naming
+    it, not a traceback, and nothing is printed before it."""
     paths = {
         "cfg": write(tmp_path / "a.ini", TINY_INSTANCE),
         "file": write(tmp_path / "a.txt", ""),
         "dir": str(tmp_path / "adir"),
         "bundle": str(bundle_dir),
         "out": str(tmp_path / "out"),
-        "nodir": str(tmp_path / "nodir" / "r.json"),
     }
     os.mkdir(paths["dir"])
     assert main([arg.format(**paths) for arg in argv]) == 1
@@ -862,6 +823,21 @@ def test_unusable_path_is_one_error_line(argv, bad, bundle_dir, tmp_path, capsys
     assert err.count("\n") == 1 and err.endswith("\n")
     assert paths[bad] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["learn", "{bundle}", "--e-min", "5"], ["learn", "{bundle}", "--t-min", "3"],
+     ["eval", "--est", "{bundle}", "--truth", "{bundle}", "--out", "{out}"]],
+    ids=["learn-e-min", "learn-t-min", "eval-out"],
+)
+def test_removed_options_are_usage_errors(bundle_dir, tmp_path, argv):
+    """The budgets are set in [params] only, and eval prints its report only."""
+    paths = {"bundle": str(bundle_dir), "out": str(tmp_path / "r.json")}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    assert not os.path.exists(paths["out"])
 
 
 def run_fresh(*args):
@@ -899,7 +875,8 @@ class TestOneParser:
 
     def test_budgets_do_not_leak_between_calls(self, bundle_dir, tmp_path, capsys):
         a, b, fresh = (str(tmp_path / name) for name in ("a", "b", "fresh"))
-        assert main(["learn", str(bundle_dir), "--method", "RC", "--e-min", "5", "--out", a]) == 0
+        cfg = write(tmp_path / "p.ini", "[params]\ne_min = 5\n")
+        assert main(["learn", str(bundle_dir), "--method", "RC", "--config", cfg, "--out", a]) == 0
         assert main(["learn", str(bundle_dir), "--method", "RC", "--out", b]) == 0
         run_fresh("-m", "scinfer.cli", "learn", str(bundle_dir), "--method", "RC", "--out", fresh)
         assert result_without_seconds(b) == result_without_seconds(fresh)
@@ -971,10 +948,24 @@ class TestSweep:
              "key 'node_noise_std' in [instance] is unused by a sweep; [sweep] grid sets it"),
             ("variable = observed_fraction\ngrid = 0.5", "n_nodes = 6\nobserved_fraction = 1",
              "", "key 'observed_fraction' in [instance] is unused by a sweep; [sweep] grid sets it"),
+            ("variable = node_noise_std\ngrid = 0.5,,0.9", "n_nodes = 6", "",
+             "key 'grid': cannot parse '' as float\n"),
+            ("variable = node_noise_std\ngrid = 0.5, 0.9,", "n_nodes = 6", "",
+             "key 'grid': cannot parse '' as float\n"),
+            ("variable = node_noise_std\ngrid =", "n_nodes = 6", "",
+             "key 'grid': cannot parse '' as float\n"),
+            ("variable = node_noise_std\ngrid = 0\nmethods = RC,,SepSCL", "n_nodes = 6", "",
+             "unknown method '', expected one of ('GreedySCL', 'SepSCL', 'RC')\n"),
+            ("variable = node_noise_std\ngrid = 0\nmethods = RC, SepSCL,", "n_nodes = 6", "",
+             "unknown method '', expected one of ('GreedySCL', 'SepSCL', 'RC')\n"),
+            ("variable = node_noise_std\ngrid = 0\nmethods = greedyscl", "n_nodes = 6", "",
+             "unknown method 'greedyscl', expected one of ('GreedySCL', 'SepSCL', 'RC')\n"),
         ],
         ids=["noise-grid", "observed-grid", "base-seed", "n-nodes", "edge-prob",
              "fill-fraction", "curl-atten", "e-min-negative", "e-min-above", "t-min-above",
-             "max-iters", "beta2-negative", "instance-seed", "instance-noise", "instance-observed"],
+             "max-iters", "beta2-negative", "instance-seed", "instance-noise", "instance-observed",
+             "grid-empty-token", "grid-trailing-comma", "grid-empty", "methods-empty-token",
+             "methods-trailing-comma", "methods-lowercase"],
     )
     def test_out_of_range_grid_rejected_at_parse(
         self, tmp_path, capsys, sweep, instance, params, prefix
@@ -1193,11 +1184,14 @@ def _readme() -> str:
 
 
 def test_readme_matches_cli_and_config():
-    """Every flag of README's ``scinfer learn`` examples parses, and every
+    """Every README example of the four subcommands parses, and every
     InstanceParams and HyperParams field is named in README."""
     readme = _readme()
-    examples = [line for line in readme.splitlines() if line.startswith("scinfer learn ")]
-    assert examples
+    examples = [
+        line for line in readme.splitlines()
+        if re.match(r"scinfer (generate|learn|eval|sweep) ", line)
+    ]
+    assert {line.split()[1] for line in examples} == {"generate", "learn", "eval", "sweep"}
     for line in examples:
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
     names = [f.name for cls in (InstanceParams, HyperParams) for f in dataclasses.fields(cls)]
