@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a synthetic dataset bundle")
     p_gen.add_argument("--config", help="INI file with an [instance] section")
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--seed", type=int, help="override the config seed")
+    p_gen.add_argument("--seed", type=int, default=0, help="generation seed (default: 0)")
     p_gen.set_defaults(func=_cmd_generate)
 
     p_learn = sub.add_parser("learn", help="fit a method to a dataset bundle")
@@ -79,13 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    if args.config is not None:
-        instance, seed = parse_instance(load_config(args.config))
-    else:
-        instance, seed = InstanceParams(), 0
-    if args.seed is not None:
-        seed = args.seed
-    truth, signals = generate_instance(instance, seed)
+    instance = InstanceParams() if args.config is None else parse_instance(load_config(args.config))
+    truth, signals = generate_instance(instance, args.seed)
     write_dataset(args.out, truth, signals)
     print(
         f"wrote dataset to {args.out} "

@@ -1,12 +1,13 @@
 """INI config parsing for the CLI and the sweep harness.
 
 A config file holds up to three sections. ``[instance]`` maps onto
-InstanceParams plus a ``seed`` key, ``[params]`` onto HyperParams where
-the budgets accept the literal ``auto`` (derive from ground truth), and
-``[sweep]`` describes an experiment grid. The keys of the first two and
-their value types are read off the dataclass fields, and float values
-must be finite. Unknown sections or keys are rejected by name so typos
-fail loudly instead of silently applying a default.
+InstanceParams (the seed is ``generate --seed``, default 0),
+``[params]`` onto HyperParams where the budgets accept the literal
+``auto`` (derive from ground truth), and ``[sweep]`` describes an
+experiment grid. The keys of the first two and their value types are
+read off the dataclass fields, and float values must be finite.
+Unknown sections or keys are rejected by name so typos fail loudly
+instead of silently applying a default.
 """
 
 from __future__ import annotations
@@ -129,15 +130,9 @@ def _build(cls, name: str, section: dict):
     return cls(**{key: _typed(key, raw, kinds[key]) for key, raw in section.items()})
 
 
-def parse_instance(parser: configparser.ConfigParser) -> tuple[InstanceParams, int]:
-    """Build InstanceParams (plus the generation seed) from ``[instance]``.
-
-    A missing section yields all defaults with seed 0.
-    """
-    section = _section(parser, "instance")
-    seed = section.pop("seed", None)
-    instance = _build(InstanceParams, "instance", section)
-    return instance, 0 if seed is None else _typed("seed", seed, int)
+def parse_instance(parser: configparser.ConfigParser) -> InstanceParams:
+    """Build InstanceParams from ``[instance]``; a missing section yields the defaults."""
+    return _build(InstanceParams, "instance", _section(parser, "instance"))
 
 
 def parse_hyperparams(parser: configparser.ConfigParser) -> HyperParams:
@@ -157,7 +152,7 @@ def resolve_budgets(params: HyperParams, truth: Selection) -> HyperParams:
 
 def parse_sweep(parser: configparser.ConfigParser) -> SweepSpec:
     """Build a SweepSpec from ``[sweep]`` plus the other two sections;
-    ``[instance]`` may not set ``seed`` or the swept variable."""
+    ``[instance]`` may not set the swept variable."""
     if not parser.has_section("sweep"):
         raise ValueError("config has no [sweep] section")
     section = parser["sweep"]
@@ -178,12 +173,9 @@ def parse_sweep(parser: configparser.ConfigParser) -> SweepSpec:
     else:
         methods = tuple(METHODS)
 
-    instance, _ = parse_instance(parser)
-    for key, replacement in (("seed", "base_seed"), (variable, "grid")):
-        if key in _section(parser, "instance"):
-            raise ValueError(
-                f"key {key!r} in [instance] is unused by a sweep; [sweep] {replacement} sets it"
-            )
+    instance = parse_instance(parser)
+    if variable in _section(parser, "instance"):
+        raise ValueError(f"key {variable!r} in [instance] is unused by a sweep; [sweep] grid sets it")
     params = parse_hyperparams(parser)
     return SweepSpec(
         variable=variable,

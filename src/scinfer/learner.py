@@ -86,10 +86,10 @@ __all__ = [
 # at 40 nodes and the default weights): delta is about 4e-13. A curl sums
 # three edge rows, each off by at most delta * sqrt(M), and has norm at
 # most 3 * sqrt(M), so its energy is off by at most about 18 * delta * M:
-# 7e-12 * M, which the bucket width of at least 9e-9 * beta2 * M clears by
-# three orders of magnitude. On the shipped sweeps, scores from two
-# different solves of the same system differ by at most 4e-14 of the
-# largest.
+# 7e-12 * M, 8e-4 of the bucket width of at least 9e-9 * beta2 * M. On the
+# shipped sweeps, two solves of one system give scores at most 4e-14 of
+# the largest apart, and every key in a cut bucket or the next lies at
+# least 7.3e-3 widths from a bucket boundary (k + 1/2).
 SCORE_QUANTUM = 1e-9
 
 # Iteration cap of ``run_greedy_scl``: a safety bound, not part of the
@@ -188,10 +188,12 @@ def select_triangles(scores: np.ndarray, t_min: int, q: float) -> np.ndarray:
 
     The ranking key is ``np.round(scores / q)`` for the bucket width
     ``q`` that ``bucket_width`` gives for the signals the scores came
-    from, and equal keys go to the lowest candidate index. Scores that
-    agree to within rounding error therefore tie exactly, and the index
-    decides, not the last bits of the solve. Scores further apart than
-    ``q`` keep their order, so the objective is within ``t_min * q`` of
+    from, and equal keys go to the lowest candidate index. Two scores
+    that differ by a rounding error e share a key, and the index decides,
+    when both lie more than e from every bucket boundary ``(k + 1/2) * q``
+    (``SCORE_QUANTUM`` bounds e and says how far the shipped runs sit from
+    one); two that straddle a boundary keep their order, as do scores
+    further apart than ``q``, so the objective is within ``t_min * q`` of
     the block minimum. ``q = 0`` ranks the scores themselves.
     """
     scores = np.asarray(scores, dtype=np.float64)
@@ -302,10 +304,14 @@ def interpolate_edge_signals(
     from an eigendecomposition of the |U| x |U| block that keeps the
     eigenvalues ``topology._rank_mask`` keeps. x_O solves the
     Schur complement A_OO - A_OU A_UU^+ A_UO, which is at least
-    ``eta * I``. The blocks A_UU, A_UO and A_OO are scattered from the
-    active triangles (``_gram_blocks``). With ``eta = 0`` the right-hand
-    side vanishes and the result is all zero; with no active triangle on
-    an observed edge no solve runs.
+    ``eta * I`` in exact arithmetic. The blocks A_UU, A_UO and A_OO are
+    scattered from the active triangles (``_gram_blocks``). With
+    ``eta = 0`` the right-hand side vanishes and the result is all zero;
+    with no active triangle on an observed edge no solve runs. In floating
+    point an ``eta`` far below ``beta2`` is lost to rounding: on 20-node
+    instances at ``beta2 = 1`` the largest flow was 0.48-0.55 at ``eta >=
+    1e-14`` but up to 52 at 2e-16 to 5e-16, and at ``eta <= 1e-16`` the
+    solve fails with a ValueError naming ``eta`` and ``beta2``.
     """
     w2a, active_t = _active_indices(w2, skeleton.n_triangles, "w2")
     obs = check_observed_edges(skeleton.n_edges, observed_edges)
@@ -335,7 +341,13 @@ def interpolate_edge_signals(
     h = root_inv[:, None] * (eigvecs.T @ (params.beta2 * g_uo))
     schur = params.beta2 * g_oo - h.T @ h
     schur[np.diag_indices_from(schur)] += params.eta
-    x_o = np.linalg.solve(schur, params.eta * x1o[coupled])
+    try:
+        x_o = np.linalg.solve(schur, params.eta * x1o[coupled])
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"interpolation system is singular in floating point: eta={params.eta!r} "
+            f"is lost to rounding against beta2={params.beta2!r}"
+        ) from None
 
     x1_est[o_rows] = x_o
     x1_est[u_rows] = -eigvecs @ (root_inv[:, None] * (h @ x_o))

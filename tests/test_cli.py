@@ -51,7 +51,6 @@ fill_fraction = 0.5
 n_node_signals = 40
 n_edge_signals = 40
 observed_fraction = 1.0
-seed = 11
 """
 
 TINY_SWEEP = """
@@ -76,11 +75,11 @@ t_min = auto
 class TestConfig:
     def test_instance_section(self, tmp_path):
         cfg = write(tmp_path / "a.ini", TINY_INSTANCE)
-        instance, seed = parse_instance(load_config(cfg))
+        instance = parse_instance(load_config(cfg))
+        assert isinstance(instance, InstanceParams)
         assert instance.n_nodes == 7
         assert instance.edge_prob == 0.6
         assert instance.observed_fraction == 1.0
-        assert seed == 11
 
     def test_missing_sections_give_defaults(self, tmp_path):
         cfg = write(tmp_path / "a.ini", "[instance]\nn_nodes = 5\n")
@@ -207,7 +206,7 @@ class TestConfig:
             # inside [0, 1].
             value = default + 1 if isinstance(default, int) else default / 3 + 0.1
             text = repr(value)
-        parse = {"instance": lambda p: parse_instance(p)[0], "params": parse_hyperparams}[section]
+        parse = {"instance": parse_instance, "params": parse_hyperparams}[section]
         cfg = write(tmp_path / "a.ini", f"[{section}]\n{field.name} = {text}\n")
         parsed = getattr(parse(load_config(cfg)), field.name)
         assert parsed == value
@@ -237,7 +236,8 @@ class TestGenerate:
     def test_bundle_files_and_determinism(self, tmp_path, capsys):
         cfg = write(tmp_path / "a.ini", TINY_INSTANCE)
         for sub in ("d1", "d2"):
-            assert main(["generate", "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+            argv = ["generate", "--config", cfg, "--out", str(tmp_path / sub), "--seed", "11"]
+            assert main(argv) == 0
         names = ["complex.json", "meta.json", "observed_edges.npy", "x0.npy", "x1_obs.npy"]
         assert sorted(os.listdir(tmp_path / "d1")) == names
         for name in names:
@@ -253,12 +253,13 @@ class TestGenerate:
         seed 11 passes the span test, and the summary says so."""
         text = TINY_INSTANCE.replace("n_nodes = 7", "n_nodes = 8").replace("0.6", "1.0")
         cfg = write(tmp_path / "a.ini", text)
-        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+        argv = ["generate", "--config", cfg, "--out", str(tmp_path / "d"), "--seed", "11"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert out.endswith(" fill_draws=200 fill_identifiable=False\n")
 
     def test_default_config_bundle_matches_golden(self, tmp_path, capsys):
-        """``scinfer generate --config configs/generate_default.ini`` prints
+        """``scinfer generate --config configs/generate_default.ini --seed 1`` prints
         its summary and writes the files pinned in
         ``tests/golden/generate_default.sha256``, made like the sweep
         goldens; x0.npy and x1_obs.npy are left out because their last bits
@@ -266,7 +267,7 @@ class TestGenerate:
         root = os.path.join(os.path.dirname(__file__), os.pardir)
         out = tmp_path / "default"
         cfg = os.path.join(root, "configs", "generate_default.ini")
-        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["generate", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
         assert capsys.readouterr().out == (
             f"wrote dataset to {out} (nodes=20, edges=75, triangles=34, observed=60) "
             "fill_draws=110 fill_identifiable=True\n"
@@ -277,10 +278,14 @@ class TestGenerate:
                 assert hashlib.sha256(read_bytes(out / name)).hexdigest() == digest, name
 
     def test_seed_flag_changes_bundle(self, tmp_path):
+        """Bundles differ by ``--seed``, which defaults to 0."""
         cfg = write(tmp_path / "a.ini", TINY_INSTANCE)
-        main(["generate", "--config", cfg, "--out", str(tmp_path / "d1")])
-        main(["generate", "--config", cfg, "--out", str(tmp_path / "d2"), "--seed", "12"])
-        assert read_bytes(tmp_path / "d1" / "x0.npy") != read_bytes(tmp_path / "d2" / "x0.npy")
+        runs = {"d1": ["--seed", "11"], "d2": ["--seed", "12"], "unset": [], "d0": ["--seed", "0"]}
+        for sub, flags in runs.items():
+            assert main(["generate", "--config", cfg, "--out", str(tmp_path / sub), *flags]) == 0
+        x0 = {sub: read_bytes(tmp_path / sub / "x0.npy") for sub in runs}
+        assert x0["d1"] != x0["d2"]
+        assert x0["unset"] == x0["d0"]
 
     def test_impossible_graph_fails_cleanly(self, tmp_path, capsys):
         cfg = write(
@@ -351,17 +356,17 @@ class TestGenerate:
 
 
     @pytest.mark.parametrize(
-        "config, flags, seed",
-        [("[instance]\nn_nodes = 6\nseed = -3\n", [], -3),
-         ("[instance]\nn_nodes = 6\n", ["--seed", "-4"], -4)],
+        "config, flags, message",
+        [("[instance]\nn_nodes = 6\nseed = 3\n", [], "unknown key 'seed' in [instance]"),
+         ("[instance]\nn_nodes = 6\n", ["--seed", "-4"], "seed must be >= 0, got -4")],
         ids=["config-seed", "seed-flag"],
     )
-    def test_negative_seed_named(self, tmp_path, capsys, config, flags, seed):
+    def test_negative_seed_named(self, tmp_path, capsys, config, flags, message):
+        """Only ``--seed`` sets the seed; ``[instance]`` has no such key."""
         cfg = write(tmp_path / "a.ini", config)
         out = tmp_path / "d"
         assert main(["generate", "--config", cfg, "--out", str(out), *flags]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: invalid-argument: seed must be >= 0, got {seed}\n"
+        assert capsys.readouterr().err == f"error: invalid-argument: {message}\n"
         assert not out.exists()
 
 
@@ -370,7 +375,7 @@ def bundle_dir(tmp_path_factory):
     """A small noiseless fully observed bundle, generated once."""
     root = tmp_path_factory.mktemp("bundle")
     cfg = write(root / "a.ini", TINY_INSTANCE)
-    assert main(["generate", "--config", cfg, "--out", str(root / "ds")]) == 0
+    assert main(["generate", "--config", cfg, "--out", str(root / "ds"), "--seed", "11"]) == 0
     return root / "ds"
 
 
@@ -793,7 +798,7 @@ def test_non_finite_config_floats_rejected(command, text, bundle_dir, tmp_path, 
 @pytest.mark.parametrize(
     "argv, bad",
     [
-        (["generate", "--config", "{cfg}", "--out", "{file}"], "file"),
+        (["generate", "--config", "{cfg}", "--out", "{file}", "--seed", "11"], "file"),
         (["learn", "{bundle}", "--out", "{file}"], "file"),
         (["generate", "--config", "{dir}", "--out", "{out}"], "dir"),
         (["learn", "{file}"], "file"),
@@ -943,7 +948,7 @@ class TestSweep:
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6", "beta2 = -5",
              "beta2 must be >= 0 and finite, got -5.0"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nseed = 12345", "",
-             "key 'seed' in [instance] is unused by a sweep; [sweep] base_seed sets it"),
+             "unknown key 'seed' in [instance]"),
             ("variable = node_noise_std\ngrid = 0", "n_nodes = 6\nnode_noise_std = 0.7", "",
              "key 'node_noise_std' in [instance] is unused by a sweep; [sweep] grid sets it"),
             ("variable = observed_fraction\ngrid = 0.5", "n_nodes = 6\nobserved_fraction = 1",
@@ -1202,7 +1207,7 @@ def test_readme_instance_block_is_the_defaults(tmp_path):
     """README's ``[instance]`` block parses to the defaults it claims to show."""
     block = re.search(r"```ini\n(\[instance\]\n.*?)```", _readme(), re.S)
     cfg = write(tmp_path / "readme.ini", block.group(1))
-    assert parse_instance(load_config(cfg)) == (InstanceParams(), 0)
+    assert parse_instance(load_config(cfg)) == InstanceParams()
 
 
 def test_readme_params_list_is_the_fields():

@@ -1,6 +1,7 @@
 """Learner tests: hand examples, exhaustive-search oracles, and the
 block-coordinate loop contracts."""
 
+import re
 import time
 
 import numpy as np
@@ -152,6 +153,14 @@ class TestSelectTriangles:
         np.testing.assert_array_equal(select_triangles(scores, 1, 3e-8), [0, 1, 0, 0])
         scores[1] = 0.08 * (1 + 1e-6)
         np.testing.assert_array_equal(select_triangles(scores, 1, 3e-8), [0, 0, 1, 0])
+
+    def test_scores_straddling_a_bucket_boundary_keep_their_order(self):
+        # (2.5 + 1e-12) q and (2.5 - 1e-12) q agree to within rounding
+        # error but lie on either side of the boundary 2.5 q, so they get
+        # keys 3 and 2 and the smaller score wins, not the lower index.
+        q = 0.5
+        scores = np.array([(2.5 + 1e-12) * q, (2.5 - 1e-12) * q])
+        np.testing.assert_array_equal(select_triangles(scores, 1, q), [0, 1])
 
     def test_all_zero_scores_rank_by_index(self):
         for q in (0.0, 1e-9):
@@ -519,6 +528,17 @@ class TestInterpolation:
         x1o[1, 2] = bad
         with pytest.raises(ValueError, match="x1_obs has non-finite entries"):
             interpolate_edge_signals(sk, w2, obs, x1o, HyperParams())
+
+    def test_eta_lost_to_rounding_is_named(self):
+        """One triangle with its three edges observed: beta2 * B2 B2^T + eta * I
+        rounds to the singular B2 B2^T, and the error names both weights."""
+        sk = build_skeleton(3)
+        x1o = np.random.default_rng(9).standard_normal((3, 2))
+        obs = np.arange(3, dtype=np.int64)
+        for eta in (1e-300, 5e-324):
+            message = f"singular in floating point: eta={eta!r} is lost to rounding against beta2=1.0"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                interpolate_edge_signals(sk, np.ones(1), obs, x1o, HyperParams(eta=eta))
 
     def test_requires_observations(self):
         sk = build_skeleton(4)
