@@ -89,7 +89,10 @@ __all__ = [
 # 7e-12 * M, 8e-4 of the bucket width of at least 9e-9 * beta2 * M. On the
 # shipped sweeps, two solves of one system give scores at most 4e-14 of
 # the largest apart, and every key in a cut bucket or the next lies at
-# least 7.3e-3 widths from a bucket boundary (k + 1/2).
+# least 7.3e-3 widths from a bucket boundary (k + 1/2). The score error
+# beta2 * 18 * delta * M reaches one width once kappa > SCORE_QUANTUM * 2**52 / m,
+# m = C(n_nodes, 2), i.e. once 0 < eta < n_nodes * beta2 / (that bound - 1), which
+# interpolation refuses (``_eta_floor``): 6.9e-3 * beta2 at 40 nodes, 8.4e-4 * beta2 at 20.
 SCORE_QUANTUM = 1e-9
 
 # Iteration cap of ``run_greedy_scl``: a safety bound, not part of the
@@ -280,6 +283,12 @@ def select_edges(scores: np.ndarray, observed_edges, e_min: int) -> np.ndarray:
     return w1
 
 
+def _eta_floor(n_nodes: int, beta2: float) -> float:
+    """The least positive ``eta`` that interpolation accepts (see ``SCORE_QUANTUM``)."""
+    m = n_nodes * (n_nodes - 1) // 2
+    return n_nodes * beta2 / (SCORE_QUANTUM * 2.0**52 / m - 1.0)
+
+
 def interpolate_edge_signals(
     skeleton: ComplexSkeleton,
     w2,
@@ -308,10 +317,11 @@ def interpolate_edge_signals(
     scattered from the active triangles (``_gram_blocks``). With
     ``eta = 0`` the right-hand side vanishes and the result is all zero;
     with no active triangle on an observed edge no solve runs. In floating
-    point an ``eta`` far below ``beta2`` is lost to rounding: on 20-node
+    point an ``eta`` far below ``beta2`` is lost to rounding (on 20-node
     instances at ``beta2 = 1`` the largest flow was 0.48-0.55 at ``eta >=
-    1e-14`` but up to 52 at 2e-16 to 5e-16, and at ``eta <= 1e-16`` the
-    solve fails with a ValueError naming ``eta`` and ``beta2``.
+    1e-14`` but up to 52 at 2e-16 to 5e-16), so a positive ``eta`` under
+    ``_eta_floor`` raises a ValueError naming ``eta``, ``beta2``, ``n_nodes``
+    and the floor: about 6.9e-3 * beta2 at 40 nodes and 8.4e-4 * beta2 at 20.
     """
     w2a, active_t = _active_indices(w2, skeleton.n_triangles, "w2")
     obs = check_observed_edges(skeleton.n_edges, observed_edges)
@@ -320,6 +330,12 @@ def interpolate_edge_signals(
     _check_rows(("x1_obs", x1_obs, obs.size))
     _check_finite(("x1_obs", x1_obs))
     x1o = np.asarray(x1_obs, dtype=np.float64)
+    floor = _eta_floor(skeleton.n_nodes, params.beta2)
+    if 0.0 < params.eta < floor:
+        raise ValueError(
+            f"eta={params.eta} is below its rounding floor {floor} for beta2={params.beta2} "
+            f"at n_nodes={skeleton.n_nodes}: a smaller eta is lost to rounding in the interpolation"
+        )
 
     x1_est = np.zeros((skeleton.n_edges, x1o.shape[1]))
     if params.eta == 0.0:

@@ -45,8 +45,6 @@ __all__ = [
     "Selection",
     "HodgeParts",
     "build_skeleton",
-    "edge_index",
-    "triangle_index",
     "make_selection",
     "node_laplacian",
     "hodge_decompose",
@@ -230,24 +228,6 @@ def _triangle_rank(n: int, i, j, k):
     return (n * (n - 1) * (n - 2) - m * (m - 1) * (m - 2)) // 6 + _edge_rank(
         m - 1, j - i - 1, k - i - 1
     )
-
-
-def edge_index(skeleton: ComplexSkeleton, i: int, j: int) -> int:
-    """Candidate-list position of edge ``(i, j)``, integer vertices ``i < j``."""
-    for v in (i, j):
-        _require_int("vertex", v)
-    if not (0 <= i < j < skeleton.n_nodes):
-        raise ValueError(f"invalid edge ({i}, {j}) for {skeleton.n_nodes} nodes")
-    return int(_edge_rank(skeleton.n_nodes, int(i), int(j)))
-
-
-def triangle_index(skeleton: ComplexSkeleton, i: int, j: int, k: int) -> int:
-    """Candidate-list position of triangle ``(i, j, k)``, integer vertices ``i < j < k``."""
-    for v in (i, j, k):
-        _require_int("vertex", v)
-    if not (0 <= i < j < k < skeleton.n_nodes):
-        raise ValueError(f"invalid triangle ({i}, {j}, {k}) for {skeleton.n_nodes} nodes")
-    return int(_triangle_rank(skeleton.n_nodes, int(i), int(j), int(k)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ from scinfer.learner import (
 from scinfer.synth import InstanceParams, generate_instance
 from scinfer.topology import (
     _curl_energy,
+    _edge_rank,
     _row_energy,
+    _triangle_rank,
     build_skeleton,
     edge_gradient,
-    edge_index,
     missing_edges,
     prune_open_triangles,
-    triangle_index,
 )
 
 
@@ -244,10 +244,10 @@ class TestRc:
         sel = _rc(sk, x0, 6, sk.n_triangles)
         # the block {0,1,2,3} is a 4-clique: all four triangles fill
         expected_tris = {
-            triangle_index(sk, 0, 1, 2),
-            triangle_index(sk, 0, 1, 3),
-            triangle_index(sk, 0, 2, 3),
-            triangle_index(sk, 1, 2, 3),
+            _triangle_rank(6, 0, 1, 2),
+            _triangle_rank(6, 0, 1, 3),
+            _triangle_rank(6, 0, 2, 3),
+            _triangle_rank(6, 1, 2, 3),
         }
         assert set(np.flatnonzero(sel.w2).tolist()) == expected_tris
         capped = _rc(sk, x0, 6, 2)
@@ -275,7 +275,7 @@ class TestRc:
         x0 = rng.standard_normal((4, 20))
         x0[3] = x0[2]
         sel = _rc(sk, x0, 1, sk.n_triangles)
-        assert np.flatnonzero(sel.w1).tolist() == [edge_index(sk, 2, 3)]
+        assert np.flatnonzero(sel.w1).tolist() == [_edge_rank(4, 2, 3)]
 
     def test_output_always_closed(self):
         sk = build_skeleton(7)

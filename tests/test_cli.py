@@ -454,6 +454,20 @@ class TestLearn:
         assert capsys.readouterr().err.startswith("error: invalid-argument: eta must be")
         assert not out.exists()
 
+    def test_eta_below_its_floor_is_one_error_line(self, bundle_dir, tmp_path, capsys):
+        """GreedySCL's interpolation refuses an ``eta`` under its rounding
+        floor before anything is written."""
+        cfg = write(tmp_path / "p.ini", "[params]\neta = 2e-16\n")
+        out = tmp_path / "run"
+        argv = ["learn", str(bundle_dir), "--method", "GreedySCL", "--config", cfg, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-argument: eta=2e-16 is below its rounding floor ")
+        assert err.endswith("for beta2=1.0 at n_nodes=7: a smaller eta is lost to rounding "
+                            "in the interpolation\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_rc_rejects_save_x1(self, bundle_dir, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["learn", str(bundle_dir), "--method", "RC", "--save-x1", "--out", str(out)])
@@ -674,8 +688,8 @@ class TestEval:
             ),
             (
                 {"n_nodes": 4, "edges": [], "triangles": []},
-                {"n_nodes": 41, "edges": [], "triangles": []},
-                "{truth}: n_nodes must be in [2, %d], got 41" % MAX_NODES,
+                {"n_nodes": MAX_NODES + 1, "edges": [], "triangles": []},
+                f"{{truth}}: n_nodes must be in [2, {MAX_NODES}], got {MAX_NODES + 1}",
             ),
             (
                 {"n_nodes": 4, "edges": [], "triangles": []},

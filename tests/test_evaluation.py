@@ -13,10 +13,10 @@ from scinfer.evaluation import evaluate
 from scinfer.synth import InstanceParams, generate_instance
 from scinfer.topology import (
     Selection,
+    _edge_rank,
+    _triangle_rank,
     build_skeleton,
-    edge_index,
     make_selection,
-    triangle_index,
 )
 
 
@@ -56,11 +56,11 @@ class TestNerr:
             w1 = np.zeros_like(sel.w1)
             for idx in np.flatnonzero(sel.w1):
                 i, j = sorted(int(perm[v]) for v in sk.edges[idx])
-                w1[edge_index(sk, i, j)] = 1
+                w1[_edge_rank(sk.n_nodes, i, j)] = 1
             w2 = np.zeros_like(sel.w2)
             for idx in np.flatnonzero(sel.w2):
                 i, j, k = sorted(int(perm[v]) for v in sk.triangles[idx])
-                w2[triangle_index(sk, i, j, k)] = 1
+                w2[_triangle_rank(sk.n_nodes, i, j, k)] = 1
             return make_selection(sk, w1, w2)
 
         base = evaluate(sk, est, truth)

@@ -41,11 +41,11 @@ from scinfer.topology import (
     _curl_energy,
     _gram_blocks,
     _row_energy,
+    _triangle_rank,
     build_skeleton,
     edge_coverage,
     edge_gradient,
     missing_edges,
-    triangle_index,
 )
 
 
@@ -267,7 +267,7 @@ class TestTieredSelection:
         np.testing.assert_allclose(scores, [1.5, 1.0, 1.0, 3.5])
         got = _select_by_tier(_CurlMemo(sk, x1), w1, params, q, 1)
         np.testing.assert_array_equal(got, [0, 1, 0, 0])
-        assert triangle_index(sk, 0, 1, 3) == 1
+        assert _triangle_rank(sk.n_nodes, 0, 1, 3) == 1
 
     def test_stops_at_the_first_tier_that_decides_the_cut(self):
         """With gamma = 10 and small curls, a budget the complete
@@ -483,7 +483,7 @@ class TestInterpolation:
         obs = np.array([0, 1, 2], dtype=np.int64)  # edges (0,1), (0,2), (0,3)
         w2 = np.zeros(sk.n_triangles, dtype=np.int8)
         if case == "no-observed-triangle":
-            w2[[triangle_index(sk, 1, 2, 3), triangle_index(sk, 3, 4, 5)]] = 1
+            w2[[_triangle_rank(6, 1, 2, 3), _triangle_rank(6, 3, 4, 5)]] = 1
         x1o = np.random.default_rng(8).standard_normal((obs.size, 4))
         params = HyperParams(eta=0.0) if case == "eta-0" else HyperParams()
         want = pinv_interpolation(
@@ -531,14 +531,69 @@ class TestInterpolation:
 
     def test_eta_lost_to_rounding_is_named(self):
         """One triangle with its three edges observed: beta2 * B2 B2^T + eta * I
-        rounds to the singular B2 B2^T, and the error names both weights."""
+        rounds to the singular B2 B2^T, and an ``eta`` that small is refused
+        before the solve, naming both weights, the size and the floor."""
         sk = build_skeleton(3)
         x1o = np.random.default_rng(9).standard_normal((3, 2))
         obs = np.arange(3, dtype=np.int64)
+        floor = learner._eta_floor(3, 1.0)
         for eta in (1e-300, 5e-324):
-            message = f"singular in floating point: eta={eta!r} is lost to rounding against beta2=1.0"
-            with pytest.raises(ValueError, match=re.escape(message)):
+            message = (
+                f"eta={eta} is below its rounding floor {floor} for beta2=1.0 at "
+                "n_nodes=3: a smaller eta is lost to rounding in the interpolation"
+            )
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 interpolate_edge_signals(sk, np.ones(1), obs, x1o, HyperParams(eta=eta))
+
+    @pytest.mark.parametrize("n", [3, 20, 40])
+    def test_eta_floor(self, n, monkeypatch):
+        """The floor is the ``eta`` at which ``SCORE_QUANTUM``'s worst-case
+        score error, 18 * kappa * m * 2**-53 * beta2 * M with kappa = 1 +
+        n * beta2 / eta and m = C(n, 2), reaches the smallest bucket width
+        9 * SCORE_QUANTUM * beta2 * M. On every candidate triangle with every
+        edge observed, the floor is accepted, the float below it refused,
+        and ``eta = 0`` still gives zeros without a solve."""
+        m = n * (n - 1) // 2
+        for beta2 in (0.5, 1.0, 4.0):
+            kappa = 1 + n * beta2 / learner._eta_floor(n, beta2)
+            error = 18 * kappa * m * 2.0**-53 * beta2
+            assert error == pytest.approx(9 * learner.SCORE_QUANTUM * beta2, rel=1e-12)
+        assert learner._eta_floor(n, 0.0) == 0.0
+        assert learner._eta_floor(n, 1.0) == pytest.approx(
+            {3: 2.0e-6, 20: 8.44e-4, 40: 6.93e-3}[n], rel=2e-3
+        )
+
+        sk = build_skeleton(n)
+        obs = np.arange(sk.n_edges, dtype=np.int64)
+        w2 = np.ones(sk.n_triangles, dtype=np.int8)
+        x1o = np.random.default_rng(n).standard_normal((sk.n_edges, 2))
+        floor = learner._eta_floor(n, 1.0)
+        got = interpolate_edge_signals(sk, w2, obs, x1o, HyperParams(eta=floor))
+        assert np.isfinite(got).all() and got.any()
+        below = float(np.nextafter(floor, 0.0))
+        message = f"eta={below} is below its rounding floor {floor} "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            interpolate_edge_signals(sk, w2, obs, x1o, HyperParams(eta=below))
+        for name in ("eigh", "solve"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name: pytest.fail(f"{_n} called"))
+        got = interpolate_edge_signals(sk, w2, obs, x1o, HyperParams(eta=0.0))
+        np.testing.assert_array_equal(got, np.zeros((sk.n_edges, 2)))
+
+    def test_eta_in_the_wrong_flow_range_is_refused(self):
+        """At the true triangles of this 20-node instance, ``eta = 2e-16``
+        gave a largest flow of up to 52, against 0.48-0.55 at ``eta >=
+        1e-14``, without a word; it is under the floor."""
+        truth, signals = generate_instance(InstanceParams(node_noise_std=0.1), 1000)
+        sk = truth.skeleton
+        floor = learner._eta_floor(20, 1.0)
+        message = (
+            f"eta=2e-16 is below its rounding floor {floor} for beta2=1.0 at n_nodes=20"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            interpolate_edge_signals(
+                sk, truth.selection.w2, signals.observed_edges, signals.x1_obs,
+                HyperParams(beta2=1.0, eta=2e-16),
+            )
 
     def test_requires_observations(self):
         sk = build_skeleton(4)
@@ -853,9 +908,11 @@ class TestRunGreedyScl:
 # energy's error in units of q (the note on SCORE_QUANTUM: 7e-12 * M
 # against q >= 9e-9 * beta2 * M); WIDTH_SLACK bounds the relative
 # difference of the two widths, each taken from the largest row energy, ten
-# times over. A draw in which the reference meets an unsettled key within
-# one key of a cut may legitimately select otherwise: if it does, it is
-# rejected. Every other draw must match exactly.
+# times over. A draw whose weights make the solve's error bound larger
+# (``_solve_error``) gets the slacks that bound gives. A draw in which the
+# reference meets an unsettled key within one key of a cut may legitimately
+# select otherwise: if it does, it is rejected. Every other draw must match
+# exactly.
 KEY_SLACK = 1e-3
 WIDTH_SLACK = 1e-12
 WEIGHTS = ("alpha1", "alpha2", "beta1", "beta2", "gamma", "eta")
@@ -882,6 +939,14 @@ def _loop_case(n, seed, weights, amp, observed_share, e_share, t_share):
     return sk, x0, x1_obs, observed, params
 
 
+def _solve_error(n, params):
+    """The note on ``SCORE_QUANTUM``'s bound delta = kappa * m * 2**-53 on
+    the relative error of an interpolation on ``n`` nodes, m = C(n, 2) and
+    kappa = 1 + n * beta2 / eta (1 at ``eta = 0``, where none is solved)."""
+    kappa = 1.0 + (n * params.beta2 / params.eta if params.eta else 0.0)
+    return kappa * (n * (n - 1) // 2) * 2.0**-53
+
+
 _LOOP_CASES = st.builds(
     _loop_case,
     st.integers(3, 12),
@@ -905,6 +970,12 @@ class TestWholeLoopReference:
         loop of ``oracles.reference_greedy_scl`` does, which scores every
         candidate and re-interpolates by a pseudoinverse every time."""
         sk, x0, x1_obs, observed, params = case
+        below_floor = 0.0 < params.eta < learner._eta_floor(sk.n_nodes, params.beta2)
+        event(f"eta below the floor: {below_floor}")
+        if below_floor:
+            with pytest.raises(ValueError, match="is below its rounding floor"):
+                run_greedy_scl(sk, x0, x1_obs, observed, params)
+            return
         got = run_greedy_scl(sk, x0, x1_obs, observed, params)
         ref = reference_greedy_scl(
             sk.n_nodes, x0, x1_obs, observed, params, max_iters=learner.MAX_ITERS,
@@ -915,8 +986,14 @@ class TestWholeLoopReference:
         event(f"pruned: {ref['pruned'] > 0}, converged: {ref['converged']}")
         near = np.concatenate([np.zeros(0), *ref["cut_values"]])
         margin = 0.5 - np.abs(near - np.round(near))
-        slack = margin - KEY_SLACK - WIDTH_SLACK * np.abs(near)
-        atol = 1e-12 * params.eta * np.sum(x1_obs**2)
+        # A curl energy is off by at most 18 * delta * M, 2 * delta / SCORE_QUANTUM
+        # widths; a width, and an objective term (B2 B2^T has norm at most n), by
+        # about 2 * delta relative, which the slacks take ten times over.
+        delta = _solve_error(sk.n_nodes, params)
+        key_slack = max(KEY_SLACK, 2 * delta / learner.SCORE_QUANTUM)
+        slack = margin - key_slack - max(WIDTH_SLACK, 20 * delta) * np.abs(near)
+        weight = max(1e-12 * params.eta, 20 * delta * (sk.n_nodes * params.beta2 + params.eta))
+        atol = weight * np.sum(x1_obs**2)
         same = (
             np.array_equal(got.selection.w1, ref["w1"])
             and np.array_equal(got.selection.w2, ref["w2"])

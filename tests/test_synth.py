@@ -32,9 +32,9 @@ from scinfer.synth import (
 )
 from scinfer.topology import (
     MAX_NODES,
+    _edge_rank,
     b2_block,
     build_skeleton,
-    edge_index,
     hodge_decompose,
     missing_edges,
     node_laplacian,
@@ -107,13 +107,13 @@ class TestErSelection:
         n = MAX_NODES
         sk = build_skeleton(n)
         path = np.zeros(sk.n_edges, dtype=np.int8)
-        path[[edge_index(sk, i, i + 1) for i in range(n - 1)]] = 1
+        path[_edge_rank(n, np.arange(n - 1), np.arange(1, n))] = 1
         assert _connected(sk, path)
         cut = path.copy()
-        cut[edge_index(sk, n // 2, n // 2 + 1)] = 0
+        cut[_edge_rank(n, n // 2, n // 2 + 1)] = 0
         assert not _connected(sk, cut)
         isolated = np.ones(sk.n_edges, dtype=np.int8)
-        isolated[[edge_index(sk, i, n - 1) for i in range(n - 1)]] = 0
+        isolated[_edge_rank(n, np.arange(n - 1), n - 1)] = 0
         assert not _connected(sk, isolated)
 
     def test_deterministic_given_seed(self):
@@ -291,11 +291,11 @@ class TestSmoothNodeSignals:
         filter drops both kernel directions, and they span the rest, so
         it keeps every other eigenvalue, the path's smallest at 6.2e-3
         times the largest included."""
-        sk = build_skeleton(MAX_NODES)
+        sk = build_skeleton(40)
         w1 = np.zeros(sk.n_edges, dtype=np.int8)
-        for i in range(19):
-            w1[edge_index(sk, i, i + 1)] = w1[edge_index(sk, 20 + i, 21 + i)] = 1
-        w1[edge_index(sk, 20, 39)] = 1
+        i = np.arange(19)
+        w1[_edge_rank(40, i, i + 1)] = w1[_edge_rank(40, 20 + i, 21 + i)] = 1
+        w1[_edge_rank(40, 20, 39)] = 1
         x = gen_smooth_node_signals(sk, w1, 60, 0.0, np.random.default_rng(3))
         for component in (slice(0, 20), slice(20, 40)):
             assert np.abs(x[component].sum(axis=0)).max() <= 1e-12

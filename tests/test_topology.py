@@ -34,14 +34,12 @@ from scinfer.topology import (
     check_observed_edges,
     complex_from_dict,
     complex_to_dict,
-    edge_index,
     hodge_decompose,
     make_selection,
     node_laplacian,
     read_complex_json,
     read_json,
     triangle_curl,
-    triangle_index,
     write_json,
 )
 
@@ -84,7 +82,7 @@ class TestBuildSkeleton:
                 assert arr.dtype == np.int64 and not arr.flags.writeable
             assert sk.triangles == triangles
             faces = [
-                [edge_index(sk, i, j), edge_index(sk, i, k), edge_index(sk, j, k)]
+                [_edge_rank(n, i, j), _edge_rank(n, i, k), _edge_rank(n, j, k)]
                 for i, j, k in triangles
             ]
             np.testing.assert_array_equal(sk.tri_edges, np.array(faces).reshape(-1, 3))
@@ -144,12 +142,13 @@ class TestBuildSkeleton:
 
 class TestIndices:
     def test_exhaustive_positions(self):
+        """The rank kernels give each row of the skeleton's edge and
+        triangle arrays its own position."""
         for n in range(2, 11):
             sk = build_skeleton(n)
-            for pos, (i, j) in enumerate(sk.edges):
-                assert edge_index(sk, i, j) == pos
-            for pos, (i, j, k) in enumerate(sk.triangles):
-                assert triangle_index(sk, i, j, k) == pos
+            np.testing.assert_array_equal(_edge_rank(n, *sk.edge_nodes.T), np.arange(sk.n_edges))
+            tris = topology.triangle_nodes(sk, slice(None))
+            np.testing.assert_array_equal(_triangle_rank(n, *tris.T), np.arange(sk.n_triangles))
 
     def test_rank_formulas_map_every_simplex_to_its_position(self):
         for n in range(2, MAX_NODES + 1):
@@ -158,42 +157,6 @@ class TestIndices:
             tris = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
             tris = tris.reshape(-1, 3)
             np.testing.assert_array_equal(_triangle_rank(n, *tris.T), np.arange(len(tris)))
-
-    @pytest.mark.parametrize(
-        "vertices", [(0, 2, 1), (1, 1, 2), (0, 2, 2), (-1, 0, 1), (4, 5, 6)]
-    )
-    def test_triangle_index_rejects_invalid_triangles(self, vertices):
-        with pytest.raises(ValueError, match=r"invalid triangle .* for 4 nodes"):
-            triangle_index(build_skeleton(4), *vertices)
-
-    def test_rejects_unsorted_and_out_of_range(self):
-        sk = build_skeleton(4)
-        with pytest.raises(ValueError):
-            edge_index(sk, 3, 1)
-        with pytest.raises(ValueError):
-            edge_index(sk, 2, 2)
-        with pytest.raises(ValueError):
-            edge_index(sk, 0, 4)
-        with pytest.raises(ValueError):
-            triangle_index(sk, 2, 1, 0)
-        with pytest.raises(ValueError):
-            triangle_index(sk, 1, 2, 4)
-        with pytest.raises(ValueError, match=r"invalid edge \(0, 4\) for 4 nodes"):
-            edge_index(sk, np.int64(0), np.uint8(4))
-        assert edge_index(sk, np.int64(1), np.uint8(3)) == edge_index(sk, 1, 3)
-        assert triangle_index(sk, np.uint8(0), np.int32(1), 3) == triangle_index(sk, 0, 1, 3)
-
-    @pytest.mark.parametrize(
-        "vertices",
-        [(0.5, 1), (0, 1.0), (False, True), (0, True), (0, 1.5, 3), (0.0, 1, 2), (False, 1, 2)],
-    )
-    def test_refuses_float_and_bool_vertices(self, vertices):
-        """A float or a bool vertex is refused, not truncated to a
-        neighbouring simplex."""
-        sk = build_skeleton(5)
-        index = edge_index if len(vertices) == 2 else triangle_index
-        with pytest.raises(ValueError, match="vertex must be an integer"):
-            index(sk, *vertices)
 
 
 class TestLaplacians:
