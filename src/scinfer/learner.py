@@ -93,6 +93,7 @@ __all__ = [
 # beta2 * 18 * delta * M reaches one width once kappa > SCORE_QUANTUM * 2**52 / m,
 # m = C(n_nodes, 2), i.e. once 0 < eta < n_nodes * beta2 / (that bound - 1), which
 # interpolation refuses (``_eta_floor``): 6.9e-3 * beta2 at 40 nodes, 8.4e-4 * beta2 at 20.
+# A worst-case bound, not a measured failure: just above it a score may be a width off.
 SCORE_QUANTUM = 1e-9
 
 # Iteration cap of ``run_greedy_scl``: a safety bound, not part of the
@@ -321,7 +322,9 @@ def interpolate_edge_signals(
     instances at ``beta2 = 1`` the largest flow was 0.48-0.55 at ``eta >=
     1e-14`` but up to 52 at 2e-16 to 5e-16), so a positive ``eta`` under
     ``_eta_floor`` raises a ValueError naming ``eta``, ``beta2``, ``n_nodes``
-    and the floor: about 6.9e-3 * beta2 at 40 nodes and 8.4e-4 * beta2 at 20.
+    and the floor, about 6.9e-3 * beta2 at 40 nodes and 8.4e-4 * beta2 at 20:
+    the worst case, where a score's rounding error reaches one bucket width,
+    so an ``eta`` just above it can still mis-rank a triangle.
     """
     w2a, active_t = _active_indices(w2, skeleton.n_triangles, "w2")
     obs = check_observed_edges(skeleton.n_edges, observed_edges)

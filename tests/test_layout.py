@@ -230,14 +230,15 @@ def _reachable_refs(name, root, names):
 
 
 def test_complex_reader_ranks_no_entry_alone():
-    """``complex_from_dict`` ranks each simplex list in one array pass;
-    neither it nor anything it calls goes through the per-simplex
-    ``edge_index``/``triangle_index``."""
-    refs, reached = _reachable_refs(
-        "topology.py", "complex_from_dict", ("edge_index", "triangle_index")
-    )
-    assert refs == []
+    """``complex_from_dict`` ranks each simplex list in one array pass of
+    ``_simplex_ranks``, and that is the one function outside the skeleton's
+    enumeration that calls the closed-form ``_edge_rank``/``_triangle_rank``."""
+    _, reached = _reachable_refs("topology.py", "complex_from_dict", ())
     assert {"_simplex_ranks", "_edge_rank", "_triangle_rank", "build_skeleton"} <= reached
+    callers, _ = _functions_naming(("_edge_rank", "_triangle_rank"))
+    assert callers == {
+        "topology.py build_skeleton", "topology.py _simplex_ranks", "topology.py _triangle_rank",
+    }
 
 
 def _wordings(words):
